@@ -34,6 +34,7 @@ __all__ = [
     "FinitePMF",
     "JointModel",
     "ExplicitFinitePMF",
+    "MultinomialModel",
     "IndependentMarginals",
     "MvgModel",
     "rect_prob",
@@ -328,26 +329,25 @@ class ExplicitFinitePMF(JointModel):
     caller, never detected.
     """
 
-    def __init__(self, points, probs, exchangeable: bool = False, _trusted: bool = False):
+    def __init__(self, points, probs, exchangeable: bool = False):
         pts = np.asarray(points)
         w = np.asarray(probs, dtype=float)
         if pts.ndim != 2 or pts.shape[0] != w.shape[0] or w.ndim != 1:
             raise ValidationError("points must be (N, n) with N matching probs")
         if pts.shape[0] == 0:
             raise ValidationError("empty support")
-        if not _trusted:
-            if not np.issubdtype(pts.dtype, np.integer):
-                if not np.all(pts == np.floor(pts)):
-                    raise ValidationError("support points must be integers")
-                pts = pts.astype(np.int64)
-            if np.any(pts < 0):
-                raise ValidationError("support points must be non-negative")
-            if np.any(w < 0.0):
-                raise ValidationError("probabilities must be non-negative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValidationError(f"probabilities sum to {w.sum()!r}, not 1")
-            if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-                raise ValidationError("duplicate support points")
+        if not np.issubdtype(pts.dtype, np.integer):
+            if not np.all(pts == np.floor(pts)):
+                raise ValidationError("support points must be integers")
+            pts = pts.astype(np.int64)
+        if np.any(pts < 0):
+            raise ValidationError("support points must be non-negative")
+        if np.any(w < 0.0):
+            raise ValidationError("probabilities must be non-negative")
+        if abs(float(w.sum()) - 1.0) > 1e-12:
+            raise ValidationError(f"probabilities sum to {w.sum()!r}, not 1")
+        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+            raise ValidationError("duplicate support points")
         self.points = pts
         self.probs = w
         self.n = int(pts.shape[1])
@@ -357,23 +357,30 @@ class ExplicitFinitePMF(JointModel):
     def support_max(self) -> int:
         return int(self.points.max())
 
+    def support_size(self) -> int:
+        """Number of support points."""
+        return int(self.probs.shape[0])
+
     def counts_table(self) -> np.ndarray:
         """(m_max+2, n+1) table of P(exactly s coordinates <= m), m = -1..m_max.
 
-        Built in one pass over the support per threshold m and cached; every
-        order-statistic quantity for every rank is then read from this table.
-        Row 0 is m = -1 (all mass at s = 0).
+        Built once and cached; every order-statistic quantity for every rank
+        is then read from this table.  Row 0 is m = -1 (all mass at s = 0).
         """
         if self._counts_table is None:
-            m_max = self.support_max()
-            table = np.zeros((m_max + 2, self.n + 1))
-            table[0, 0] = 1.0
-            counts = np.zeros(self.points.shape[0], dtype=np.int64)
-            for m in range(m_max + 1):
-                counts += (self.points == m).sum(axis=1)
-                table[m + 1] = np.bincount(counts, weights=self.probs, minlength=self.n + 1)
-            self._counts_table = table
+            self._counts_table = self._build_counts_table()
         return self._counts_table
+
+    def _build_counts_table(self) -> np.ndarray:
+        """One pass over the support per threshold m."""
+        m_max = self.support_max()
+        table = np.zeros((m_max + 2, self.n + 1))
+        table[0, 0] = 1.0
+        counts = np.zeros(self.points.shape[0], dtype=np.int64)
+        for m in range(m_max + 1):
+            counts += (self.points == m).sum(axis=1)
+            table[m + 1] = np.bincount(counts, weights=self.probs, minlength=self.n + 1)
+        return table
 
     def counts_probs(self, m: int) -> np.ndarray:
         """P(exactly s of the coordinates are <= m) for s = 0..n."""
@@ -494,7 +501,7 @@ def quantile(dist: MarginalDist, q: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# multinomial support builder
+# multinomial model
 # ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int, dtype) -> np.ndarray:
@@ -522,36 +529,122 @@ def _compositions(total: int, parts: int, dtype) -> np.ndarray:
     return build(total, parts)
 
 
-def multinomial_pmf(trials: int, probs: Sequence[float], exchangeable: bool | None = None) -> ExplicitFinitePMF:
+class MultinomialModel(ExplicitFinitePMF):
+    """The count vector of ``trials`` balls dropped into cells with ``cell_probs``.
+
+    The class-count table is computed from the parameters alone; ``points``
+    and ``probs`` are enumerated only when a consumer first reads them.
+    """
+
+    def __init__(self, trials: int, cell_probs: Sequence[float], exchangeable: bool | None = None):
+        ps = np.asarray(cell_probs, dtype=float)
+        if trials < 1:
+            raise ValidationError("trials must be at least 1")
+        if ps.ndim != 1 or ps.size < 1:
+            raise ValidationError("probs must be a non-empty vector")
+        if np.any(ps <= 0.0):
+            raise ValidationError("all cell probabilities must be positive")
+        if abs(float(ps.sum()) - 1.0) > 1e-9:
+            raise ValidationError(f"cell probabilities sum to {ps.sum()!r}, not 1")
+        if exchangeable is None:
+            exchangeable = bool(np.all(ps == ps[0]))
+        self.trials = int(trials)
+        self.cell_probs = ps
+        self.n = int(ps.size)
+        self.exchangeable = bool(exchangeable)
+        self._counts_table: np.ndarray | None = None
+        self._support: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._enumerate()[0]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._enumerate()[1]
+
+    def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
+        """All count vectors and their weights, from a log-factorial table."""
+        if self._support is None:
+            trials, ps = self.trials, self.cell_probs
+            dtype = np.int8 if trials < 128 else np.int16
+            points = _compositions(trials, self.n, dtype)
+            lfact = np.array([lgamma(x + 1) for x in range(trials + 1)])
+            # column-wise accumulation keeps the peak memory at O(N) extra
+            logw = np.full(points.shape[0], lgamma(trials + 1.0))
+            for j in range(self.n):
+                col = points[:, j].astype(np.intp)
+                logw += col * log(ps[j])
+                logw -= lfact[col]
+            w = np.exp(logw)
+            w /= w.sum()
+            self._support = (points, w)
+        return self._support
+
+    def support_max(self) -> int:
+        return self.trials
+
+    def support_size(self) -> int:
+        return math.comb(self.trials + self.n - 1, self.n - 1)
+
+    def _build_counts_table(self) -> np.ndarray:
+        """Class counts by stick-breaking over the cells.
+
+        Cell i takes Binom(N - t, p_i / (p_i + ... + p_n)) of the N - t
+        trials the cells before it left over; the last cell takes the rest.
+        ``A[m, t, s]`` is P(the cells seen so far hold t trials and s of them
+        hold <= m), for every threshold m at once.  Every term is a product
+        of probabilities, so nothing cancels and nothing overflows.
+        """
+        N, n, ps = self.trials, self.n, self.cell_probs
+        # rest[i] = p_i + ... + p_n: a sum of positives, so 1 - q_i below is
+        # the ratio rest[i+1] / rest[i] with no cancellation
+        log_rest = np.log(np.cumsum(ps[::-1])[::-1])
+        lfact = np.array([lgamma(x + 1.0) for x in range(N + 1)])
+        t = np.arange(N + 1)
+        left = (N - t)[:, None]  # trials still unplaced after t are placed
+        x = t[None, :]
+        fits = x <= left
+        passed = np.where(fits, left - x, 0)
+        A = np.zeros((N + 1, N + 1, n + 1))
+        A[:, 0, 0] = 1.0
+        for i in range(n - 1):
+            # B[t, x] = P(Binom(N - t, q_i) = x)
+            log_b = (
+                lfact[left] - lfact[x] - lfact[passed]
+                + x * (log(ps[i]) - log_rest[i])
+                + passed * (log_rest[i + 1] - log_rest[i])
+            )
+            B = np.where(fits, np.exp(log_b), 0.0)  # log_b <= 0 off the fit
+            # s <= i before cell i, so the last column of A is still empty
+            new = np.zeros_like(A)
+            for xi in range(N + 1):
+                moved = A[:, : N + 1 - xi, :n] * B[: N + 1 - xi, xi, None]
+                new[xi:, xi:, 1:] += moved[xi:]  # thresholds m >= xi: a low cell
+                new[:xi, xi:, :n] += moved[:xi]
+            A = new
+        # the last cell holds the N - t unplaced trials: low when N - t <= m
+        low = left.T <= np.arange(N + 1)[:, None]  # [m, t]
+        table = np.zeros((N + 2, n + 1))
+        table[0, 0] = 1.0
+        table[1:, 1:] = np.einsum("mts,mt->ms", A[:, :, :n], low)
+        table[1:] += np.einsum("mts,mt->ms", A, ~low)
+        return table
+
+
+def multinomial_pmf(trials: int, probs: Sequence[float], exchangeable: bool | None = None) -> MultinomialModel:
     """The full multinomial distribution Mult(trials, probs) as an explicit pmf.
 
-    Enumerates all C(trials + k - 1, k - 1) count vectors; probabilities are
-    computed with a log-factorial table, so the build stays exact to double
-    precision even for millions of support points.  ``exchangeable`` defaults
-    to true exactly when all cell probabilities are equal (the construction
-    is then symmetric under coordinate permutations).
+    Order-statistic moments read only the class-count table, which is
+    computed from (trials, probs) by a positive-term dynamic program in
+    O(k^2 N^3) flops for the whole table (k cells, N trials), without
+    listing the C(N + k - 1, k - 1) count vectors.  Consumers that need the
+    support points enumerate them on first use, with a log-factorial table
+    that keeps the weights exact to double precision: ``rect_prob``, the
+    min/max series of ``system_moment_exact``, the truncation planner of the
+    system moment functions, and the ``enumerate_moment`` and ``mc_moment``
+    oracles.  ``exchangeable`` defaults to true exactly when all cell
+    probabilities are equal (the construction is then symmetric under
+    coordinate permutations).
     """
-    ps = np.asarray(probs, dtype=float)
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
-    if ps.ndim != 1 or ps.size < 1:
-        raise ValidationError("probs must be a non-empty vector")
-    if np.any(ps <= 0.0):
-        raise ValidationError("all cell probabilities must be positive")
-    if abs(float(ps.sum()) - 1.0) > 1e-9:
-        raise ValidationError(f"cell probabilities sum to {ps.sum()!r}, not 1")
-    k = int(ps.size)
-    dtype = np.int8 if trials < 128 else np.int16
-    points = _compositions(trials, k, dtype)
-    lfact = np.array([lgamma(x + 1) for x in range(trials + 1)])
-    # column-wise accumulation keeps the peak memory at O(N) extra
-    logw = np.full(points.shape[0], lgamma(trials + 1.0))
-    for j in range(k):
-        col = points[:, j].astype(np.intp)
-        logw += col * log(ps[j])
-        logw -= lfact[col]
-    w = np.exp(logw)
-    w /= w.sum()
-    if exchangeable is None:
-        exchangeable = bool(np.all(ps == ps[0]))
-    return ExplicitFinitePMF(points, w, exchangeable=exchangeable, _trusted=True)
+    return MultinomialModel(trials, probs, exchangeable)

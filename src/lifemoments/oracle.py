@@ -84,10 +84,10 @@ def _statistic_values(points: np.ndarray, statistic) -> np.ndarray:
 
 def _full_support(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(model, ExplicitFinitePMF):
-        if model.points.shape[0] > ENUMERATION_CAP:
-            raise CapacityError(
-                f"{model.points.shape[0]} support points exceed the cap {ENUMERATION_CAP}"
-            )
+        # checked before reading points: a multinomial lists them on first read
+        size = model.support_size()
+        if size > ENUMERATION_CAP:
+            raise CapacityError(f"{size} support points exceed the cap {ENUMERATION_CAP}")
         return model.points, model.probs
     if isinstance(model, IndependentMarginals):
         sizes = []

@@ -8,17 +8,22 @@ import pytest
 import scipy.stats as st
 
 from lifemoments import (
+    CapacityError,
     ExplicitFinitePMF,
     FinitePMF,
     Geometric,
     IndependentMarginals,
+    MomentRequest,
     NegBin,
     Poisson,
     ValidationError,
+    enumerate_moment,
+    exact_moment_finite,
     marginal_survival,
     multinomial_pmf,
     rect_prob,
 )
+from lifemoments import distributions
 from conftest import product_explicit, random_explicit, random_independent, random_probs
 
 
@@ -234,6 +239,44 @@ def test_multinomial_counts_table_rows_sum_to_one():
     assert table[0, 0] == 1.0
     # last row: every coordinate is <= support_max
     assert table[-1, -1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "trials, probs",
+    [
+        (5, [0.1, 0.4, 0.5]),
+        (7, [0.03, 0.02, 0.9, 0.01, 0.04]),
+        # 128 trials or more: the support is listed with int16 counts
+        (150, [0.2, 0.3, 0.5]),
+    ],
+)
+def test_multinomial_counts_table_matches_enumeration(trials, probs):
+    model = multinomial_pmf(trials, probs)
+    table = model.counts_table()
+    reference = ExplicitFinitePMF(model.points, model.probs).counts_table()
+    assert model.support_max() == trials
+    np.testing.assert_allclose(table, reference, rtol=0.0, atol=1e-12)
+
+
+def test_multinomial_moments_without_enumeration(monkeypatch):
+    # C(41, 11) ~ 2.3e9 count vectors: listing them would need ~28 GB
+    def refuse(*_args):
+        raise AssertionError("support points were enumerated")
+
+    monkeypatch.setattr(distributions, "_compositions", refuse)
+    trials, probs = 30, [1 / 12] * 12
+    model = multinomial_pmf(trials, probs)
+    assert model.support_size() == math.comb(41, 11)
+    sums = {1: 0.0, 2: 0.0}
+    for r in range(1, 13):
+        for p in (1, 2):
+            sums[p] += exact_moment_finite(model, MomentRequest(r=r, n=12, p=p)).value
+    # the order statistics are a permutation of the cells
+    second = sum(trials * q * (1 - q) + trials**2 * q**2 for q in probs)
+    assert sums[1] == pytest.approx(trials, rel=1e-9)
+    assert sums[2] == pytest.approx(second, rel=1e-9)
+    with pytest.raises(CapacityError):
+        enumerate_moment(model, 1, 1)
 
 
 def test_multinomial_validation():
