@@ -86,16 +86,10 @@ from .mvg import (
     mvg_orderstat_factorial_moment,
 )
 from .oracle import enumerate_moment, mc_moment
-from .orderstats import (
-    MomentRequest,
-    approx_moment,
-    exact_moment_finite,
-    plan_generic,
-    plan_negbin,
-    plan_poisson,
-)
+from .orderstats import MomentRequest, approx_moment, binomial_head, exact_moment_finite
 from .systems import (
     SystemStructure,
+    _dominant_truncation,
     alpha_coefficients,
     beta_coefficients,
     maximal_signature,
@@ -218,7 +212,7 @@ def _expand_requests(cfg: dict, n: int, flag_d, with_ranks: bool) -> list[tuple[
         for item in raw:
             r = int(_require(item, "r", "request")) if with_ranks else None
             p = int(_require(item, "p", "request"))
-            d = item.get("d", flag_d)
+            d = flag_d if flag_d is not None else item.get("d")
             out.append((r, p, None if d is None else float(d)))
         return out
     if not isinstance(raw, dict):
@@ -236,17 +230,6 @@ def _expand_requests(cfg: dict, n: int, flag_d, with_ranks: bool) -> list[tuple[
 # routing
 # ---------------------------------------------------------------------------
 
-def _plan_for(model: IndependentMarginals, req: MomentRequest):
-    margs = model.marginals
-    if all(isinstance(m, Poisson) for m in margs):
-        return plan_poisson([m.lam for m in margs], req)
-    if all(isinstance(m, NegBin) for m in margs) and len({m.R for m in margs}) == 1:
-        return plan_negbin(margs[0].R, [m.p for m in margs], req)
-    j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
-    dist = margs[j0 - 1]
-    return plan_generic(lambda m: dist.tail_moment(req.p, m), req, j0)
-
-
 def _orderstat_cell(model: JointModel, r: int, p: int, d) -> dict:
     """value plus truncation metadata for one (rank, moment) cell."""
     n = model.n
@@ -261,7 +244,7 @@ def _orderstat_cell(model: JointModel, r: int, p: int, d) -> dict:
             f"rank {r}, p={p}: infinite support needs an error bound (request d or --d)"
         )
     req = MomentRequest(r=r, n=n, p=p, d=d)
-    plan = _plan_for(model, req)
+    plan = _dominant_truncation(model, p, d / binomial_head(n, r))
     res = approx_moment(model, req, plan)
     return {"value": res.value, "M0": plan.M0}
 

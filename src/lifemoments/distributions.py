@@ -4,7 +4,10 @@ Every moment formula in this package reads a joint model through one query:
 the probability that each coordinate in one index set is <= m while each
 coordinate in another is > m (``rect_prob``).  Three model kinds implement
 it: an explicit finite pmf, a product of independent marginals, and the
-common-shock geometric model of module ``mvg``.
+common-shock geometric model of module ``mvg``.  The quantities the moment
+series consume (class counts, subset min/max series, order-statistic
+survival) are methods of the model, with rectangle-query defaults on
+``JointModel`` that each kind overrides where it has a faster form.
 
 Marginal pmf/cdf work is done in log space via ``math.lgamma`` so that large
 rates and far tail indices neither overflow nor lose the leading digits.
@@ -13,18 +16,20 @@ rates and far tail indices neither overflow nor lose the leading digits.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from itertools import combinations
 from math import exp, lgamma, log
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    CapacityError,
     ConvergenceError,
-    NumericError,
     UnsupportedModelError,
     ValidationError,
 )
-from .mvg import MvgParams, mvg_min_param
+from .mvg import MvgParams, mvg_min_param, mvg_orderstat_survival
 
 __all__ = [
     "MarginalDist",
@@ -48,6 +53,8 @@ __all__ = [
 # quantity being compared.
 _TAIL_SLACK = 1e-8
 _DOUBLING_CAP = 200
+
+SUBSET_N_CAP = 20  # subset enumeration over C(n, s) sets beyond this is refused
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +318,78 @@ class FinitePMF(MarginalDist):
 # ---------------------------------------------------------------------------
 
 class JointModel:
-    """A distribution on non-negative-integer vectors of fixed length n."""
+    """A distribution on non-negative-integer vectors of fixed length n.
+
+    Each model kind answers the rectangle query ``rect_prob``; the class
+    counts, the subset min/max series and the order-statistic survival have
+    defaults built on it, which a kind overrides where it has a faster or
+    closed form.  Index sets are frozensets of 1-based coordinates, already
+    validated, and thresholds are >= -1.
+    """
 
     n: int
     exchangeable: bool
+    # per-coordinate marginal laws when the model has them (the truncation
+    # planner reads them); None otherwise
+    marginals: tuple[MarginalDist, ...] | None = None
 
     def support_max(self) -> int | None:
         return None
+
+    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
+        """P(X_i <= m for i in low, X_j > m for j in up)."""
+        raise UnsupportedModelError(f"unknown model kind {type(self).__name__}")
+
+    def class_counts(self, m_max: int) -> np.ndarray:
+        """(m_max+1, n+1) matrix: row m holds P(exactly s coordinates <= m), s = 0..n.
+
+        Each class is split over its index sets, one rectangle query each;
+        under exchangeability one set per class stands for all C(n, s).
+        """
+        n = self.n
+        if not self.exchangeable and n > SUBSET_N_CAP:
+            raise CapacityError(
+                f"subset enumeration needs C({n}, s) rectangle queries; "
+                f"n exceeds the cap {SUBSET_N_CAP}"
+            )
+        idx = frozenset(range(1, n + 1))
+        out = np.empty((m_max + 1, n + 1))
+        for m in range(m_max + 1):
+            for s in range(n + 1):
+                if self.exchangeable:
+                    low = frozenset(range(1, s + 1))
+                    out[m, s] = math.comb(n, s) * self.rect_prob(low, idx - low, m)
+                else:
+                    out[m, s] = math.fsum(
+                        self.rect_prob(frozenset(S), idx.difference(S), m)
+                        for S in combinations(range(1, n + 1), s)
+                    )
+        return out
+
+    def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
+        """P(X_{r:n} > m) for m = 0..m_max, read from the class counts.
+
+        The event splits over how many coordinates fall at or below m: either
+        sum the classes with fewer than r low coordinates ("low"), or
+        complement the classes with at least r ("high").  "auto" picks
+        whichever needs fewer classes (ties go to the low form).
+        """
+        if form == "auto":
+            form = "low" if r <= (self.n + 1) / 2 else "high"
+        if form not in ("low", "high"):
+            raise ValidationError(f"form must be auto, low, or high, not {form!r}")
+        counts = self.class_counts(m_max)
+        if form == "low":
+            return np.array([math.fsum(row[:r]) for row in counts])
+        return np.array([1.0 - math.fsum(row[r:]) for row in counts])
+
+    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
+        """P(min over K > m) for m = 0..m_hi."""
+        return np.array([self.rect_prob(frozenset(), K, m) for m in range(m_hi + 1)])
+
+    def max_cdf_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
+        """P(max over K <= m) for m = 0..m_hi."""
+        return np.array([self.rect_prob(K, frozenset(), m) for m in range(m_hi + 1)])
 
 
 class ExplicitFinitePMF(JointModel):
@@ -382,10 +454,28 @@ class ExplicitFinitePMF(JointModel):
             table[m + 1] = np.bincount(counts, weights=self.probs, minlength=self.n + 1)
         return table
 
-    def counts_probs(self, m: int) -> np.ndarray:
-        """P(exactly s of the coordinates are <= m) for s = 0..n."""
-        m_max = self.support_max()
-        return self.counts_table()[min(m, m_max) + 1]
+    def class_counts(self, m_max: int) -> np.ndarray:
+        table = self.counts_table()  # rows m = -1..support_max; later rows repeat the last
+        return table[np.minimum(np.arange(m_max + 1), table.shape[0] - 2) + 1]
+
+    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
+        mask = np.ones(self.points.shape[0], dtype=bool)
+        for i in low:
+            mask &= self.points[:, i - 1] <= m
+        for j in up:
+            mask &= self.points[:, j - 1] > m
+        return float(self.probs[mask].sum())
+
+    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
+        mins = self.points[:, sorted(i - 1 for i in K)].min(axis=1)
+        pmf = np.bincount(mins.astype(np.intp), weights=self.probs, minlength=m_hi + 2)
+        surv = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]])
+        return surv[: m_hi + 1]
+
+    def max_cdf_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
+        maxs = self.points[:, sorted(i - 1 for i in K)].max(axis=1)
+        pmf = np.bincount(maxs.astype(np.intp), weights=self.probs, minlength=m_hi + 1)
+        return np.cumsum(pmf)[: m_hi + 1]
 
 
 class IndependentMarginals(JointModel):
@@ -412,9 +502,45 @@ class IndependentMarginals(JointModel):
         """(m_max+1, n) matrix of F_j(m)."""
         return np.column_stack([d.cdf_array(m_max) for d in self.marginals])
 
+    def class_counts(self, m_max: int) -> np.ndarray:
+        """Poisson-binomial recursion over the coordinates, every threshold at once.
+
+        Coordinate j moves a class up by one with probability F_j(m); every
+        step mixes probabilities with non-negative weights, so nothing cancels
+        (Hong 2013, Comput. Stat. Data Anal. 59:41-51).
+        """
+        cdfs = self.cdf_matrix(m_max)
+        counts = np.zeros((m_max + 1, self.n + 1))
+        counts[:, 0] = 1.0
+        for j in range(self.n):
+            q = cdfs[:, j : j + 1]
+            counts[:, 1:] = counts[:, 1:] * (1.0 - q) + counts[:, :-1] * q
+            counts[:, :1] *= 1.0 - q
+        return counts
+
+    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
+        out = 1.0
+        for i in low:
+            out *= self.marginals[i - 1].cdf(m)
+        for j in up:
+            out *= self.marginals[j - 1].survival(m)
+        return out
+
+    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
+        surv = 1.0 - self.cdf_matrix(m_hi)[:, sorted(i - 1 for i in K)]
+        return surv.prod(axis=1)
+
+    def max_cdf_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
+        return self.cdf_matrix(m_hi)[:, sorted(i - 1 for i in K)].prod(axis=1)
+
 
 class MvgModel(JointModel):
-    """Joint model wrapper around MVG common-shock parameters."""
+    """Joint model wrapper around MVG common-shock parameters.
+
+    Every subset minimum is geometric, P(min over K > m) = theta(K)^(m+1),
+    so rectangle queries expand over subset minima and the order-statistic
+    survival has a closed form; the class counts keep the rectangle default.
+    """
 
     def __init__(self, params: MvgParams):
         if not isinstance(params, MvgParams):
@@ -422,6 +548,34 @@ class MvgModel(JointModel):
         self.params = params
         self.n = params.n
         self.exchangeable = params.exchangeable
+
+    @cached_property
+    def marginals(self) -> tuple[Geometric, ...]:
+        """X_i ~ ge(1 - theta_i) with theta_i the minimum parameter of {i}."""
+        return tuple(Geometric(1.0 - mvg_min_param(self.params, (i,))) for i in range(1, self.n + 1))
+
+    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
+        # expand the <= m conditions by inclusion-exclusion over subsets of
+        # low; each term is a pure survival probability of a subset minimum
+        total = 0.0
+        low_list = sorted(low)
+        for mask in range(1 << len(low_list)):
+            B = {low_list[b] for b in range(len(low_list)) if mask >> b & 1}
+            sign = -1.0 if len(B) % 2 else 1.0
+            K = up | B
+            # m+1 = 0 handles m = -1: the survival factor degenerates to 1
+            val = mvg_min_param(self.params, K) ** (m + 1) if K else 1.0
+            total += sign * val
+        return min(1.0, max(0.0, total))
+
+    def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
+        """The subset-minima closed form; a forced form reads the class counts."""
+        if form != "auto":
+            return super().orderstat_survival_series(r, m_max, form)
+        return np.array([mvg_orderstat_survival(self.params, r, self.n, m) for m in range(m_max + 1)])
+
+    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
+        return mvg_min_param(self.params, K) ** np.arange(1.0, m_hi + 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,34 +608,7 @@ def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) 
         raise ValidationError(f"m={m} must be >= -1")
     if not L and not U:
         return 1.0
-    if isinstance(model, IndependentMarginals):
-        out = 1.0
-        for i in L:
-            out *= model.marginals[i - 1].cdf(m)
-        for j in U:
-            out *= model.marginals[j - 1].survival(m)
-        return out
-    if isinstance(model, ExplicitFinitePMF):
-        mask = np.ones(model.points.shape[0], dtype=bool)
-        for i in L:
-            mask &= model.points[:, i - 1] <= m
-        for j in U:
-            mask &= model.points[:, j - 1] > m
-        return float(model.probs[mask].sum())
-    if isinstance(model, MvgModel):
-        # expand the <= m conditions by inclusion-exclusion over subsets of
-        # low; each term is a pure survival probability of a subset minimum
-        total = 0.0
-        low_list = sorted(L)
-        for mask in range(1 << len(low_list)):
-            B = {low_list[b] for b in range(len(low_list)) if mask >> b & 1}
-            sign = -1.0 if len(B) % 2 else 1.0
-            K = U | B
-            # m+1 = 0 handles m = -1: the survival factor degenerates to 1
-            val = mvg_min_param(model.params, K) ** (m + 1) if K else 1.0
-            total += sign * val
-        return min(1.0, max(0.0, total))
-    raise UnsupportedModelError(f"unknown model kind {type(model).__name__}")
+    return model.rect_prob(L, U, m)
 
 
 def marginal_survival(model: JointModel, j: int, m: int) -> float:
@@ -490,8 +617,6 @@ def marginal_survival(model: JointModel, j: int, m: int) -> float:
         raise ValidationError(f"index {j} outside 1..{model.n}")
     if m < 0:
         return 1.0
-    if isinstance(model, IndependentMarginals):
-        return model.marginals[j - 1].survival(m)
     return rect_prob(model, (), (j,), m)
 
 
@@ -641,10 +766,9 @@ def multinomial_pmf(trials: int, probs: Sequence[float], exchangeable: bool | No
     listing the C(N + k - 1, k - 1) count vectors.  Consumers that need the
     support points enumerate them on first use, with a log-factorial table
     that keeps the weights exact to double precision: ``rect_prob``, the
-    min/max series of ``system_moment_exact``, the truncation planner of the
-    system moment functions, and the ``enumerate_moment`` and ``mc_moment``
-    oracles.  ``exchangeable`` defaults to true exactly when all cell
-    probabilities are equal (the construction is then symmetric under
-    coordinate permutations).
+    min/max series of the system moment functions, and the
+    ``enumerate_moment`` and ``mc_moment`` oracles.  ``exchangeable``
+    defaults to true exactly when all cell probabilities are equal (the
+    construction is then symmetric under coordinate permutations).
     """
     return MultinomialModel(trials, probs, exchangeable)

@@ -15,28 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .distributions import (
-    ExplicitFinitePMF,
-    IndependentMarginals,
-    JointModel,
-    MvgModel,
-    NegBin,
-    Poisson,
-    rect_prob,
-)
+from .distributions import JointModel, NegBin, Poisson
 from .errors import (
-    CapacityError,
     ConvergenceError,
     NumericError,
     UnsupportedModelError,
     ValidationError,
 )
-from .mvg import mvg_orderstat_survival
 
 __all__ = [
     "MomentRequest",
@@ -49,8 +38,6 @@ __all__ = [
     "plan_negbin",
     "plan_generic",
 ]
-
-SUBSET_N_CAP = 20  # subset enumeration over C(n, s) sets beyond this is refused
 
 _GENERIC_ITERATION_CAP = 10**6
 
@@ -102,43 +89,11 @@ class MomentResult:
 # survival of the r-th order statistic
 # ---------------------------------------------------------------------------
 
-def _counts_from_cdf(qs: np.ndarray) -> np.ndarray:
-    """P(exactly s of n independent events fire), given the event probs qs."""
-    c = np.zeros(len(qs) + 1)
-    c[0] = 1.0
-    for q in qs:
-        c[1:] = c[1:] * (1.0 - q) + c[:-1] * q
-        c[0] *= 1.0 - q
-    return c
-
-
-def _survival_from_counts(counts: np.ndarray, r: int, n: int, form: str) -> float:
-    if form == "auto":
-        form = "low" if r <= (n + 1) / 2 else "high"
-    if form == "low":
-        return float(math.fsum(counts[:r]))
-    if form == "high":
-        return 1.0 - float(math.fsum(counts[r:]))
-    raise ValidationError(f"form must be auto, low, or high, not {form!r}")
-
-
-def _class_prob_subsets(model: JointModel, s: int, m: int) -> float:
-    """P(exactly s coordinates <= m) by explicit subset enumeration."""
-    n = model.n
-    if model.exchangeable:
-        ss = tuple(range(1, s + 1))
-        rest = tuple(range(s + 1, n + 1))
-        return math.comb(n, s) * rect_prob(model, ss, rest, m)
-    if n > SUBSET_N_CAP:
-        raise CapacityError(
-            f"subset enumeration needs C({n}, s) rectangle queries; "
-            f"n exceeds the cap {SUBSET_N_CAP}"
-        )
-    idx = range(1, n + 1)
-    return math.fsum(
-        rect_prob(model, S, tuple(i for i in idx if i not in S), m)
-        for S in combinations(idx, s)
-    )
+def _check_rank(model: JointModel, r: int, n: int):
+    if n != model.n:
+        raise ValidationError(f"n={n} does not match model.n={model.n}")
+    if not 1 <= r <= n:
+        raise ValidationError(f"rank r={r} outside 1..{n}")
 
 
 def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "auto") -> float:
@@ -146,29 +101,15 @@ def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "a
 
     The event splits over how many coordinates fall at or below m: either sum
     the classes with fewer than r low coordinates, or complement the classes
-    with at least r.  ``form="auto"`` picks whichever needs fewer classes
-    (ties go to the low form); "low"/"high" force a side, which is useful for
-    cross-checking the two evaluations against each other.
+    with at least r.  ``form="auto"`` takes the model's own route (the fewer
+    classes, or a closed form where the model has one); "low"/"high" force a
+    side of the class counts, which is useful for cross-checking the
+    evaluations against each other.
     """
-    if n != model.n:
-        raise ValidationError(f"n={n} does not match model.n={model.n}")
-    if not 1 <= r <= n:
-        raise ValidationError(f"rank r={r} outside 1..{n}")
+    _check_rank(model, r, n)
     if m < 0:
         return 1.0
-    if isinstance(model, ExplicitFinitePMF):
-        return _survival_from_counts(model.counts_probs(m), r, n, form)
-    if isinstance(model, IndependentMarginals):
-        qs = np.array([d.cdf(m) for d in model.marginals])
-        return _survival_from_counts(_counts_from_cdf(qs), r, n, form)
-    # dependent general case: subset classes via rectangle queries
-    if form == "auto":
-        form = "low" if r <= (n + 1) / 2 else "high"
-    if form == "low":
-        return float(math.fsum(_class_prob_subsets(model, s, m) for s in range(r)))
-    if form == "high":
-        return 1.0 - float(math.fsum(_class_prob_subsets(model, s, m) for s in range(r, n + 1)))
-    raise ValidationError(f"form must be auto, low, or high, not {form!r}")
+    return float(model.orderstat_survival_series(r, m, form)[m])
 
 
 def _weights(p: int, m_max: int) -> np.ndarray:
@@ -176,32 +117,12 @@ def _weights(p: int, m_max: int) -> np.ndarray:
     return (ms + 1.0) ** p - ms**p
 
 
-def _survival_series(model: JointModel, r: int, n: int, m_max: int) -> np.ndarray:
-    """P(X_{r:n} > m) for m = 0..m_max, batched per model kind."""
-    if isinstance(model, ExplicitFinitePMF):
-        table = model.counts_table()  # rows m = -1..support_max
-        k = model.support_max()
-        out = np.empty(m_max + 1)
-        for m in range(m_max + 1):
-            out[m] = _survival_from_counts(table[min(m, k) + 1], r, n, "auto")
-        return out
-    if isinstance(model, IndependentMarginals):
-        cdfs = model.cdf_matrix(m_max)
-        if model.exchangeable:
-            # declared-IID coordinates: the class counts are binomial weights
-            q = cdfs[:, :1]
-            s = np.arange(n + 1)
-            comb = np.array([math.comb(n, int(k)) for k in s], dtype=float)
-            counts = comb * q**s * (1.0 - q) ** (n - s)
-            return np.array([_survival_from_counts(row, r, n, "auto") for row in counts])
-        return np.array(
-            [_survival_from_counts(_counts_from_cdf(cdfs[m]), r, n, "auto") for m in range(m_max + 1)]
-        )
-    if isinstance(model, MvgModel):
-        # subset-minima expansion: exponentially cheaper than rectangle
-        # inclusion-exclusion and cross-checked against it in the test suite
-        return np.array([mvg_orderstat_survival(model.params, r, n, m) for m in range(m_max + 1)])
-    return np.array([survival_orderstat(model, r, n, m) for m in range(m_max + 1)])
+def _partial_sum(model: JointModel, req: MomentRequest, m_hi: int) -> float:
+    """sum over m = 0..m_hi of ((m+1)^p - m^p) P(X_{r:n} > m)."""
+    _check_rank(model, req.r, req.n)
+    if m_hi < 0:
+        return 0.0
+    return float(np.dot(_weights(req.p, m_hi), model.orderstat_survival_series(req.r, m_hi)))
 
 
 def exact_moment_finite(model: JointModel, req: MomentRequest) -> MomentResult:
@@ -211,11 +132,7 @@ def exact_moment_finite(model: JointModel, req: MomentRequest) -> MomentResult:
         raise UnsupportedModelError(
             "model has infinite support; plan a truncation and call approx_moment"
         )
-    if m_max == 0:
-        return MomentResult(value=0.0, exact=True)
-    surv = _survival_series(model, req.r, req.n, m_max - 1)
-    value = float(np.dot(_weights(req.p, m_max - 1), surv))
-    return MomentResult(value=value, exact=True)
+    return MomentResult(value=_partial_sum(model, req, m_max - 1), exact=True)
 
 
 def approx_moment(model: JointModel, req: MomentRequest, plan: TruncationPlan) -> MomentResult:
@@ -224,12 +141,7 @@ def approx_moment(model: JointModel, req: MomentRequest, plan: TruncationPlan) -
     The true moment exceeds the returned value by at most the planned d and
     never by a negative amount: dropped terms are non-negative.
     """
-    if plan.M0 < -1:
-        raise ValidationError(f"plan.M0={plan.M0} must be >= -1")
-    if plan.M0 == -1:
-        return MomentResult(value=0.0, exact=False, M0_used=-1, error_bound=req.d)
-    surv = _survival_series(model, req.r, req.n, plan.M0)
-    value = float(np.dot(_weights(req.p, plan.M0), surv))
+    value = _partial_sum(model, req, plan.M0)
     return MomentResult(value=value, exact=False, M0_used=plan.M0, error_bound=req.d)
 
 
@@ -294,11 +206,13 @@ def negbin_truncation_index(R: float, p0: float, p: int, d_scaled: float) -> tup
 
     The threshold scales the allowed error by the p-th ascending-factorial
     constant of the marginal, 2^(p(p-1)/2) R(R+1)...(R+p-1) ((1-p0)/p0)^p, and
-    M0 is the quantile of the marginal itself at that level.  This cutoff
-    is less conservative than re-reading the tail condition through the
-    size-shifted distribution NBin(R+p, p0) (which `plan_generic` with a
-    negative binomial tail oracle reproduces), and its achieved error is
-    validated empirically in the property suite.
+    M0 is the quantile of the marginal itself at that level.  This is the
+    paper's cutoff, kept because it reproduces the golden M0 columns of the
+    negative binomial tables.  It is not a certificate for small R: it reads
+    the tail condition through NBin(R, p0) rather than through the
+    size-shifted NBin(R+p, p0) (which `plan_generic` with a negative
+    binomial tail oracle reproduces), and for R <= 3 the realized error can
+    exceed d by two orders of magnitude.
     """
     odds = p0 / (1.0 - p0)
     rising = 1.0

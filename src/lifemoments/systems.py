@@ -23,16 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import (
-    ExplicitFinitePMF,
-    Geometric,
-    IndependentMarginals,
-    JointModel,
-    MvgModel,
-    NegBin,
-    Poisson,
-    rect_prob,
-)
+from .distributions import JointModel, NegBin, Poisson, rect_prob
 from .errors import (
     CapacityError,
     NumericError,
@@ -360,108 +351,97 @@ def system_survival(model: JointModel, structure: SystemStructure, m: int, form:
     raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
 
 
-def _min_survival_series(model: JointModel, K: frozenset[int], m_hi: int) -> np.ndarray:
-    """P(min over K > m) for m = 0..m_hi."""
-    cols = sorted(i - 1 for i in K)
-    if isinstance(model, MvgModel):
-        theta = mvg_min_param(model.params, K)
-        return theta ** np.arange(1.0, m_hi + 2.0)
-    if isinstance(model, IndependentMarginals):
-        surv = 1.0 - model.cdf_matrix(m_hi)[:, cols]
-        return surv.prod(axis=1)
-    if isinstance(model, ExplicitFinitePMF):
-        mins = model.points[:, cols].min(axis=1)
-        pmf = np.bincount(mins.astype(np.intp), weights=model.probs, minlength=m_hi + 2)
-        surv = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]])
-        return surv[: m_hi + 1]
-    return np.array([rect_prob(model, (), tuple(K), m) for m in range(m_hi + 1)])
+def _series_moment(
+    model: JointModel,
+    coeffs: Mapping[frozenset[int], float],
+    form: str,
+    p: int,
+    d: float | None = None,
+    plan: TruncationPlan | None = None,
+) -> MomentResult:
+    """E T^p from the survival series of the signed subset expansion ``coeffs``.
 
-
-def _max_cdf_series(model: JointModel, K: frozenset[int], m_hi: int) -> np.ndarray:
-    """P(max over K <= m) for m = 0..m_hi."""
-    cols = sorted(i - 1 for i in K)
-    if isinstance(model, IndependentMarginals):
-        return model.cdf_matrix(m_hi)[:, cols].prod(axis=1)
-    if isinstance(model, ExplicitFinitePMF):
-        maxs = model.points[:, cols].max(axis=1)
-        pmf = np.bincount(maxs.astype(np.intp), weights=model.probs, minlength=m_hi + 1)
-        return np.cumsum(pmf)[: m_hi + 1]
-    return np.array([rect_prob(model, tuple(K), (), m) for m in range(m_hi + 1)])
-
-
-def _system_survival_series(
-    model: JointModel, coeffs: Mapping[frozenset[int], int], m_hi: int, form: str
-) -> np.ndarray:
-    out = np.zeros(m_hi + 1)
-    if form == "alpha":
+    ``form`` "alpha" reads coeffs against subset minima, "beta" against
+    subset maxima.  Without d the support must be finite and the series runs
+    to its end (an exact result).  With d it stops at plan.M0, at the end of
+    a finite support, or at the index planned for the bound d scaled by the
+    positive coefficients (times 2^n - 1 for the beta form).
+    """
+    m_max = model.support_max()
+    if plan is not None:
+        m_hi = plan.M0
+    elif m_max is not None:
+        m_hi = m_max - 1
+    else:
+        scale = sum(c for c in coeffs.values() if c > 0)
+        if form == "beta":
+            scale *= 2**model.n - 1
+        m_hi = _dominant_truncation(model, p, d / scale).M0
+    value = 0.0
+    if m_hi >= 0:
+        subset_series = model.min_survival_series if form == "alpha" else model.max_cdf_series
+        series = np.zeros(m_hi + 1)
         for K, c in coeffs.items():
-            out += c * _min_survival_series(model, K, m_hi)
-        return out
-    for K, c in coeffs.items():
-        out += c * _max_cdf_series(model, K, m_hi)
-    return 1.0 - out
+            series += c * subset_series(K, m_hi)
+        if form == "beta":
+            series = 1.0 - series
+        value = float(np.dot(_weights(p, m_hi), series))
+    if d is None:
+        return MomentResult(value=value, exact=True)
+    return MomentResult(value=value, exact=False, M0_used=m_hi, error_bound=d)
 
 
-def system_moment_exact(model: JointModel, structure: SystemStructure, p: int) -> MomentResult:
-    """E T^p on a finite-support model, summed to the end of the support."""
+def _check_system(model: JointModel, structure: SystemStructure, p: int):
     if model.n != structure.n:
         raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
     if p < 1:
         raise ValidationError(f"moment order p={p} must be >= 1")
-    m_max = model.support_max()
-    if m_max is None:
+
+
+def _check_bound(d: float):
+    if not d > 0.0:
+        raise ValidationError(f"error bound d={d} must be positive")
+
+
+def system_moment_exact(model: JointModel, structure: SystemStructure, p: int) -> MomentResult:
+    """E T^p on a finite-support model, summed to the end of the support."""
+    _check_system(model, structure, p)
+    if model.support_max() is None:
         raise UnsupportedModelError(
             "model has infinite support; use system_moment_approx with an error bound"
         )
-    if m_max == 0:
-        return MomentResult(value=0.0, exact=True)
     if structure.path_sets is not None:
-        series = _system_survival_series(model, alpha_coefficients(structure), m_max - 1, "alpha")
-    else:
-        series = _system_survival_series(model, beta_coefficients(structure), m_max - 1, "beta")
-    return MomentResult(value=float(np.dot(_weights(p, m_max - 1), series)), exact=True)
-
-
-def _positive_part_sum(coeffs: Mapping[frozenset[int], int]) -> int:
-    return sum(c for c in coeffs.values() if c > 0)
+        return _series_moment(model, alpha_coefficients(structure), "alpha", p)
+    return _series_moment(model, beta_coefficients(structure), "beta", p)
 
 
 def _dominant_truncation(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
     """Truncation index for the model's stochastically largest marginal.
 
-    Poisson and negative binomial families use their closed-form planners;
-    everything else searches the dominating marginal's tail moment directly.
-    The caller is responsible for the premise that one marginal dominates at
-    every threshold (automatic in the families below).
+    Poisson and shared-size negative binomial families use their closed-form
+    planners; everything else searches the largest-mean marginal's tail
+    moment directly.  The caller is responsible for the premise that one
+    marginal dominates at every threshold (automatic in the two closed-form
+    families).  Order statistics call this with d / binomial_head(n, r),
+    system moments with d over their positive coefficients.
     """
-    if isinstance(model, MvgModel):
-        thetas = [mvg_min_param(model.params, (i,)) for i in range(1, model.n + 1)]
-        j0 = max(range(model.n), key=lambda j: (thetas[j], -j)) + 1
-        dist = Geometric(1.0 - thetas[j0 - 1])
-        M0 = generic_truncation_index(lambda m: dist.tail_moment(p, m), p, scaled_d)
-        return TruncationPlan(M0=M0, j0=j0, threshold=scaled_d)
-    if isinstance(model, ExplicitFinitePMF):
-        # finite support: the tail vanishes at the support end, error is 0
-        means = model.points.T @ model.probs
-        j0 = int(np.argmax(means)) + 1
-        return TruncationPlan(M0=model.support_max() - 1, j0=j0, threshold=scaled_d)
-    if isinstance(model, IndependentMarginals):
-        margs = model.marginals
-        if all(isinstance(d, Poisson) for d in margs):
-            lams = [d.lam for d in margs]
-            j0 = max(range(len(lams)), key=lambda j: (lams[j], -j)) + 1
-            M0, q = poisson_truncation_index(lams[j0 - 1], p, scaled_d)
-            return TruncationPlan(M0=M0, j0=j0, threshold=q)
-        if all(isinstance(d, NegBin) for d in margs) and len({d.R for d in margs}) == 1:
-            ps = [d.p for d in margs]
-            j0 = min(range(len(ps)), key=lambda j: (ps[j], j)) + 1
-            M0, q = negbin_truncation_index(margs[0].R, ps[j0 - 1], p, scaled_d)
-            return TruncationPlan(M0=M0, j0=j0, threshold=q)
-        j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
-        dist = margs[j0 - 1]
-        M0 = generic_truncation_index(lambda m: dist.tail_moment(p, m), p, scaled_d)
-        return TruncationPlan(M0=M0, j0=j0, threshold=scaled_d)
-    raise UnsupportedModelError(f"no truncation planner for {type(model).__name__}")
+    margs = model.marginals
+    if margs is None:
+        raise UnsupportedModelError(f"no truncation planner for {type(model).__name__}")
+    if all(isinstance(m, Poisson) for m in margs):
+        lams = [m.lam for m in margs]
+        j0 = max(range(len(lams)), key=lambda j: (lams[j], -j)) + 1
+        M0, q = poisson_truncation_index(lams[j0 - 1], p, scaled_d)
+        return TruncationPlan(M0=M0, j0=j0, threshold=q)
+    if all(isinstance(m, NegBin) for m in margs) and len({m.R for m in margs}) == 1:
+        ps = [m.p for m in margs]
+        j0 = min(range(len(ps)), key=lambda j: (ps[j], j)) + 1
+        M0, q = negbin_truncation_index(margs[0].R, ps[j0 - 1], p, scaled_d)
+        return TruncationPlan(M0=M0, j0=j0, threshold=q)
+    j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
+    dist = margs[j0 - 1]
+    M0 = generic_truncation_index(lambda m: dist.tail_moment(p, m), p, scaled_d)
+    return TruncationPlan(M0=M0, j0=j0, threshold=scaled_d)
 
 
 def system_moment_approx(
@@ -476,20 +456,9 @@ def system_moment_approx(
     The truncation index satisfies the tail condition scaled by the sum of
     positive alpha coefficients, so the dropped terms cannot exceed d.
     """
-    if model.n != structure.n:
-        raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
-    if not d > 0.0:
-        raise ValidationError(f"error bound d={d} must be positive")
-    coeffs = alpha_coefficients(structure)
-    if plan is None:
-        plan = _dominant_truncation(model, p, d / _positive_part_sum(coeffs))
-    if plan.M0 == -1:
-        return MomentResult(value=0.0, exact=False, M0_used=-1, error_bound=d)
-    series = _system_survival_series(model, coeffs, plan.M0, "alpha")
-    value = float(np.dot(_weights(p, plan.M0), series))
-    return MomentResult(value=value, exact=False, M0_used=plan.M0, error_bound=d)
+    _check_system(model, structure, p)
+    _check_bound(d)
+    return _series_moment(model, alpha_coefficients(structure), "alpha", p, d, plan)
 
 
 def system_moment_approx_beta(
@@ -505,21 +474,15 @@ def system_moment_approx_beta(
     beta coefficients and 2^n - 1, so its truncation index is typically
     larger than the alpha form's.
     """
-    if model.n != structure.n:
-        raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
-    if not d > 0.0:
-        raise ValidationError(f"error bound d={d} must be positive")
-    coeffs = beta_coefficients(structure)
-    if plan is None:
-        scaled = d / ((2**model.n - 1) * _positive_part_sum(coeffs))
-        plan = _dominant_truncation(model, p, scaled)
-    if plan.M0 == -1:
-        return MomentResult(value=0.0, exact=False, M0_used=-1, error_bound=d)
-    series = _system_survival_series(model, coeffs, plan.M0, "beta")
-    value = float(np.dot(_weights(p, plan.M0), series))
-    return MomentResult(value=value, exact=False, M0_used=plan.M0, error_bound=d)
+    _check_system(model, structure, p)
+    _check_bound(d)
+    return _series_moment(model, beta_coefficients(structure), "beta", p, d, plan)
+
+
+def _prefix_coefficients(signature: Sequence) -> dict[frozenset[int], float]:
+    """Signature entry i on the prefix {1..i}: under exchangeability every
+    subset of size i has the law of the prefix."""
+    return {frozenset(range(1, i + 1)): a for i, a in enumerate(signature, start=1) if a != 0}
 
 
 def system_moment_mvg(params: MvgParams, structure: SystemStructure, p: int) -> float:
@@ -535,18 +498,11 @@ def system_moment_mvg(params: MvgParams, structure: SystemStructure, p: int) -> 
     if p < 1:
         raise ValidationError(f"moment order p={p} must be >= 1")
     if params.exchangeable:
-        alpha = minimal_signature(structure)
-        terms = []
-        for i, a in enumerate(alpha, start=1):
-            if a == 0:
-                continue
-            theta = mvg_min_param(params, range(1, i + 1))
-            if theta >= 1.0:
-                raise ValidationError(f"defective minimum over {i} components: theta={theta}")
-            terms.append(a * geometric_factorial_moment(theta, p))
-        return float(math.fsum(terms))
+        coeffs = _prefix_coefficients(minimal_signature(structure))
+    else:
+        coeffs = alpha_coefficients(structure)
     terms = []
-    for K, c in alpha_coefficients(structure).items():
+    for K, c in coeffs.items():
         theta = mvg_min_param(params, K)
         if theta >= 1.0:
             raise ValidationError(f"defective minimum over {sorted(K)}: theta={theta}")
@@ -561,6 +517,21 @@ def system_mean_var_mvg(params: MvgParams, structure: SystemStructure) -> tuple[
     return m1, m2 + m1 * (1.0 - m1)
 
 
+def _combine_subset_moments(
+    coeffs: Mapping[frozenset[int], int],
+    provider: Callable[[frozenset[int], int], float],
+    p: int,
+    label: str,
+) -> float:
+    terms = []
+    for K, c in coeffs.items():
+        v = provider(K, p)
+        if math.isinf(v) or math.isnan(v):
+            raise NumericError(f"{label} moment over {sorted(K)} is not finite: {v}")
+        terms.append(c * v)
+    return float(math.fsum(terms))
+
+
 def system_moment_from_min_moments(
     provider: Callable[[frozenset[int], int], float],
     structure: SystemStructure,
@@ -572,13 +543,7 @@ def system_moment_from_min_moments(
     the output is then in the same convention).  Finiteness is required for
     every K with a non-zero coefficient.
     """
-    terms = []
-    for K, c in alpha_coefficients(structure).items():
-        v = provider(K, p)
-        if math.isinf(v) or math.isnan(v):
-            raise NumericError(f"minimum moment over {sorted(K)} is not finite: {v}")
-        terms.append(c * v)
-    return float(math.fsum(terms))
+    return _combine_subset_moments(alpha_coefficients(structure), provider, p, "minimum")
 
 
 def system_moment_from_max_moments(
@@ -587,13 +552,7 @@ def system_moment_from_max_moments(
     p: int,
 ) -> float:
     """beta-weighted combination of subset-maximum moments, dual to the above."""
-    terms = []
-    for K, c in beta_coefficients(structure).items():
-        v = provider(K, p)
-        if math.isinf(v) or math.isnan(v):
-            raise NumericError(f"maximum moment over {sorted(K)} is not finite: {v}")
-        terms.append(c * v)
-    return float(math.fsum(terms))
+    return _combine_subset_moments(beta_coefficients(structure), provider, p, "maximum")
 
 
 def exchangeable_system_moment(
@@ -619,22 +578,10 @@ def exchangeable_system_moment(
         raise ValidationError(f"moment order p={p} must be >= 1")
     if form not in ("alpha", "beta"):
         raise ValidationError(f"form must be alpha or beta, not {form!r}")
-    coeffs = {
-        frozenset(range(1, i + 1)): a for i, a in enumerate(signature, start=1) if a != 0
-    }
-    m_max = model.support_max()
-    if m_max is not None:
-        if m_max == 0:
-            return MomentResult(value=0.0, exact=True)
-        series = _system_survival_series(model, coeffs, m_max - 1, form)
-        return MomentResult(value=float(np.dot(_weights(p, m_max - 1), series)), exact=True)
+    coeffs = _prefix_coefficients(signature)
+    if model.support_max() is not None:
+        return _series_moment(model, coeffs, form, p)
     if d is None:
         raise ValidationError("infinite support needs an error bound d")
-    if not d > 0.0:
-        raise ValidationError(f"error bound d={d} must be positive")
-    pos = sum(c for c in coeffs.values() if c > 0)
-    scaled = d / pos if form == "alpha" else d / ((2**model.n - 1) * pos)
-    plan = _dominant_truncation(model, p, scaled)
-    series = _system_survival_series(model, coeffs, plan.M0, form)
-    value = float(np.dot(_weights(p, plan.M0), series))
-    return MomentResult(value=value, exact=False, M0_used=plan.M0, error_bound=d)
+    _check_bound(d)
+    return _series_moment(model, coeffs, form, p, d)

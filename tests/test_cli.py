@@ -2,18 +2,27 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import lifemoments
 from lifemoments import (
     FinitePMF,
+    Geometric,
     IndependentMarginals,
     MomentRequest,
+    NegBin,
+    Poisson,
     exact_moment_finite,
     multinomial_pmf,
+    plan_generic,
+    plan_negbin,
+    plan_poisson,
 )
 from lifemoments.cli import main
 
@@ -108,6 +117,64 @@ def test_orderstat_d_flag_override(tmp_path, capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert int(rows[0][2]) == 10  # the tighter flag bound wins over the config d
+
+
+def test_d_flag_overrides_both_request_forms(tmp_path, capsys):
+    model = {"kind": "independent", "marginal": {"dist": "poisson", "lam": 2.0}, "count": 3}
+    forms = {
+        "mapping": {"ranks": [3], "moments": [1], "d": 0.1},
+        "list": [{"r": 3, "p": 1, "d": 0.1}],
+    }
+    m0 = {}
+    for name, requests in forms.items():
+        path = write_cfg(tmp_path, {"model": model, "requests": requests}, f"{name}.yaml")
+        code, out, _ = run_cli(capsys, ["orderstat", "--config", path, "--format", "csv", "--d", "1e-9"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        m0[name] = int(rows[0][header.index("M0_p1")])
+    assert m0["list"] == m0["mapping"] == 16
+
+
+def _marginal_spec(dist):
+    if isinstance(dist, Poisson):
+        return {"dist": "poisson", "lam": dist.lam}
+    if isinstance(dist, NegBin):
+        return {"dist": "negbin", "R": dist.R, "p": dist.p}
+    return {"dist": "geometric", "pi": dist.pi}
+
+
+def _library_plan(margs, req):
+    if all(isinstance(m, Poisson) for m in margs):
+        return plan_poisson([m.lam for m in margs], req)
+    if all(isinstance(m, NegBin) for m in margs):
+        return plan_negbin(margs[0].R, [m.p for m in margs], req)
+    j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
+    return plan_generic(lambda m: margs[j0 - 1].tail_moment(req.p, m), req, j0)
+
+
+@pytest.mark.parametrize(
+    "margs",
+    [
+        [Poisson(1.0), Poisson(2.5), Poisson(0.7), Poisson(2.5)],
+        [NegBin(2.0, 0.4), NegBin(2.0, 0.25), NegBin(2.0, 0.6)],
+        [Poisson(3.0), NegBin(1.0, 0.3), Geometric(0.4)],
+    ],
+    ids=["poisson", "negbin_shared_R", "mixed"],
+)
+def test_orderstat_m0_columns_match_library_planners(tmp_path, capsys, margs):
+    n, d = len(margs), 1e-4
+    cfg = {
+        "model": {"kind": "independent", "marginals": [_marginal_spec(m) for m in margs]},
+        "requests": {"moments": [1, 2, 3], "d": d},
+    }
+    code, out, _ = run_cli(capsys, ["orderstat", "--config", write_cfg(tmp_path, cfg), "--format", "csv"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    for row in rows:
+        r = int(row[0])
+        for p in (1, 2, 3):
+            plan = _library_plan(margs, MomentRequest(r=r, n=n, p=p, d=d))
+            assert int(row[header.index(f"M0_p{p}")]) == plan.M0, f"r={r} p={p}"
 
 
 def test_orderstat_explicit_request_list(tmp_path, capsys):
@@ -320,11 +387,15 @@ def test_module_entry_smoke(tmp_path):
         "requests": {"ranks": [1], "moments": [1]},
     }
     path = write_cfg(tmp_path, cfg)
+    # the child imports the package under test, installed or not
+    src = str(Path(lifemoments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "lifemoments", "orderstat", "--config", path, "--format", "csv"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     header, rows = parse_csv(proc.stdout)

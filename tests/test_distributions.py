@@ -13,7 +13,10 @@ from lifemoments import (
     FinitePMF,
     Geometric,
     IndependentMarginals,
+    JointModel,
     MomentRequest,
+    MvgModel,
+    MvgParams,
     NegBin,
     Poisson,
     ValidationError,
@@ -208,6 +211,67 @@ def test_independent_vs_unrolled_product():
         assert marginal_survival(model, j, 2) == pytest.approx(
             marginal_survival(flat, j, 2), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# per-kind kernels against the rectangle-query defaults of JointModel
+# ---------------------------------------------------------------------------
+
+KERNEL_MODELS = {
+    "explicit": lambda: random_explicit(np.random.default_rng(31), 3, m_max=3),
+    "multinomial": lambda: multinomial_pmf(6, [0.2, 0.3, 0.5]),
+    "multinomial_exchangeable": lambda: multinomial_pmf(5, [0.25] * 4),
+    "independent": lambda: IndependentMarginals([Poisson(1.5), NegBin(2, 0.4), Geometric(0.3)]),
+    "independent_exchangeable": lambda: IndependentMarginals([Poisson(2.0)] * 4, exchangeable=True),
+    "mvg": lambda: MvgModel(
+        MvgParams(3, theta={(1,): 0.6, (2,): 0.7, (3,): 0.5, (1, 2): 0.95, (1, 2, 3): 0.9})
+    ),
+    "mvg_exchangeable": lambda: MvgModel(MvgParams(4, exchangeable_levels=[0.8, 0.95, 1.0, 0.97])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+def test_kernels_match_rectangle_defaults(kind):
+    model = KERNEL_MODELS[kind]()
+    n, m_max = model.n, 6
+    idx = range(1, n + 1)
+    subsets = [frozenset(K) for k in range(1, n + 1) for K in combinations(idx, k)]
+    np.testing.assert_allclose(
+        model.class_counts(m_max), JointModel.class_counts(model, m_max), rtol=0.0, atol=1e-12
+    )
+    for r in idx:
+        np.testing.assert_allclose(
+            model.orderstat_survival_series(r, m_max),
+            JointModel.orderstat_survival_series(model, r, m_max),
+            rtol=0.0,
+            atol=1e-12,
+        )
+    for K in subsets:
+        np.testing.assert_allclose(
+            model.min_survival_series(K, m_max),
+            JointModel.min_survival_series(model, K, m_max),
+            rtol=0.0,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            model.max_cdf_series(K, m_max),
+            JointModel.max_cdf_series(model, K, m_max),
+            rtol=0.0,
+            atol=1e-12,
+        )
+    # the rectangle query is the inclusion-exclusion of its "<= m" side over
+    # the model's own subset-minimum survivals
+    min_surv = {K: model.min_survival_series(K, m_max) for K in subsets}
+    for low in [frozenset()] + subsets:
+        rest = [i for i in idx if i not in low]
+        for up in (frozenset(U) for k in range(len(rest) + 1) for U in combinations(rest, k)):
+            for m in range(m_max + 1):
+                want = math.fsum(
+                    (-1) ** len(B) * (min_surv[up | frozenset(B)][m] if up or B else 1.0)
+                    for k in range(len(low) + 1)
+                    for B in combinations(sorted(low), k)
+                )
+                assert rect_prob(model, low, up, m) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,9 @@ def test_orderstat_survival_matches_rectangle_path():
     for r in range(1, 5):
         for m in range(-1, 25):
             a = mvg_orderstat_survival(params, r, 4, m)
-            b = survival_orderstat(model, r, 4, m)
-            assert a == pytest.approx(b, abs=1e-9)
+            for form in ("low", "high"):  # a forced form reads the rectangle class counts
+                b = survival_orderstat(model, r, 4, m, form=form)
+                assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_orderstat_survival_exchangeable_path():
@@ -261,9 +262,10 @@ def test_orderstat_survival_exchangeable_path():
     model = MvgModel(exch)
     for r in (1, 3, 5):
         for m in range(0, 20, 3):
-            assert mvg_orderstat_survival(exch, r, 5, m) == pytest.approx(
-                survival_orderstat(model, r, 5, m), abs=1e-9
-            )
+            for form in ("low", "high"):
+                assert mvg_orderstat_survival(exch, r, 5, m) == pytest.approx(
+                    survival_orderstat(model, r, 5, m, form=form), abs=1e-9
+                )
 
 
 def test_closed_form_vs_truncated_series():

@@ -68,7 +68,7 @@ def test_survival_monotone_in_rank_and_threshold():
 
 
 def test_survival_dependent_model_via_subset_classes():
-    # MvgModel takes the generic dependent path (rectangle queries per class)
+    # a forced form on an MvgModel reads the rectangle-query class counts
     params = MvgParams(3, theta={(1,): 0.6, (2,): 0.7, (3,): 0.5, (1, 2, 3): 0.9})
     model = MvgModel(params)
     for m in range(0, 8):
@@ -124,7 +124,7 @@ def test_exact_moment_independent_vs_unrolled():
 
 
 def test_exact_moment_iid_binomial_shortcut():
-    # declared exchangeability routes through binomial class weights
+    # declaring exchangeability must not change the class counts
     dists = [FinitePMF([0.3, 0.25, 0.25, 0.2])] * 6
     fast = IndependentMarginals(dists, exchangeable=True)
     slow = IndependentMarginals(dists)
@@ -161,6 +161,16 @@ def test_degenerate_all_zero_support():
     model = IndependentMarginals([FinitePMF([1.0])] * 2)
     res = exact_moment_finite(model, MomentRequest(r=2, n=2, p=2))
     assert res.value == 0.0 and res.exact
+
+
+def test_moments_reject_request_n_mismatch():
+    model = IndependentMarginals([FinitePMF([0.5, 0.5])] * 3)
+    req = MomentRequest(r=4, n=5, p=1, d=0.1)
+    with pytest.raises(ValidationError):
+        exact_moment_finite(model, req)
+    for M0 in (-1, 10):
+        with pytest.raises(ValidationError):
+            approx_moment(model, req, TruncationPlan(M0=M0, j0=1, threshold=0.5))
 
 
 # ---------------------------------------------------------------------------
