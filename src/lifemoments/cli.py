@@ -86,10 +86,9 @@ from .mvg import (
     mvg_orderstat_factorial_moment,
 )
 from .oracle import enumerate_moment, mc_moment
-from .orderstats import MomentRequest, approx_moment, binomial_head, exact_moment_finite
+from .orderstats import MomentRequest, approx_moment, binomial_head, exact_moment_finite, plan_for
 from .systems import (
     SystemStructure,
-    _dominant_truncation,
     alpha_coefficients,
     beta_coefficients,
     maximal_signature,
@@ -244,7 +243,7 @@ def _orderstat_cell(model: JointModel, r: int, p: int, d) -> dict:
             f"rank {r}, p={p}: infinite support needs an error bound (request d or --d)"
         )
     req = MomentRequest(r=r, n=n, p=p, d=d)
-    plan = _dominant_truncation(model, p, d / binomial_head(n, r))
+    plan = plan_for(model, p, d / binomial_head(n, r))
     res = approx_moment(model, req, plan)
     return {"value": res.value, "M0": plan.M0}
 

@@ -2,12 +2,12 @@
 
 Every moment formula in this package reads a joint model through one query:
 the probability that each coordinate in one index set is <= m while each
-coordinate in another is > m (``rect_prob``).  Three model kinds implement
-it: an explicit finite pmf, a product of independent marginals, and the
-common-shock geometric model of module ``mvg``.  The quantities the moment
-series consume (class counts, subset min/max series, order-statistic
-survival) are methods of the model, with rectangle-query defaults on
-``JointModel`` that each kind overrides where it has a faster form.
+coordinate in another is > m, for every m up to a cutoff (``rect_series``).
+Three model kinds implement it: an explicit finite pmf, a product of
+independent marginals, and the common-shock geometric model of module
+``mvg``.  Class counts and order-statistic survival have defaults on
+``JointModel`` built on that query, which a kind overrides where it has a
+faster or closed form.
 
 Marginal pmf/cdf work is done in log space via ``math.lgamma`` so that large
 rates and far tail indices neither overflow nor lose the leading digits.
@@ -320,11 +320,11 @@ class FinitePMF(MarginalDist):
 class JointModel:
     """A distribution on non-negative-integer vectors of fixed length n.
 
-    Each model kind answers the rectangle query ``rect_prob``; the class
-    counts, the subset min/max series and the order-statistic survival have
-    defaults built on it, which a kind overrides where it has a faster or
-    closed form.  Index sets are frozensets of 1-based coordinates, already
-    validated, and thresholds are >= -1.
+    Each model kind answers one query, the rectangle series ``rect_series``;
+    the class counts and the order-statistic survival have defaults built on
+    it, which a kind overrides where it has a faster or closed form.  Index
+    sets are frozensets of 1-based coordinates, already validated, and
+    series run over the thresholds m = 0..m_hi.
     """
 
     n: int
@@ -336,14 +336,14 @@ class JointModel:
     def support_max(self) -> int | None:
         return None
 
-    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
-        """P(X_i <= m for i in low, X_j > m for j in up)."""
+    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
+        """P(X_i <= m for i in low, X_j > m for j in up) for m = 0..m_hi."""
         raise UnsupportedModelError(f"unknown model kind {type(self).__name__}")
 
     def class_counts(self, m_max: int) -> np.ndarray:
         """(m_max+1, n+1) matrix: row m holds P(exactly s coordinates <= m), s = 0..n.
 
-        Each class is split over its index sets, one rectangle query each;
+        Each class is split over its index sets, one rectangle series each;
         under exchangeability one set per class stands for all C(n, s).
         """
         n = self.n
@@ -354,16 +354,14 @@ class JointModel:
             )
         idx = frozenset(range(1, n + 1))
         out = np.empty((m_max + 1, n + 1))
-        for m in range(m_max + 1):
-            for s in range(n + 1):
-                if self.exchangeable:
-                    low = frozenset(range(1, s + 1))
-                    out[m, s] = math.comb(n, s) * self.rect_prob(low, idx - low, m)
-                else:
-                    out[m, s] = math.fsum(
-                        self.rect_prob(frozenset(S), idx.difference(S), m)
-                        for S in combinations(range(1, n + 1), s)
-                    )
+        for s in range(n + 1):
+            if self.exchangeable:
+                low = frozenset(range(1, s + 1))
+                out[:, s] = math.comb(n, s) * self.rect_series(low, idx - low, m_max)
+            else:
+                parts = [self.rect_series(frozenset(S), idx.difference(S), m_max)
+                         for S in combinations(range(1, n + 1), s)]
+                out[:, s] = [math.fsum(col) for col in np.transpose(parts)]
         return out
 
     def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
@@ -382,14 +380,6 @@ class JointModel:
         if form == "low":
             return np.array([math.fsum(row[:r]) for row in counts])
         return np.array([1.0 - math.fsum(row[r:]) for row in counts])
-
-    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
-        """P(min over K > m) for m = 0..m_hi."""
-        return np.array([self.rect_prob(frozenset(), K, m) for m in range(m_hi + 1)])
-
-    def max_cdf_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
-        """P(max over K <= m) for m = 0..m_hi."""
-        return np.array([self.rect_prob(K, frozenset(), m) for m in range(m_hi + 1)])
 
 
 class ExplicitFinitePMF(JointModel):
@@ -458,24 +448,27 @@ class ExplicitFinitePMF(JointModel):
         table = self.counts_table()  # rows m = -1..support_max; later rows repeat the last
         return table[np.minimum(np.arange(m_max + 1), table.shape[0] - 2) + 1]
 
-    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
-        mask = np.ones(self.points.shape[0], dtype=bool)
-        for i in low:
-            mask &= self.points[:, i - 1] <= m
-        for j in up:
-            mask &= self.points[:, j - 1] > m
-        return float(self.probs[mask].sum())
+    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
+        # a point lies in the rectangle exactly for lo <= m < hi, with lo its
+        # largest coordinate over low and hi its smallest over up; one-sided
+        # queries (all the system expansions make) need one extreme only
+        def extreme(K, reduce):  # widened: multinomial points are int8/int16
+            return reduce(self.points[:, sorted(i - 1 for i in K)], axis=1).astype(np.intp)
 
-    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
-        mins = self.points[:, sorted(i - 1 for i in K)].min(axis=1)
-        pmf = np.bincount(mins.astype(np.intp), weights=self.probs, minlength=m_hi + 2)
-        surv = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]])
-        return surv[: m_hi + 1]
+        def pmf(x, w):
+            return np.bincount(x, weights=w, minlength=m_hi + 2)
 
-    def max_cdf_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
-        maxs = self.points[:, sorted(i - 1 for i in K)].max(axis=1)
-        pmf = np.bincount(maxs.astype(np.intp), weights=self.probs, minlength=m_hi + 1)
-        return np.cumsum(pmf)[: m_hi + 1]
+        def tail(x, w):  # P(x > m), summed backward so small tails keep their digits
+            return np.cumsum(pmf(x, w)[::-1])[::-1][1 : m_hi + 2]
+
+        if not up:
+            return np.cumsum(pmf(extreme(low, np.max), self.probs))[: m_hi + 1]
+        hi = extreme(up, np.min)
+        if not low:
+            return tail(hi, self.probs)
+        lo = extreme(low, np.max)
+        w = np.where(lo < hi, self.probs, 0.0)  # lo >= hi: never inside
+        return tail(hi, w) - tail(lo, w)
 
 
 class IndependentMarginals(JointModel):
@@ -527,27 +520,17 @@ class IndependentMarginals(JointModel):
             counts[:, :1] *= 1.0 - q
         return counts
 
-    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
-        out = 1.0
-        for i in low:
-            out *= self.marginals[i - 1].cdf(m)
-        for j in up:
-            out *= self.marginals[j - 1].survival(m)
-        return out
-
-    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
-        surv = 1.0 - self.cdf_matrix(m_hi)[:, sorted(i - 1 for i in K)]
-        return surv.prod(axis=1)
-
-    def max_cdf_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
-        return self.cdf_matrix(m_hi)[:, sorted(i - 1 for i in K)].prod(axis=1)
+    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
+        cdfs = self.cdf_matrix(m_hi)
+        low_f, up_f = cdfs[:, sorted(i - 1 for i in low)], 1.0 - cdfs[:, sorted(j - 1 for j in up)]
+        return np.hstack([low_f, up_f]).prod(axis=1)
 
 
 class MvgModel(JointModel):
     """Joint model wrapper around MVG common-shock parameters.
 
     Every subset minimum is geometric, P(min over K > m) = theta(K)^(m+1),
-    so rectangle queries expand over subset minima and the order-statistic
+    so rectangle series expand over subset minima and the order-statistic
     survival has a closed form; the class counts keep the rectangle default.
     """
 
@@ -563,28 +546,24 @@ class MvgModel(JointModel):
         """X_i ~ ge(1 - theta_i) with theta_i the minimum parameter of {i}."""
         return tuple(Geometric(1.0 - mvg_min_param(self.params, (i,))) for i in range(1, self.n + 1))
 
-    def rect_prob(self, low: frozenset[int], up: frozenset[int], m: int) -> float:
+    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
         # expand the <= m conditions by inclusion-exclusion over subsets of
-        # low; each term is a pure survival probability of a subset minimum
-        total = 0.0
+        # low; each term is the survival series of a subset minimum
+        exps = np.arange(1.0, m_hi + 2.0)
+        total = np.zeros(m_hi + 1)
         low_list = sorted(low)
         for mask in range(1 << len(low_list)):
             B = {low_list[b] for b in range(len(low_list)) if mask >> b & 1}
-            sign = -1.0 if len(B) % 2 else 1.0
             K = up | B
-            # m+1 = 0 handles m = -1: the survival factor degenerates to 1
-            val = mvg_min_param(self.params, K) ** (m + 1) if K else 1.0
-            total += sign * val
-        return min(1.0, max(0.0, total))
+            sign = -1.0 if len(B) % 2 else 1.0
+            total += sign * (mvg_min_param(self.params, K) ** exps if K else 1.0)
+        return np.clip(total, 0.0, 1.0)
 
     def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
         """The subset-minima closed form; a forced form reads the class counts."""
         if form != "auto":
             return super().orderstat_survival_series(r, m_max, form)
         return mvg_orderstat_survival(self.params, r, self.n, np.arange(m_max + 1))
-
-    def min_survival_series(self, K: frozenset[int], m_hi: int) -> np.ndarray:
-        return mvg_min_param(self.params, K) ** np.arange(1.0, m_hi + 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +587,16 @@ def _check_index_sets(model: JointModel, low: Iterable[int], up: Iterable[int]):
 def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) -> float:
     """P(X_i <= m for i in low, X_j > m for j in up).
 
-    The one probability query every moment formula consumes.  ``low`` and
-    ``up`` are disjoint subsets of {1..n}; ``m`` may be -1 (every "<= m"
-    condition is then impossible, every "> m" condition certain).
+    One threshold of the model's ``rect_series``.  ``low`` and ``up`` are
+    disjoint subsets of {1..n}; ``m`` may be -1 (every "<= m" condition is
+    then impossible, every "> m" condition certain).
     """
     L, U = _check_index_sets(model, low, up)
     if m < -1:
         raise ValidationError(f"m={m} must be >= -1")
-    if not L and not U:
-        return 1.0
-    return model.rect_prob(L, U, m)
+    if m == -1 or not L and not U:
+        return 0.0 if L else 1.0
+    return float(model.rect_series(L, U, m)[m])
 
 
 def marginal_survival(model: JointModel, j: int, m: int) -> float:
@@ -774,9 +753,9 @@ def multinomial_pmf(trials: int, probs: Sequence[float], exchangeable: bool | No
     O(k^2 N^3) flops for the whole table (k cells, N trials), without
     listing the C(N + k - 1, k - 1) count vectors.  Consumers that need the
     support points enumerate them on first use, with a log-factorial table
-    that keeps the weights exact to double precision: ``rect_prob``, the
-    min/max series of the system moment functions, and the
-    ``enumerate_moment`` and ``mc_moment`` oracles.  ``exchangeable``
+    that keeps the weights exact to double precision: ``rect_series`` (and
+    so ``rect_prob``, ``system_survival`` and the system moment functions),
+    and the ``enumerate_moment`` and ``mc_moment`` oracles.  ``exchangeable``
     defaults to true exactly when all cell probabilities are equal (the
     construction is then symmetric under coordinate permutations).
     """

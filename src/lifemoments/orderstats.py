@@ -37,6 +37,7 @@ __all__ = [
     "plan_poisson",
     "plan_negbin",
     "plan_generic",
+    "plan_for",
 ]
 
 _GENERIC_ITERATION_CAP = 10**6
@@ -107,6 +108,8 @@ def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "a
     evaluations against each other.
     """
     _check_rank(model, r, n)
+    if form not in ("auto", "low", "high"):
+        raise ValidationError(f"form must be auto, low, or high, not {form!r}")
     if m < 0:
         return 1.0
     return float(model.orderstat_survival_series(r, m, form)[m])
@@ -303,3 +306,32 @@ def plan_generic(
     bound = d / binomial_head(req.n, req.r)
     M0 = generic_truncation_index(tail_oracle, req.p, bound, iteration_cap)
     return TruncationPlan(M0=M0, j0=j0, threshold=bound)
+
+
+def plan_for(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
+    """Truncation index for the model's stochastically largest marginal.
+
+    Poisson and shared-size negative binomial families use their closed-form
+    planners; everything else searches the largest-mean marginal's tail
+    moment directly.  The caller is responsible for the premise that one
+    marginal dominates at every threshold (automatic in the two closed-form
+    families).  Order statistics call this with d / binomial_head(n, r),
+    system moments with d over their positive coefficients.
+    """
+    margs = model.marginals
+    if margs is None:
+        raise UnsupportedModelError(f"no truncation planner for {type(model).__name__}")
+    if all(isinstance(m, Poisson) for m in margs):
+        lams = [m.lam for m in margs]
+        j0 = max(range(len(lams)), key=lambda j: (lams[j], -j)) + 1
+        M0, q = poisson_truncation_index(lams[j0 - 1], p, scaled_d)
+        return TruncationPlan(M0=M0, j0=j0, threshold=q)
+    if all(isinstance(m, NegBin) for m in margs) and len({m.R for m in margs}) == 1:
+        ps = [m.p for m in margs]
+        j0 = min(range(len(ps)), key=lambda j: (ps[j], j)) + 1
+        M0, q = negbin_truncation_index(margs[0].R, ps[j0 - 1], p, scaled_d)
+        return TruncationPlan(M0=M0, j0=j0, threshold=q)
+    j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
+    dist = margs[j0 - 1]
+    M0 = generic_truncation_index(lambda m: dist.tail_moment(p, m), p, scaled_d)
+    return TruncationPlan(M0=M0, j0=j0, threshold=scaled_d)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import JointModel, NegBin, Poisson, rect_prob
+from .distributions import JointModel
 from .errors import (
     CapacityError,
     NumericError,
@@ -31,14 +31,10 @@ from .errors import (
     ValidationError,
 )
 from .mvg import MvgParams, geometric_factorial_moment, mvg_min_param
-from .orderstats import (
-    MomentResult,
-    TruncationPlan,
-    _weights,
-    generic_truncation_index,
-    negbin_truncation_index,
-    poisson_truncation_index,
-)
+from .orderstats import MomentResult, TruncationPlan, _weights, plan_for
+# not used here; bench/test_bench.py checks that the tracer also wraps this
+# second binding of a traced function
+from .orderstats import poisson_truncation_index  # noqa: F401
 
 __all__ = [
     "SystemStructure",
@@ -64,7 +60,7 @@ __all__ = [
 
 COLLECTION_CAP = 25  # path/cut sets per family; kept while the benchmark pins 3-of-7:G as refused
 
-TRANSVERSAL_N_CAP = 20  # cut-set derivation scans 2^n subsets
+LATTICE_N_CAP = 20  # signature coefficients and cut-set derivation read 2^n-entry tables
 
 
 def _normalize_family(sets: Iterable[Iterable[int]], n: int, label: str) -> tuple[frozenset[int], ...]:
@@ -179,6 +175,8 @@ def _unmask(mask: int) -> frozenset[int]:
 def _up_closure(family: Sequence[frozenset[int]], n: int) -> np.ndarray:
     """Boolean table over the 2^n component subsets (bit i-1 for component i):
     entry U is True when U contains some set of the family."""
+    if n > LATTICE_N_CAP:
+        raise CapacityError(f"the component lattice has 2^{n} subsets; cap is n = {LATTICE_N_CAP}")
     up = np.zeros(1 << n, dtype=bool)
     up[[_mask(S) for S in family]] = True
     for b in range(n):
@@ -311,11 +309,9 @@ def cut_sets_from_path_sets(n: int, path_sets: Iterable[Iterable[int]]) -> tuple
     C meets every path set exactly when its complement contains none, so the
     transversals are the complements of the subsets outside the path sets'
     up-closure; a transversal is minimal when dropping any one of its
-    components leaves a non-transversal.  The tables have 2^n entries:
-    fine off the hot path for n <= 20, refused beyond.
+    components leaves a non-transversal.  The tables have 2^n entries, so n
+    above LATTICE_N_CAP is refused.
     """
-    if n > TRANSVERSAL_N_CAP:
-        raise CapacityError(f"transversal scan is 2^{n} subsets; cap is {TRANSVERSAL_N_CAP}")
     fam = _normalize_family(path_sets, n, "path")
     transversal = ~_up_closure(fam, n)[::-1]  # index c reads the complement of c
     minimal = transversal.copy()
@@ -330,6 +326,22 @@ def cut_sets_from_path_sets(n: int, path_sets: Iterable[Iterable[int]]) -> tuple
 # survival and moments
 # ---------------------------------------------------------------------------
 
+def _survival_series(
+    model: JointModel, coeffs: Mapping[frozenset[int], float], form: str, m_hi: int
+) -> np.ndarray:
+    """P(T > m) for m = 0..m_hi from the signed subset expansion ``coeffs``.
+
+    ``form`` "alpha" reads coeffs against subset minima, "beta" against
+    subset maxima (the expansion is then of P(T <= m)).
+    """
+    none = frozenset()
+    series = np.zeros(m_hi + 1)
+    for K, c in coeffs.items():
+        low, up = (none, K) if form == "alpha" else (K, none)
+        series += c * model.rect_series(low, up, m_hi)
+    return series if form == "alpha" else 1.0 - series
+
+
 def system_survival(model: JointModel, structure: SystemStructure, m: int, form: str = "auto") -> float:
     """P(T > m) by the alpha expansion, or the beta complement when asked
     (or when only cut sets are available)."""
@@ -337,19 +349,12 @@ def system_survival(model: JointModel, structure: SystemStructure, m: int, form:
         raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
     if form == "auto":
         form = "alpha" if structure.path_sets is not None else "beta"
+    if form not in ("alpha", "beta"):
+        raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
     if m < 0:
         return 1.0
-    if form == "alpha":
-        coeffs = alpha_coefficients(structure)
-        return float(
-            math.fsum(c * rect_prob(model, (), tuple(K), m) for K, c in coeffs.items())
-        )
-    if form == "beta":
-        coeffs = beta_coefficients(structure)
-        return 1.0 - float(
-            math.fsum(c * rect_prob(model, tuple(K), (), m) for K, c in coeffs.items())
-        )
-    raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
+    coeffs = alpha_coefficients(structure) if form == "alpha" else beta_coefficients(structure)
+    return float(_survival_series(model, coeffs, form, m)[m])
 
 
 def _series_moment(
@@ -362,11 +367,10 @@ def _series_moment(
 ) -> MomentResult:
     """E T^p from the survival series of the signed subset expansion ``coeffs``.
 
-    ``form`` "alpha" reads coeffs against subset minima, "beta" against
-    subset maxima.  Without d the support must be finite and the series runs
-    to its end (an exact result).  With d it stops at plan.M0, at the end of
-    a finite support, or at the index planned for the bound d scaled by the
-    positive coefficients (times 2^n - 1 for the beta form).
+    Without d the support must be finite and the series runs to its end (an
+    exact result).  With d it stops at plan.M0, at the end of a finite
+    support, or at the index planned for the bound d scaled by the positive
+    coefficients (times 2^n - 1 for the beta form).
     """
     m_max = model.support_max()
     if plan is not None:
@@ -377,16 +381,10 @@ def _series_moment(
         scale = sum(c for c in coeffs.values() if c > 0)
         if form == "beta":
             scale *= 2**model.n - 1
-        m_hi = _dominant_truncation(model, p, d / scale).M0
+        m_hi = plan_for(model, p, d / scale).M0
     value = 0.0
     if m_hi >= 0:
-        subset_series = model.min_survival_series if form == "alpha" else model.max_cdf_series
-        series = np.zeros(m_hi + 1)
-        for K, c in coeffs.items():
-            series += c * subset_series(K, m_hi)
-        if form == "beta":
-            series = 1.0 - series
-        value = float(np.dot(_weights(p, m_hi), series))
+        value = float(np.dot(_weights(p, m_hi), _survival_series(model, coeffs, form, m_hi)))
     if d is None:
         return MomentResult(value=value, exact=True)
     return MomentResult(value=value, exact=False, M0_used=m_hi, error_bound=d)
@@ -414,35 +412,6 @@ def system_moment_exact(model: JointModel, structure: SystemStructure, p: int) -
     if structure.path_sets is not None:
         return _series_moment(model, alpha_coefficients(structure), "alpha", p)
     return _series_moment(model, beta_coefficients(structure), "beta", p)
-
-
-def _dominant_truncation(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
-    """Truncation index for the model's stochastically largest marginal.
-
-    Poisson and shared-size negative binomial families use their closed-form
-    planners; everything else searches the largest-mean marginal's tail
-    moment directly.  The caller is responsible for the premise that one
-    marginal dominates at every threshold (automatic in the two closed-form
-    families).  Order statistics call this with d / binomial_head(n, r),
-    system moments with d over their positive coefficients.
-    """
-    margs = model.marginals
-    if margs is None:
-        raise UnsupportedModelError(f"no truncation planner for {type(model).__name__}")
-    if all(isinstance(m, Poisson) for m in margs):
-        lams = [m.lam for m in margs]
-        j0 = max(range(len(lams)), key=lambda j: (lams[j], -j)) + 1
-        M0, q = poisson_truncation_index(lams[j0 - 1], p, scaled_d)
-        return TruncationPlan(M0=M0, j0=j0, threshold=q)
-    if all(isinstance(m, NegBin) for m in margs) and len({m.R for m in margs}) == 1:
-        ps = [m.p for m in margs]
-        j0 = min(range(len(ps)), key=lambda j: (ps[j], j)) + 1
-        M0, q = negbin_truncation_index(margs[0].R, ps[j0 - 1], p, scaled_d)
-        return TruncationPlan(M0=M0, j0=j0, threshold=q)
-    j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
-    dist = margs[j0 - 1]
-    M0 = generic_truncation_index(lambda m: dist.tail_moment(p, m), p, scaled_d)
-    return TruncationPlan(M0=M0, j0=j0, threshold=scaled_d)
 
 
 def system_moment_approx(

@@ -24,6 +24,8 @@ from lifemoments import (
     exact_moment_finite,
     marginal_survival,
     multinomial_pmf,
+    mvg_joint_survival,
+    mvg_min_param,
     rect_prob,
 )
 from lifemoments import distributions
@@ -214,7 +216,7 @@ def test_independent_vs_unrolled_product():
 
 
 # ---------------------------------------------------------------------------
-# per-kind kernels against the rectangle-query defaults of JointModel
+# per-kind kernels against the rectangle-series defaults of JointModel
 # ---------------------------------------------------------------------------
 
 KERNEL_MODELS = {
@@ -228,6 +230,43 @@ KERNEL_MODELS = {
     ),
     "mvg_exchangeable": lambda: MvgModel(MvgParams(4, exchangeable_levels=[0.8, 0.95, 1.0, 0.97])),
 }
+
+
+def _masked_rect(points, probs, low, up, m):
+    mask = np.ones(points.shape[0], dtype=bool)
+    for i in low:
+        mask &= points[:, i - 1] <= m
+    for j in up:
+        mask &= points[:, j - 1] > m
+    return math.fsum(probs[mask])
+
+
+def _rect_reference(model, low, up, m_max):
+    """P(X_low <= m, X_up > m), m = 0..m_max, by a route other than rect_series."""
+    if isinstance(model, IndependentMarginals):
+        # each marginal lumps its mass above m_max at m_max + 1, which keeps
+        # every event at thresholds <= m_max; then list the product law
+        lumped = IndependentMarginals(
+            [FinitePMF(np.append(d.pmf_array(m_max), d.survival(m_max))) for d in model.marginals]
+        )
+        flat = product_explicit(lumped)
+        points, probs = flat.points, flat.probs
+    elif isinstance(model, MvgModel):
+        # inclusion-exclusion of the <= side over the joint survival function
+        def joint(K, m):
+            return mvg_joint_survival(model.params, [m if i in K else -1 for i in range(1, model.n + 1)])
+
+        return np.array([
+            math.fsum(
+                (-1) ** k * joint(up | frozenset(B), m)
+                for k in range(len(low) + 1)
+                for B in combinations(sorted(low), k)
+            )
+            for m in range(m_max + 1)
+        ])
+    else:
+        points, probs = model.points, model.probs
+    return np.array([_masked_rect(points, probs, low, up, m) for m in range(m_max + 1)])
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
@@ -246,32 +285,62 @@ def test_kernels_match_rectangle_defaults(kind):
             rtol=0.0,
             atol=1e-12,
         )
-    for K in subsets:
-        np.testing.assert_allclose(
-            model.min_survival_series(K, m_max),
-            JointModel.min_survival_series(model, K, m_max),
-            rtol=0.0,
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            model.max_cdf_series(K, m_max),
-            JointModel.max_cdf_series(model, K, m_max),
-            rtol=0.0,
-            atol=1e-12,
-        )
-    # the rectangle query is the inclusion-exclusion of its "<= m" side over
-    # the model's own subset-minimum survivals
-    min_surv = {K: model.min_survival_series(K, m_max) for K in subsets}
+    # every (low, up) pair, against a reference that does not read rect_series
+    pairs = []
     for low in [frozenset()] + subsets:
         rest = [i for i in idx if i not in low]
-        for up in (frozenset(U) for k in range(len(rest) + 1) for U in combinations(rest, k)):
-            for m in range(m_max + 1):
-                want = math.fsum(
-                    (-1) ** len(B) * (min_surv[up | frozenset(B)][m] if up or B else 1.0)
-                    for k in range(len(low) + 1)
-                    for B in combinations(sorted(low), k)
-                )
+        pairs += [(low, frozenset(U)) for k in range(len(rest) + 1) for U in combinations(rest, k)]
+    none = frozenset()
+    for low, up in pairs:
+        if low or up:
+            np.testing.assert_allclose(
+                model.rect_series(low, up, m_max),
+                _rect_reference(model, low, up, m_max),
+                rtol=0.0,
+                atol=1e-12,
+            )
+    # the rectangle query is the inclusion-exclusion of its "<= m" side over
+    # the model's own subset-minimum survivals
+    min_surv = {K: model.rect_series(none, K, m_max) for K in subsets}
+    for low, up in pairs:
+        for m in range(m_max + 1):
+            want = math.fsum(
+                (-1) ** len(B) * (min_surv[up | frozenset(B)][m] if up or B else 1.0)
+                for k in range(len(low) + 1)
+                for B in combinations(sorted(low), k)
+            )
+            assert rect_prob(model, low, up, m) == pytest.approx(want, abs=1e-12)
+    # m = -1: every "<= m" condition is impossible, every "> m" one certain
+    for low, up in pairs:
+        assert rect_prob(model, low, up, -1) == (0.0 if low else 1.0)
+    # thresholds past the support of a finite model (int8 points for a
+    # multinomial with few trials)
+    if model.support_max() is not None:
+        for m in (128, 301):
+            for low, up in pairs:
+                want = _masked_rect(model.points, model.probs, low, up, m)
                 assert rect_prob(model, low, up, m) == pytest.approx(want, abs=1e-12)
+
+
+def test_mvg_class_counts_query_each_subset_once(monkeypatch):
+    """A general MVG's class counts read each theta(K) once per index set,
+    whatever the number of thresholds."""
+    model = KERNEL_MODELS["mvg"]()
+    calls = []
+
+    def counted(params, subset):
+        calls.append(subset)
+        return mvg_min_param(params, subset)
+
+    monkeypatch.setattr(distributions, "mvg_min_param", counted)
+    per_m_max = {}
+    for m_max in (0, 5, 40):
+        calls.clear()
+        model.class_counts(m_max)
+        per_m_max[m_max] = len(calls)
+    # one call per non-empty K = up | B over all (low, up, B subset of low):
+    # each coordinate is in up, in B, or in low only, less the empty K
+    assert per_m_max == {0: 3**3 - 1, 5: 3**3 - 1, 40: 3**3 - 1}
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,15 @@ def test_survival_validation():
         survival_orderstat(model, 1, 2, 1, form="sideways")
 
 
+def test_survival_checks_form_below_zero():
+    """A bad form is refused at every threshold, also where P = 1 needs no series."""
+    model = random_explicit(np.random.default_rng(1), 2)
+    for form in ("auto", "low", "high"):
+        assert survival_orderstat(model, 1, 2, -1, form=form) == 1.0
+    with pytest.raises(ValidationError):
+        survival_orderstat(model, 1, 2, -1, form="bogus")
+
+
 def test_subset_class_capacity_guard():
     params = MvgParams(21, theta={tuple(range(1, 22)): 0.5})
     with pytest.raises(CapacityError):

@@ -206,6 +206,19 @@ def test_collection_cap():
         signature_set(three_of_seven)
 
 
+def test_lattice_cap():
+    """Coefficient tables span all 2^n component subsets, so n is capped even
+    for a family of one set."""
+    series_20 = SystemStructure(20, path_sets=[range(1, 21)], cut_sets=[[i] for i in range(1, 21)])
+    assert alpha_coefficients(series_20) == {frozenset(range(1, 21)): 1}
+    parallel_20 = SystemStructure(20, path_sets=[[i] for i in range(1, 21)], cut_sets=[range(1, 21)])
+    assert beta_coefficients(parallel_20) == {frozenset(range(1, 21)): 1}
+    with pytest.raises(CapacityError):
+        alpha_coefficients(SystemStructure(21, path_sets=[range(1, 22)]))
+    with pytest.raises(CapacityError):
+        beta_coefficients(SystemStructure(21, cut_sets=[range(1, 22)]))
+
+
 def test_samaniego_conversion_bridge():
     sam = [0, Fraction(1, 5), Fraction(3, 5), Fraction(1, 5), 0]
     assert signature_from_samaniego(sam, 5) == BRIDGE_MINIMAL_SIGNATURE
@@ -287,6 +300,14 @@ def test_alpha_beta_survival_agree(bridge):
         system_survival(fair_bits(5), bridge, 0, form="gamma")
     with pytest.raises(ValidationError):
         system_survival(fair_bits(3), bridge, 0)
+
+
+def test_survival_checks_form_below_zero(bridge):
+    """A bad form is refused at every threshold, also where P = 1 needs no series."""
+    for form in ("auto", "alpha", "beta"):
+        assert system_survival(fair_bits(5), bridge, -1, form=form) == 1.0
+    with pytest.raises(ValidationError):
+        system_survival(fair_bits(5), bridge, -1, form="gamma")
 
 
 def test_survival_against_statistic_enumeration(bridge):
