@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -86,7 +85,7 @@ from .mvg import (
     mvg_orderstat_factorial_moment,
 )
 from .oracle import enumerate_moment, mc_moment
-from .orderstats import MomentRequest, approx_moment, binomial_head, exact_moment_finite, plan_for
+from .orderstats import MomentRequest, approx_moment, exact_moment_finite
 from .systems import (
     SystemStructure,
     alpha_coefficients,
@@ -242,10 +241,8 @@ def _orderstat_cell(model: JointModel, r: int, p: int, d) -> dict:
         raise ValidationError(
             f"rank {r}, p={p}: infinite support needs an error bound (request d or --d)"
         )
-    req = MomentRequest(r=r, n=n, p=p, d=d)
-    plan = plan_for(model, p, d / binomial_head(n, r))
-    res = approx_moment(model, req, plan)
-    return {"value": res.value, "M0": plan.M0}
+    res = approx_moment(model, MomentRequest(r=r, n=n, p=p, d=d))
+    return {"value": res.value, "M0": res.M0_used}
 
 
 def _system_cell(model: JointModel, structure: SystemStructure, p: int, d) -> dict:
@@ -384,13 +381,10 @@ def cmd_sweep(cfg: dict, args) -> int:
     for v in values:
         try:
             if family == "geometric":
-                params = MvgParams(n, theta={frozenset([i]): 1.0 - v for i in range(1, n + 1)})
-                m1 = system_moment_mvg(params, structure, 1)
-                m2_raw = factorial_to_raw([m1, system_moment_mvg(params, structure, 2)])[1]
+                model = MvgModel(MvgParams(n, theta={frozenset([i]): 1.0 - v for i in range(1, n + 1)}))
             else:
                 model = IndependentMarginals([Poisson(v)] * n, exchangeable=True)
-                m1 = system_moment_approx(model, structure, 1, d).value
-                m2_raw = system_moment_approx(model, structure, 2, d).value
+            m1, m2_raw = (_system_cell(model, structure, p, d)["value"] for p in (1, 2))
             rows.append([v, m1, m2_raw, m2_raw - m1 * m1])
         except LifemomentsError as e:
             _note(f"{param}={v} failed: {e}")

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
 )
-from .mvg import MvgParams, mvg_min_param, mvg_orderstat_survival
+from .mvg import LATTICE_N_CAP, MvgParams, mvg_min_param, mvg_orderstat_survival
 
 __all__ = [
     "MarginalDist",
@@ -53,8 +53,6 @@ __all__ = [
 # quantity being compared.
 _TAIL_SLACK = 1e-8
 _DOUBLING_CAP = 200
-
-SUBSET_N_CAP = 20  # subset enumeration over C(n, s) sets beyond this is refused
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +345,10 @@ class JointModel:
         under exchangeability one set per class stands for all C(n, s).
         """
         n = self.n
-        if not self.exchangeable and n > SUBSET_N_CAP:
+        if not self.exchangeable and n > LATTICE_N_CAP:
             raise CapacityError(
                 f"subset enumeration needs C({n}, s) rectangle queries; "
-                f"n exceeds the cap {SUBSET_N_CAP}"
+                f"n exceeds the cap {LATTICE_N_CAP}"
             )
         idx = frozenset(range(1, n + 1))
         out = np.empty((m_max + 1, n + 1))

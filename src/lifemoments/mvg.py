@@ -16,7 +16,7 @@ the subset-minimum parameter theta(K).  ``mvg_min_param`` is the definition
 for one subset.  The sums read every theta(K) of one size at once: one
 value standing for all C(n, k) subsets under exchangeable parameters, or
 the size-k slice of one table over all 2^n subsets for general ones, built
-once per parameter set (n <= GENERAL_N_CAP).
+once per parameter set (n <= LATTICE_N_CAP).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-# The general (non-exchangeable) formulas read a table over all 2^n subsets;
-# beyond this n the exchangeable parametrization is the only supported route.
-GENERAL_N_CAP = 20
+# Tables over all 2^n component subsets (the general MVG sums here, default
+# class counts, signature lattices) are refused above this n.
+LATTICE_N_CAP = 20
 
 # Exponents like C(n,s) - C(j,s) overflow float arithmetic long before the
 # products they exponentiate stop underflowing to 0; anything this large with
@@ -197,10 +197,10 @@ def _subset_minima(params: MvgParams, k: int) -> tuple[np.ndarray, int]:
     if params.exchangeable:
         return np.array([mvg_min_param(params, range(1, k + 1))]), math.comb(n, k)
     if params._minima is None:
-        if n > GENERAL_N_CAP:
+        if n > LATTICE_N_CAP:
             raise CapacityError(
                 f"general MVG sums read all 2^n subsets; n={n} exceeds the cap "
-                f"{GENERAL_N_CAP} (use exchangeable_levels for larger n)"
+                f"{LATTICE_N_CAP} (use exchangeable_levels for larger n)"
             )
         masks = np.arange(1 << n)
         table = np.ones(1 << n)

@@ -1,14 +1,19 @@
 """Moments of order statistics X_{r:n} from dependent discrete vectors.
 
-Exact evaluation for finite supports runs the survival-series identity
+Every moment here and in `systems` comes from the survival-series identity
 
-    E X_{r:n}^p = sum_m ((m+1)^p - m^p) P(X_{r:n} > m)
+    E T^p = sum_m ((m+1)^p - m^p) P(T > m)
 
-to the end of the support; infinite supports are truncated at an index M0
-chosen so the discarded tail is provably at most a requested d > 0 (the
-partial sums always underestimate, so the error sign is known).  Closed-form
-M0 planners cover Poisson and negative binomial marginals; a generic planner
-searches any user-supplied tail oracle.
+for T an order statistic X_{r:n} or a coherent-system lifetime, and one
+evaluator, `_series_moment`, sums it.  Finite supports run to the end of
+the support; infinite supports are truncated at an index M0 chosen so the
+discarded tail is provably at most a requested d > 0 (the partial sums
+always underestimate, so the error sign is known).  The statistic supplies
+its survival series and its d-scale, the factor by which a single marginal's
+tail condition is tightened: `binomial_head(n, r)` for X_{r:n}, the positive
+subset coefficients for systems.  Closed-form M0 planners cover Poisson and
+negative binomial marginals; a generic planner searches any user-supplied
+tail oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import JointModel, NegBin, Poisson
+from .distributions import IndependentMarginals, JointModel, NegBin, Poisson
 from .errors import (
     ConvergenceError,
     NumericError,
@@ -39,9 +44,6 @@ __all__ = [
     "plan_generic",
     "plan_for",
 ]
-
-_GENERIC_ITERATION_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class MomentRequest:
@@ -120,32 +122,62 @@ def _weights(p: int, m_max: int) -> np.ndarray:
     return (ms + 1.0) ** p - ms**p
 
 
-def _partial_sum(model: JointModel, req: MomentRequest, m_hi: int) -> float:
-    """sum over m = 0..m_hi of ((m+1)^p - m^p) P(X_{r:n} > m)."""
+def _series_moment(
+    model: JointModel,
+    survival: Callable[[int], np.ndarray],
+    p: int,
+    scale: float,
+    d: float | None = None,
+    plan: TruncationPlan | None = None,
+) -> MomentResult:
+    """E T^p from ``survival(m_hi)``, the series P(T > m) for m = 0..m_hi.
+
+    The series stops at plan.M0, else at the end of a finite support, else
+    at the index planned for d / scale, where ``scale`` is the statistic's
+    d-scale.  The result is exact only when neither d nor a plan is given.
+    """
+    if plan is not None:
+        m_hi = plan.M0
+    elif (m_max := model.support_max()) is not None:
+        m_hi = m_max - 1
+    else:
+        m_hi = plan_for(model, p, _require_d(d) / scale).M0
+    value = 0.0
+    if m_hi >= 0:
+        value = float(np.dot(_weights(p, m_hi), survival(m_hi)))
+    if d is None and plan is None:
+        return MomentResult(value=value, exact=True)
+    return MomentResult(value=value, exact=False, M0_used=m_hi, error_bound=d)
+
+
+def _orderstat_moment(
+    model: JointModel, req: MomentRequest, d: float | None, plan: TruncationPlan | None = None
+) -> MomentResult:
     _check_rank(model, req.r, req.n)
-    if m_hi < 0:
-        return 0.0
-    return float(np.dot(_weights(req.p, m_hi), model.orderstat_survival_series(req.r, m_hi)))
+    series = lambda m_hi: model.orderstat_survival_series(req.r, m_hi)
+    return _series_moment(model, series, req.p, binomial_head(req.n, req.r), d, plan)
 
 
 def exact_moment_finite(model: JointModel, req: MomentRequest) -> MomentResult:
     """E X_{r:n}^p for a finite-support model, summed to the end of the support."""
-    m_max = model.support_max()
-    if m_max is None:
+    if model.support_max() is None:
         raise UnsupportedModelError(
             "model has infinite support; plan a truncation and call approx_moment"
         )
-    return MomentResult(value=_partial_sum(model, req, m_max - 1), exact=True)
+    return _orderstat_moment(model, req, None)
 
 
-def approx_moment(model: JointModel, req: MomentRequest, plan: TruncationPlan) -> MomentResult:
+def approx_moment(
+    model: JointModel, req: MomentRequest, plan: TruncationPlan | None = None
+) -> MomentResult:
     """Partial sum of the moment series up to plan.M0.
 
-    The true moment exceeds the returned value by at most the planned d and
-    never by a negative amount: dropped terms are non-negative.
+    Without a plan the series stops at the end of a finite support, or at
+    the index `plan_for` gives for req.d / binomial_head(n, r).  The true
+    moment exceeds the returned value by at most the planned d and never by
+    a negative amount: dropped terms are non-negative.
     """
-    value = _partial_sum(model, req, plan.M0)
-    return MomentResult(value=value, exact=False, M0_used=plan.M0, error_bound=req.d)
+    return _orderstat_moment(model, req, req.d, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +189,10 @@ def binomial_head(n: int, r: int) -> int:
     return sum(math.comb(n, s) for s in range(r))
 
 
-def _require_d(req: MomentRequest) -> float:
-    if req.d is None:
+def _require_d(d: float | None) -> float:
+    if d is None:
         raise ValidationError("planning needs an error bound d in the request")
-    return req.d
+    return d
 
 
 def _check_threshold(q: float):
@@ -187,21 +219,12 @@ def poisson_truncation_index(lam0: float, p: int, d_scaled: float) -> tuple[int,
 
 
 def plan_poisson(lambdas: list[float], req: MomentRequest) -> TruncationPlan:
-    """Truncation plan for independent Poisson(lambda_j) marginals.
-
-    j0 is the largest rate (smallest index on ties): its tail dominates every
-    other marginal's, which is what the error bound needs.
-    """
+    """Truncation plan for independent Poisson(lambda_j) marginals: `plan_for`
+    on the implied model, with d scaled by binomial_head(n, r)."""
     if len(lambdas) != req.n:
         raise ValidationError(f"need {req.n} rates, got {len(lambdas)}")
-    for lam in lambdas:
-        if not lam > 0.0:
-            raise ValidationError(f"non-positive rate {lam}")
-    d = _require_d(req)
-    j0 = max(range(len(lambdas)), key=lambda j: (lambdas[j], -j)) + 1
-    scaled = d / binomial_head(req.n, req.r)
-    M0, q = poisson_truncation_index(lambdas[j0 - 1], req.p, scaled)
-    return TruncationPlan(M0=M0, j0=j0, threshold=q)
+    model = IndependentMarginals([Poisson(lam) for lam in lambdas])
+    return plan_for(model, req.p, _require_d(req.d) / binomial_head(req.n, req.r))
 
 
 def negbin_truncation_index(R: float, p0: float, p: int, d_scaled: float) -> tuple[int, float]:
@@ -229,82 +252,50 @@ def negbin_truncation_index(R: float, p0: float, p: int, d_scaled: float) -> tup
 
 
 def plan_negbin(R: float, ps: list[float], req: MomentRequest) -> TruncationPlan:
-    """Truncation plan for independent NBin(R, p_j) marginals (shared R).
-
-    j0 is the smallest success probability (smallest index on ties): that
-    marginal is stochastically largest and dominates the truncated tail.
-    """
+    """Truncation plan for independent NBin(R, p_j) marginals (shared R):
+    `plan_for` on the implied model, with d scaled by binomial_head(n, r)."""
     if len(ps) != req.n:
         raise ValidationError(f"need {req.n} probabilities, got {len(ps)}")
-    if not R > 0.0:
-        raise ValidationError(f"R={R} must be positive")
-    for pj in ps:
-        if not 0.0 < pj < 1.0:
-            raise ValidationError(f"probability {pj} outside (0, 1)")
-    d = _require_d(req)
-    j0 = min(range(len(ps)), key=lambda j: (ps[j], j)) + 1
-    scaled = d / binomial_head(req.n, req.r)
-    M0, q = negbin_truncation_index(R, ps[j0 - 1], req.p, scaled)
-    return TruncationPlan(M0=M0, j0=j0, threshold=q)
+    model = IndependentMarginals([NegBin(R, pj) for pj in ps])
+    return plan_for(model, req.p, _require_d(req.d) / binomial_head(req.n, req.r))
 
 
-def generic_truncation_index(
-    tail_oracle: Callable[[int], float],
-    p: int,
-    bound: float,
-    iteration_cap: int = _GENERIC_ITERATION_CAP,
-) -> int:
+def generic_truncation_index(tail_oracle: Callable[[int], float], p: int, bound: float) -> int:
     """Smallest M0 >= p-2 with tail_oracle(M0) <= bound, by doubling then bisection.
 
     ``tail_oracle(m)`` must return sum over x > m+1 of x^p pmf(x) for the
-    dominating marginal and must be non-increasing in m.
+    dominating marginal and must be non-increasing in m.  The search gives
+    up with ConvergenceError once M0 would pass 2^62.
     """
-    calls = 0
-
-    def tail(m: int) -> float:
-        nonlocal calls
-        calls += 1
-        if calls > iteration_cap:
-            raise ConvergenceError(
-                f"tail oracle did not drop below {bound} within {iteration_cap} calls"
-            )
-        return tail_oracle(m)
-
     # work on t = M0 + 2 >= p so the doubling has a positive anchor
     t_lo = max(p, 1)
-    if tail(t_lo - 2) <= bound:
+    if tail_oracle(t_lo - 2) <= bound:
         return t_lo - 2
     t_hi = t_lo
     while True:
         t_hi *= 2
         if t_hi > 1 << 62:
             raise ConvergenceError("tail never dropped below the bound")
-        if tail(t_hi - 2) <= bound:
+        if tail_oracle(t_hi - 2) <= bound:
             break
     while t_hi - t_lo > 1:
         mid = (t_lo + t_hi) // 2
-        if tail(mid - 2) <= bound:
+        if tail_oracle(mid - 2) <= bound:
             t_hi = mid
         else:
             t_lo = mid
     return t_hi - 2
 
 
-def plan_generic(
-    tail_oracle: Callable[[int], float],
-    req: MomentRequest,
-    j0: int,
-    iteration_cap: int = _GENERIC_ITERATION_CAP,
-) -> TruncationPlan:
+def plan_generic(tail_oracle: Callable[[int], float], req: MomentRequest, j0: int) -> TruncationPlan:
     """Truncation plan from a caller-supplied tail oracle.
 
     The caller certifies that marginal j0 is stochastically largest at every
     threshold and that its p-th moment is finite; the oracle must compute
     (or upper-bound) sum over x > m+1 of x^p P(X_{j0} = x).
     """
-    d = _require_d(req)
-    bound = d / binomial_head(req.n, req.r)
-    M0 = generic_truncation_index(tail_oracle, req.p, bound, iteration_cap)
+    bound = _require_d(req.d) / binomial_head(req.n, req.r)
+    M0 = generic_truncation_index(tail_oracle, req.p, bound)
     return TruncationPlan(M0=M0, j0=j0, threshold=bound)
 
 
@@ -312,11 +303,12 @@ def plan_for(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
     """Truncation index for the model's stochastically largest marginal.
 
     Poisson and shared-size negative binomial families use their closed-form
-    planners; everything else searches the largest-mean marginal's tail
-    moment directly.  The caller is responsible for the premise that one
-    marginal dominates at every threshold (automatic in the two closed-form
-    families).  Order statistics call this with d / binomial_head(n, r),
-    system moments with d over their positive coefficients.
+    planners with j0 the largest rate or the smallest success probability;
+    everything else searches the largest-mean marginal's tail moment
+    directly (smallest index on ties).  The caller is responsible for the
+    premise that one marginal dominates at every threshold (automatic in the
+    two closed-form families).  `_series_moment` calls this with d over the
+    statistic's d-scale.
     """
     margs = model.marginals
     if margs is None:

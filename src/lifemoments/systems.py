@@ -7,9 +7,9 @@ lifetime inside the path set admits the signed expansion
 
 with integer coefficients alpha_K produced by inclusion-exclusion over
 collections of minimal path sets; the dual expansion over minimal cut sets
-gives beta_K against maxima.  Moments follow by the usual survival series,
-exactly on finite supports, truncated with a certified error bound otherwise,
-and in closed form for multivariate geometric components.
+gives beta_K against maxima.  Moments follow by the survival series of
+`orderstats`, exactly on finite supports, truncated with a certified error
+bound otherwise, and in closed form for multivariate geometric components.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
 )
-from .mvg import MvgParams, geometric_factorial_moment, mvg_min_param
-from .orderstats import MomentResult, TruncationPlan, _weights, plan_for
+from .mvg import LATTICE_N_CAP, MvgParams, geometric_factorial_moment, mvg_min_param
+from .orderstats import MomentResult, TruncationPlan, _series_moment
 # not used here; bench/test_bench.py checks that the tracer also wraps this
 # second binding of a traced function
 from .orderstats import poisson_truncation_index  # noqa: F401
@@ -59,8 +59,6 @@ __all__ = [
 ]
 
 COLLECTION_CAP = 25  # path/cut sets per family; kept while the benchmark pins 3-of-7:G as refused
-
-LATTICE_N_CAP = 20  # signature coefficients and cut-set derivation read 2^n-entry tables
 
 
 def _normalize_family(sets: Iterable[Iterable[int]], n: int, label: str) -> tuple[frozenset[int], ...]:
@@ -95,7 +93,9 @@ class SystemStructure:
     Both families are declarations: nested sets are rejected rather than
     minimized, and every component must appear in at least one set of each
     family supplied (irrelevant components have no place in a coherent
-    system).
+    system).  When both are given and n <= LATTICE_N_CAP, the cut sets must
+    be the minimal transversals of the path sets; above the cap the pair is
+    taken as declared.
     """
 
     __slots__ = ("n", "path_sets", "cut_sets")
@@ -114,6 +114,9 @@ class SystemStructure:
         self.n = n
         self.path_sets = None if path_sets is None else _normalize_family(path_sets, n, "path")
         self.cut_sets = None if cut_sets is None else _normalize_family(cut_sets, n, "cut")
+        if self.path_sets is not None and self.cut_sets is not None and n <= LATTICE_N_CAP:
+            if _minimal_transversals(self.path_sets, n) != self.cut_sets:
+                raise ValidationError("cut sets are not the minimal transversals of the path sets")
 
     def __eq__(self, other) -> bool:
         return (
@@ -312,7 +315,10 @@ def cut_sets_from_path_sets(n: int, path_sets: Iterable[Iterable[int]]) -> tuple
     components leaves a non-transversal.  The tables have 2^n entries, so n
     above LATTICE_N_CAP is refused.
     """
-    fam = _normalize_family(path_sets, n, "path")
+    return _minimal_transversals(_normalize_family(path_sets, n, "path"), n)
+
+
+def _minimal_transversals(fam: Sequence[frozenset[int]], n: int) -> tuple[frozenset[int], ...]:
     transversal = ~_up_closure(fam, n)[::-1]  # index c reads the complement of c
     minimal = transversal.copy()
     for b in range(n):
@@ -357,7 +363,7 @@ def system_survival(model: JointModel, structure: SystemStructure, m: int, form:
     return float(_survival_series(model, coeffs, form, m)[m])
 
 
-def _series_moment(
+def _expansion_moment(
     model: JointModel,
     coeffs: Mapping[frozenset[int], float],
     form: str,
@@ -365,29 +371,13 @@ def _series_moment(
     d: float | None = None,
     plan: TruncationPlan | None = None,
 ) -> MomentResult:
-    """E T^p from the survival series of the signed subset expansion ``coeffs``.
-
-    Without d the support must be finite and the series runs to its end (an
-    exact result).  With d it stops at plan.M0, at the end of a finite
-    support, or at the index planned for the bound d scaled by the positive
-    coefficients (times 2^n - 1 for the beta form).
-    """
-    m_max = model.support_max()
-    if plan is not None:
-        m_hi = plan.M0
-    elif m_max is not None:
-        m_hi = m_max - 1
-    else:
-        scale = sum(c for c in coeffs.values() if c > 0)
-        if form == "beta":
-            scale *= 2**model.n - 1
-        m_hi = plan_for(model, p, d / scale).M0
-    value = 0.0
-    if m_hi >= 0:
-        value = float(np.dot(_weights(p, m_hi), _survival_series(model, coeffs, form, m_hi)))
-    if d is None:
-        return MomentResult(value=value, exact=True)
-    return MomentResult(value=value, exact=False, M0_used=m_hi, error_bound=d)
+    """E T^p from the survival series of the signed subset expansion ``coeffs``;
+    d is scaled by the positive coefficients (times 2^n - 1 for the beta form)."""
+    scale = sum(c for c in coeffs.values() if c > 0)
+    if form == "beta":
+        scale *= 2**model.n - 1
+    series = lambda m_hi: _survival_series(model, coeffs, form, m_hi)
+    return _series_moment(model, series, p, scale, d, plan)
 
 
 def _check_system(model: JointModel, structure: SystemStructure, p: int):
@@ -410,8 +400,8 @@ def system_moment_exact(model: JointModel, structure: SystemStructure, p: int) -
             "model has infinite support; use system_moment_approx with an error bound"
         )
     if structure.path_sets is not None:
-        return _series_moment(model, alpha_coefficients(structure), "alpha", p)
-    return _series_moment(model, beta_coefficients(structure), "beta", p)
+        return _expansion_moment(model, alpha_coefficients(structure), "alpha", p)
+    return _expansion_moment(model, beta_coefficients(structure), "beta", p)
 
 
 def system_moment_approx(
@@ -428,7 +418,7 @@ def system_moment_approx(
     """
     _check_system(model, structure, p)
     _check_bound(d)
-    return _series_moment(model, alpha_coefficients(structure), "alpha", p, d, plan)
+    return _expansion_moment(model, alpha_coefficients(structure), "alpha", p, d, plan)
 
 
 def system_moment_approx_beta(
@@ -446,7 +436,7 @@ def system_moment_approx_beta(
     """
     _check_system(model, structure, p)
     _check_bound(d)
-    return _series_moment(model, beta_coefficients(structure), "beta", p, d, plan)
+    return _expansion_moment(model, beta_coefficients(structure), "beta", p, d, plan)
 
 
 def _prefix_coefficients(signature: Sequence) -> dict[frozenset[int], float]:
@@ -555,8 +545,8 @@ def exchangeable_system_moment(
         raise ValidationError(f"signature sums to {total}, not 1")
     coeffs = _prefix_coefficients(signature)
     if model.support_max() is not None:
-        return _series_moment(model, coeffs, form, p)
+        return _expansion_moment(model, coeffs, form, p)
     if d is None:
         raise ValidationError("infinite support needs an error bound d")
     _check_bound(d)
-    return _series_moment(model, coeffs, form, p, d)
+    return _expansion_moment(model, coeffs, form, p, d)

@@ -28,7 +28,7 @@ from lifemoments import (
     plan_poisson,
     survival_orderstat,
 )
-from lifemoments.orderstats import binomial_head
+from lifemoments.orderstats import binomial_head, plan_for
 from conftest import product_explicit, random_explicit, random_independent
 
 
@@ -295,7 +295,7 @@ def test_plan_generic_agrees_with_closed_form_planners():
 def test_plan_generic_convergence_cap():
     req = MomentRequest(r=1, n=1, p=1, d=1e-6)
     with pytest.raises(ConvergenceError):
-        plan_generic(lambda m: 1.0, req, j0=1, iteration_cap=50)
+        plan_generic(lambda m: 1.0, req, j0=1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +340,32 @@ def test_approx_moment_golden_cell():
     plan = plan_poisson([1.0] * 10, req)
     assert plan.M0 == 10
     assert approx_moment(model, req, plan).value == pytest.approx(8.319, abs=1e-3)
+
+
+PLAN_FREE_CASES = [
+    ("poisson", IndependentMarginals([Poisson(1.0), Poisson(2.5), Poisson(0.7)])),
+    ("negbin_shared_R", IndependentMarginals([NegBin(2.0, 0.4), NegBin(2.0, 0.25), NegBin(2.0, 0.6)])),
+    ("mixed", IndependentMarginals([Poisson(3.0), NegBin(1.0, 0.3), Geometric(0.4)])),
+    ("mvg", MvgModel(MvgParams(3, theta={frozenset([1]): 0.6, frozenset([2]): 0.7, frozenset([1, 2, 3]): 0.9}))),
+]
+
+
+@pytest.mark.parametrize("model", [c[1] for c in PLAN_FREE_CASES], ids=[c[0] for c in PLAN_FREE_CASES])
+def test_approx_moment_plans_for_itself(model):
+    """Without a plan, approx_moment plans for d / binomial_head(n, r) itself."""
+    n = model.n
+    for r in range(1, n + 1):
+        for p in (1, 2, 3):
+            req = MomentRequest(r=r, n=n, p=p, d=1e-4)
+            plan = plan_for(model, p, req.d / binomial_head(n, r))
+            planned, got = approx_moment(model, req, plan), approx_moment(model, req)
+            assert (got.value, got.M0_used) == (planned.value, planned.M0_used)
+            assert not got.exact and got.error_bound == req.d
+            # a plan without d is still a truncation, with no bound to report
+            no_d = approx_moment(model, MomentRequest(r=r, n=n, p=p), plan)
+            assert (no_d.exact, no_d.M0_used, no_d.error_bound) == (False, plan.M0, None)
+            with pytest.raises(ValidationError):
+                approx_moment(model, MomentRequest(r=r, n=n, p=p))
 
 
 def test_approx_moment_degenerate_plan():

@@ -109,6 +109,22 @@ def test_structure_validation():
         SystemStructure(0, path_sets=[[1]])
 
 
+def test_structure_rejects_contradictory_families():
+    # parallel paths with series cuts: the alpha and beta routes disagreed (0.75 vs 0.25)
+    with pytest.raises(ValidationError):
+        SystemStructure(2, path_sets=[[1], [2]], cut_sets=[[1], [2]])
+    with pytest.raises(ValidationError):
+        SystemStructure(5, path_sets=BRIDGE_PATHS, cut_sets=BRIDGE_CUTS[:-1] + ({2, 4},))
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        paths = random_antichain(rng, n)
+        SystemStructure(n, path_sets=paths, cut_sets=cut_sets_from_path_sets(n, paths))
+    # above the lattice cap both families stay declarations
+    singletons = [[i] for i in range(1, 22)]
+    SystemStructure(21, path_sets=singletons, cut_sets=singletons)
+
+
 def test_structure_equality_and_order_insensitivity():
     a = SystemStructure(5, path_sets=BRIDGE_PATHS)
     b = SystemStructure(5, path_sets=reversed([sorted(P) for P in BRIDGE_PATHS]))
@@ -189,9 +205,9 @@ def test_coefficients_match_collection_enumeration():
     for _ in range(40):
         n = int(rng.integers(1, 8))
         paths, cuts = random_antichain(rng, n), random_antichain(rng, n)
-        s = SystemStructure(n, path_sets=paths, cut_sets=cuts)
-        assert alpha_coefficients(s) == collection_coefficients(s.path_sets)
-        assert beta_coefficients(s) == collection_coefficients(s.cut_sets)
+        by_paths, by_cuts = SystemStructure(n, path_sets=paths), SystemStructure(n, cut_sets=cuts)
+        assert alpha_coefficients(by_paths) == collection_coefficients(by_paths.path_sets)
+        assert beta_coefficients(by_cuts) == collection_coefficients(by_cuts.cut_sets)
 
 
 def test_collection_cap():
