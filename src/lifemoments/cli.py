@@ -228,33 +228,33 @@ def _expand_requests(cfg: dict, n: int, flag_d, with_ranks: bool) -> list[tuple[
 # routing
 # ---------------------------------------------------------------------------
 
-def _orderstat_cell(model: JointModel, r: int, p: int, d) -> dict:
-    """value plus truncation metadata for one (rank, moment) cell."""
-    n = model.n
+def _cells(model: JointModel, statistic, requests: list[tuple[int, float | None]]) -> dict[int, dict]:
+    """value plus truncation metadata for each (moment, bound) request on one
+    statistic, a rank or a structure, keyed by moment (a later request for
+    the same moment wins).  MVG closed forms compute the factorial moments
+    1..max p once, whatever moments are requested."""
+    system = isinstance(statistic, SystemStructure)
     if isinstance(model, MvgModel):
-        fms = [mvg_orderstat_factorial_moment(model.params, r, n, q) for q in range(1, p + 1)]
-        return {"value": factorial_to_raw(fms)[p - 1], "M0": None}
-    if model.support_max() is not None:
-        res = exact_moment_finite(model, MomentRequest(r=r, n=n, p=p))
-        return {"value": res.value, "M0": None}
-    if d is None:
-        raise ValidationError(
-            f"rank {r}, p={p}: infinite support needs an error bound (request d or --d)"
-        )
-    res = approx_moment(model, MomentRequest(r=r, n=n, p=p, d=d))
-    return {"value": res.value, "M0": res.M0_used}
-
-
-def _system_cell(model: JointModel, structure: SystemStructure, p: int, d) -> dict:
-    if isinstance(model, MvgModel):
-        fms = [system_moment_mvg(model.params, structure, q) for q in range(1, p + 1)]
-        return {"value": factorial_to_raw(fms)[p - 1], "M0": None}
-    if model.support_max() is not None:
-        return {"value": system_moment_exact(model, structure, p).value, "M0": None}
-    if d is None:
-        raise ValidationError(f"p={p}: infinite support needs an error bound (request d or --d)")
-    res = system_moment_approx(model, structure, p, d)
-    return {"value": res.value, "M0": res.M0_used}
+        if system:
+            factorial = lambda q: system_moment_mvg(model.params, statistic, q)
+        else:
+            factorial = lambda q: mvg_orderstat_factorial_moment(model.params, statistic, model.n, q)
+        raws = factorial_to_raw([factorial(q) for q in range(1, max(p for p, _ in requests) + 1)])
+        return {p: {"value": raws[p - 1], "M0": None} for p, _ in requests}
+    finite = model.support_max() is not None
+    cells = {}
+    for p, d in requests:
+        if not finite and d is None:
+            where = "" if system else f"rank {statistic}, "
+            raise ValidationError(f"{where}p={p}: infinite support needs an error bound (request d or --d)")
+        if system:
+            res = system_moment_exact(model, statistic, p) if finite else system_moment_approx(model, statistic, p, d)
+        elif finite:
+            res = exact_moment_finite(model, MomentRequest(r=statistic, n=model.n, p=p))
+        else:
+            res = approx_moment(model, MomentRequest(r=statistic, n=model.n, p=p, d=d))
+        cells[p] = {"value": res.value, "M0": res.M0_used}
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +316,7 @@ def cmd_orderstat(cfg: dict, args) -> int:
         return 0
     ranks = list(dict.fromkeys(r for r, _, _ in triples))
     moments = list(dict.fromkeys(p for _, p, _ in triples))
-    cells: dict[int, dict[int, dict]] = {}
-    for r, p, d in triples:
-        cells.setdefault(r, {})[p] = _orderstat_cell(model, r, p, d)
+    cells = {r: _cells(model, r, [(p, d) for rr, p, d in triples if rr == r]) for r in ranks}
     header, rows = None, []
     for r in ranks:
         h, row = _moment_row(cells[r], [p for p in moments if p in cells[r]])
@@ -337,7 +335,7 @@ def cmd_system(cfg: dict, args) -> int:
     if not triples:
         _emit(["p1"], [], args.format, args.precision == "full")
         return 0
-    cells = {p: _system_cell(model, structure, p, d) for _, p, d in triples}
+    cells = _cells(model, structure, [(p, d) for _, p, d in triples])
     moments = list(dict.fromkeys(p for _, p, _ in triples))
     header, row = _moment_row(cells, moments)
     _note(f"system n={structure.n}; moments={moments}")
@@ -384,7 +382,8 @@ def cmd_sweep(cfg: dict, args) -> int:
                 model = MvgModel(MvgParams(n, theta={frozenset([i]): 1.0 - v for i in range(1, n + 1)}))
             else:
                 model = IndependentMarginals([Poisson(v)] * n, exchangeable=True)
-            m1, m2_raw = (_system_cell(model, structure, p, d)["value"] for p in (1, 2))
+            cells = _cells(model, structure, [(1, d), (2, d)])
+            m1, m2_raw = cells[1]["value"], cells[2]["value"]
             rows.append([v, m1, m2_raw, m2_raw - m1 * m1])
         except LifemomentsError as e:
             _note(f"{param}={v} failed: {e}")
@@ -409,10 +408,7 @@ def cmd_validate(cfg: dict, args) -> int:
     d = args.d if args.d is not None else float(spec.get("d", 1e-6))
     seed = args.seed if args.seed is not None else 0
 
-    if isinstance(statistic, SystemStructure):
-        analytic = _system_cell(model, statistic, p, d)["value"]
-    else:
-        analytic = _orderstat_cell(model, statistic, p, d)["value"]
+    analytic = _cells(model, statistic, [(p, d)])[p]["value"]
 
     rows = []
     est = mc_moment(model, statistic, p, samples, seed)

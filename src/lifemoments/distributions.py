@@ -3,7 +3,8 @@
 Every moment formula in this package reads a joint model through one query:
 the probability that each coordinate in one index set is <= m while each
 coordinate in another is > m, for every m up to a cutoff (``rect_series``).
-Three model kinds implement it: an explicit finite pmf, a product of
+Four model kinds implement it: an explicit finite pmf, the multinomial
+count vector (an explicit pmf that never lists its support), a product of
 independent marginals, and the common-shock geometric model of module
 ``mvg``.  Class counts and order-statistic survival have defaults on
 ``JointModel`` built on that query, which a kind overrides where it has a
@@ -594,7 +595,14 @@ def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) 
         raise ValidationError(f"m={m} must be >= -1")
     if m == -1 or not L and not U:
         return 0.0 if L else 1.0
+    m = _support_clamp(model, m)
     return float(model.rect_series(L, U, m)[m])
+
+
+def _support_clamp(model: JointModel, m: int) -> int:
+    """m, or the end of a finite support, past which every series is constant."""
+    m_max = model.support_max()
+    return m if m_max is None else min(m, m_max)
 
 
 def marginal_survival(model: JointModel, j: int, m: int) -> float:
@@ -643,8 +651,10 @@ def _compositions(total: int, parts: int, dtype) -> np.ndarray:
 class MultinomialModel(ExplicitFinitePMF):
     """The count vector of ``trials`` balls dropped into cells with ``cell_probs``.
 
-    The class-count table is computed from the parameters alone; ``points``
-    and ``probs`` are enumerated only when a consumer first reads them.
+    Both queries, the class-count table and ``rect_series``, come from one
+    dynamic program over the cells (``_conditioned_poisson``) that reads the
+    parameters alone; ``points`` and ``probs`` are enumerated only when a
+    consumer first reads them (the oracles do).
     """
 
     def __init__(self, trials: int, cell_probs: Sequence[float], exchangeable: bool | None = None):
@@ -699,62 +709,64 @@ class MultinomialModel(ExplicitFinitePMF):
         return math.comb(self.trials + self.n - 1, self.n - 1)
 
     def _build_counts_table(self) -> np.ndarray:
-        """Class counts by stick-breaking over the cells.
-
-        Cell i takes Binom(N - t, p_i / (p_i + ... + p_n)) of the N - t
-        trials the cells before it left over; the last cell takes the rest.
-        ``A[m, t, s]`` is P(the cells seen so far hold t trials and s of them
-        hold <= m), for every threshold m at once.  Every term is a product
-        of probabilities, so nothing cancels and nothing overflows.
-        """
-        N, n, ps = self.trials, self.n, self.cell_probs
-        # rest[i] = p_i + ... + p_n: a sum of positives, so 1 - q_i below is
-        # the ratio rest[i+1] / rest[i] with no cancellation
-        log_rest = np.log(np.cumsum(ps[::-1])[::-1])
-        lfact = np.array([lgamma(x + 1.0) for x in range(N + 1)])
-        t = np.arange(N + 1)
-        left = (N - t)[:, None]  # trials still unplaced after t are placed
-        x = t[None, :]
-        fits = x <= left
-        passed = np.where(fits, left - x, 0)
-        A = np.zeros((N + 1, N + 1, n + 1))
-        A[:, 0, 0] = 1.0
-        for i in range(n - 1):
-            # B[t, x] = P(Binom(N - t, q_i) = x)
-            log_b = (
-                lfact[left] - lfact[x] - lfact[passed]
-                + x * (log(ps[i]) - log_rest[i])
-                + passed * (log_rest[i + 1] - log_rest[i])
-            )
-            B = np.where(fits, np.exp(log_b), 0.0)  # log_b <= 0 off the fit
-            # s <= i before cell i, so the last column of A is still empty
-            new = np.zeros_like(A)
-            for xi in range(N + 1):
-                moved = A[:, : N + 1 - xi, :n] * B[: N + 1 - xi, xi, None]
-                new[xi:, xi:, 1:] += moved[xi:]  # thresholds m >= xi: a low cell
-                new[:xi, xi:, :n] += moved[:xi]
-            A = new
-        # the last cell holds the N - t unplaced trials: low when N - t <= m
-        low = left.T <= np.arange(N + 1)[:, None]  # [m, t]
-        table = np.zeros((N + 2, n + 1))
+        """Class counts from the conditioned-Poisson DP, every cell counted."""
+        N = self.trials
+        table = np.zeros((N + 2, self.n + 1))
         table[0, 0] = 1.0
-        table[1:, 1:] = np.einsum("mts,mt->ms", A[:, :, :n], low)
-        table[1:] += np.einsum("mts,mt->ms", A, ~low)
+        table[1:] = self._conditioned_poisson([(N * p, "count") for p in self.cell_probs], N)
         return table
+
+    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
+        N, rates = self.trials, self.trials * self.cell_probs
+        cells = [(rates[i - 1], "low") for i in sorted(low)] + [(rates[j - 1], "up") for j in sorted(up)]
+        free = [rates[i - 1] for i in range(1, self.n + 1) if i not in low and i not in up]
+        if free:  # a sum of independent Poisson cells is one Poisson cell
+            cells.append((math.fsum(free), "free"))
+        series = self._conditioned_poisson(cells, min(m_hi, N))[:, 0]
+        return series[np.minimum(np.arange(m_hi + 1), N)]  # constant past the support
+
+    def _conditioned_poisson(self, cells: list[tuple[float, str]], m_top: int) -> np.ndarray:
+        """Row m, column s: P(every cell meets its rule at threshold m and
+        exactly s "count" cells hold <= m), for m = 0..m_top.
+
+        A cell is a (Poisson rate, rule) pair, the rule "count", "low" (holds
+        <= m), "up" (holds > m) or "free".  Independent Poisson cells
+        conditioned on holding ``trials`` in all are Mult(trials, rates / sum
+        of rates), so ``A[m, t, s]`` carries the joint probability for the
+        cells so far holding t trials: products of Poisson pmfs, which never
+        cancel, divided once by P(total = trials) at the end.
+        """
+        N = self.trials
+        A = np.zeros((m_top + 1, N + 1, 1 + sum(rule == "count" for _, rule in cells)))
+        A[:, 0, 0] = 1.0
+        for rate, rule in cells:
+            pmf = Poisson(rate).pmf_array(N)
+            new = np.zeros_like(A)
+            for x in range(N + 1):
+                moved = A[:, : N + 1 - x] * pmf[x]  # the cell holds x trials
+                if rule != "up":  # rows m >= x see the cell low
+                    k = int(rule == "count")  # s moves up; the last column is still empty
+                    new[x:, x:, k:] += moved[x:, :, : A.shape[2] - k]
+                if rule != "low":  # rows m < x see it high
+                    new[:x, x:] += moved[:x]
+            A = new
+        total = Poisson(math.fsum(rate for rate, _ in cells))
+        return A[:, N] / total.pmf(N)
 
 
 def multinomial_pmf(trials: int, probs: Sequence[float], exchangeable: bool | None = None) -> MultinomialModel:
     """The full multinomial distribution Mult(trials, probs) as an explicit pmf.
 
-    Order-statistic moments read only the class-count table, which is
-    computed from (trials, probs) by a positive-term dynamic program in
-    O(k^2 N^3) flops for the whole table (k cells, N trials), without
-    listing the C(N + k - 1, k - 1) count vectors.  Consumers that need the
-    support points enumerate them on first use, with a log-factorial table
-    that keeps the weights exact to double precision: ``rect_series`` (and
-    so ``rect_prob``, ``system_survival`` and the system moment functions),
-    and the ``enumerate_moment`` and ``mc_moment`` oracles.  ``exchangeable``
-    defaults to true exactly when all cell probabilities are equal (the
-    construction is then symmetric under coordinate permutations).
+    Class counts and rectangle series (so order-statistic moments,
+    ``rect_prob``, ``system_survival`` and every system moment) come from
+    (trials, probs) by one positive-term dynamic program over the cells,
+    without listing the C(N + k - 1, k - 1) count vectors: O(k^2 N^3) flops
+    for the whole class-count table and O(c N^3) for a rectangle series
+    naming c cells (k cells, N trials).  Only the ``enumerate_moment`` and
+    ``mc_moment`` oracles list the support points, on first use, with a
+    log-factorial table that keeps the weights exact to double precision.
+    ``exchangeable`` defaults to true exactly when all cell probabilities
+    are equal (the construction is then symmetric under coordinate
+    permutations).
     """
     return MultinomialModel(trials, probs, exchangeable)

@@ -39,8 +39,6 @@ LATTICE_N_CAP = 20
 # a base < 1 is an exact 0 for our purposes.
 _HUGE_EXPONENT = 1 << 60
 
-_LOG_SPACE_CUTOFF = 1e-3  # products with factors below this go through logs
-
 
 def _as_subset(I: Iterable[int], n: int) -> frozenset[int]:
     try:
@@ -138,20 +136,6 @@ def _log_or_none(t: float) -> float:
     return math.log(t) if t > 0.0 else -math.inf
 
 
-def _prod(values: list[float]) -> float:
-    """Product of values in [0, 1], switching to log space for tiny factors."""
-    if not values:
-        return 1.0
-    if any(v == 0.0 for v in values):
-        return 0.0
-    if min(values) < _LOG_SPACE_CUTOFF:
-        return math.exp(math.fsum(math.log(v) for v in values))
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
-
-
 def theta_all(params: MvgParams) -> float:
     """Product of every theta_I; the subset-minimum parameter of the full set."""
     return mvg_min_param(params, range(1, params.n + 1))
@@ -180,7 +164,7 @@ def mvg_min_param(params: MvgParams, subset: Iterable[int]) -> float:
                 return 0.0
             log += e * math.log(t)
         return math.exp(log)
-    return _prod([t for I, t in params.theta.items() if I & S])
+    return math.prod(t for I, t in params.theta.items() if I & S)
 
 
 def _subset_minima(params: MvgParams, k: int) -> tuple[np.ndarray, int]:
@@ -281,7 +265,7 @@ def mvg_marginal(params: MvgParams, subset: Iterable[int]) -> MvgParams:
         if hit:
             key = frozenset(index[i] for i in hit)
             grouped.setdefault(key, []).append(t)
-    return MvgParams(k, theta={key: _prod(ts) for key, ts in grouped.items()})
+    return MvgParams(k, theta={key: math.prod(ts) for key, ts in grouped.items()})
 
 
 def geometric_factorial_moment(theta: float, p: int) -> float:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import IndependentMarginals, JointModel, NegBin, Poisson
+from .distributions import IndependentMarginals, JointModel, NegBin, Poisson, _support_clamp
 from .errors import (
     ConvergenceError,
     NumericError,
@@ -114,6 +114,7 @@ def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "a
         raise ValidationError(f"form must be auto, low, or high, not {form!r}")
     if m < 0:
         return 1.0
+    m = _support_clamp(model, m)
     return float(model.orderstat_survival_series(r, m, form)[m])
 
 

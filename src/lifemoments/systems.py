@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import JointModel
+from .distributions import JointModel, _support_clamp
 from .errors import (
     CapacityError,
     NumericError,
@@ -359,6 +359,7 @@ def system_survival(model: JointModel, structure: SystemStructure, m: int, form:
         raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
     if m < 0:
         return 1.0
+    m = _support_clamp(model, m)
     coeffs = alpha_coefficients(structure) if form == "alpha" else beta_coefficients(structure)
     return float(_survival_series(model, coeffs, form, m)[m])
 

@@ -19,11 +19,14 @@ from lifemoments import (
     NegBin,
     Poisson,
     exact_moment_finite,
+    factorial_to_raw,
     multinomial_pmf,
+    mvg_orderstat_factorial_moment,
     plan_generic,
     plan_negbin,
     plan_poisson,
 )
+from lifemoments import cli
 from lifemoments.cli import main
 
 
@@ -263,6 +266,39 @@ def test_signature_table_format(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].split() == ["section", "key", "value"]
     assert any("beta" in line for line in lines[1:])
+
+
+def test_mvg_closed_forms_computed_once_per_rank_or_structure(tmp_path, capsys, monkeypatch):
+    # moments [1, 2] read factorial moments 1 and 2 once per rank, structure
+    # or grid point, not once more for every requested p
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "system_moment_mvg", counted(cli.system_moment_mvg))
+    monkeypatch.setattr(cli, "mvg_orderstat_factorial_moment", counted(cli.mvg_orderstat_factorial_moment))
+    model = {"kind": "mvg", "n": 5, "theta": {"1": 0.9, "3": 0.8, "1,4,5": 0.99, "2,3,5": 0.99}}
+    params = cli.build_mvg_params(model)
+    runs = [
+        ("system", {"model": model, "structure": BRIDGE_STRUCTURE, "requests": {"moments": [1, 2]}}, 2),
+        ("sweep", {"structure": BRIDGE_STRUCTURE,
+                   "sweep": {"family": "geometric", "values": [0.05, 0.1, 0.15, 0.2]}}, 8),
+        ("orderstat", {"model": model, "requests": {"moments": [1, 2]}}, 10),
+    ]
+    for command, cfg, want in runs:
+        calls.clear()
+        argv = [command, "--config", write_cfg(tmp_path, cfg), "--format", "csv", "--precision", "full"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert len(calls) == want, command
+    _, rows = parse_csv(out)
+    for r, row in enumerate(rows, start=1):
+        raws = factorial_to_raw([mvg_orderstat_factorial_moment(params, r, 5, q) for q in (1, 2)])
+        assert [float(row[1]), float(row[2])] == raws
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Marginal and joint distribution layer, cross-checked against scipy."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -19,14 +20,22 @@ from lifemoments import (
     MvgParams,
     NegBin,
     Poisson,
+    SystemStructure,
     ValidationError,
     enumerate_moment,
     exact_moment_finite,
+    exchangeable_system_moment,
+    k_out_of_n_structure,
     marginal_survival,
+    maximal_signature,
+    minimal_signature,
     multinomial_pmf,
     mvg_joint_survival,
     mvg_min_param,
     rect_prob,
+    survival_orderstat,
+    system_moment_exact,
+    system_survival,
 )
 from lifemoments import distributions
 from conftest import product_explicit, random_explicit, random_independent, random_probs
@@ -343,6 +352,22 @@ def test_mvg_class_counts_query_each_subset_once(monkeypatch):
     assert per_m_max == {0: 3**3 - 1, 5: 3**3 - 1, 40: 3**3 - 1}
 
 
+FINITE_MODELS = {
+    "multinomial": lambda: multinomial_pmf(6, [0.2, 0.3, 0.5]),
+    "independent_finite": lambda: IndependentMarginals([FinitePMF([0.5, 0.5]), FinitePMF([0.2, 0.3, 0.5])]),
+}
+
+
+@pytest.mark.parametrize("make", FINITE_MODELS.values(), ids=FINITE_MODELS.keys())
+def test_rect_prob_past_the_support_reads_its_end(make):
+    # a threshold of 10**12 must not build a 10**12-entry series
+    model = make()
+    end = model.support_max()
+    for low, up in [((1,), ()), ((1,), (2,)), ((), (2,))]:
+        assert rect_prob(model, low, up, 10**12) == rect_prob(model, low, up, end)
+    assert marginal_survival(model, 2, 10**12) == marginal_survival(model, 2, end)
+
+
 # ---------------------------------------------------------------------------
 # multinomial builder
 # ---------------------------------------------------------------------------
@@ -410,6 +435,90 @@ def test_multinomial_moments_without_enumeration(monkeypatch):
     assert sums[2] == pytest.approx(second, rel=1e-9)
     with pytest.raises(CapacityError):
         enumerate_moment(model, 1, 1)
+
+
+def _exact_multinomial(trials, probs):
+    """Every count vector with its Mult(trials, probs / sum(probs)) weight,
+    exact on the float inputs: integer numerators over one denominator.
+
+    A float is a fraction with a power-of-two denominator, so the largest
+    denominator is a multiple of every other one.
+    """
+    scale = max(Fraction(p).denominator for p in probs)
+    a = [int(Fraction(p) * scale) for p in probs]
+    k = len(a)
+    support = []
+    for bars in combinations(range(trials + k - 1), k - 1):  # stars and bars
+        edges = (-1, *bars, trials + k - 1)
+        x = [b - e - 1 for e, b in zip(edges, edges[1:])]
+        coeff = math.factorial(trials) // math.prod(math.factorial(xi) for xi in x)
+        support.append((x, coeff * math.prod(ai**xi for ai, xi in zip(a, x))))
+    return support, sum(a) ** trials
+
+
+def _assert_close_to_exact(got, numerators, denominator, rel=1e-13):
+    for g, num in zip(np.ravel(got), numerators):
+        exact = Fraction(num, denominator)
+        if exact > Fraction(1, 10**300):
+            assert abs(Fraction(float(g)) - exact) <= rel * exact, (float(g), float(exact))
+        else:
+            assert abs(float(g)) <= 1e-300
+
+
+@pytest.mark.parametrize(
+    "trials, probs",
+    [(12, [0.1, 0.2, 0.3, 0.4]), (9, [0.05] * 4 + [0.8]), (40, [0.03, 0.27, 0.7])],
+)
+def test_multinomial_kernel_matches_exact_fractions(trials, probs):
+    n = len(probs)
+    support, den = _exact_multinomial(trials, probs)
+    model = multinomial_pmf(trials, probs)
+    counts = [[0] * (n + 1) for _ in range(trials + 1)]
+    for x, w in support:
+        for m in range(trials + 1):
+            counts[m][sum(xi <= m for xi in x)] += w
+    _assert_close_to_exact(model.counts_table()[1:], [c for row in counts for c in row], den)
+    for low, up in [({1}, {n}), ({n}, {1, 2}), ({1, 2}, set()), (set(), {2, n})]:
+        exact = [
+            sum(w for x, w in support if all(x[i - 1] <= m for i in low) and all(x[j - 1] > m for j in up))
+            for m in range(trials + 1)
+        ]
+        series = model.rect_series(frozenset(low), frozenset(up), trials + 3)
+        _assert_close_to_exact(series[: trials + 1], exact, den)
+        assert np.all(series[trials:] == series[trials])  # constant past the support
+
+
+def test_multinomial_library_calls_never_list_the_support(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("support points were enumerated")
+
+    monkeypatch.setattr(distributions, "_compositions", refuse)
+    # C(41, 11) ~ 2.3e9 count vectors, exchangeable
+    big = multinomial_pmf(30, [1 / 12] * 12)
+    series = SystemStructure(12, path_sets=[range(1, 13)])
+    for p in (1, 2):
+        minimum = exact_moment_finite(big, MomentRequest(r=1, n=12, p=p)).value
+        assert system_moment_exact(big, series, p).value == minimum
+    for m in (0, 2, 5, 40):
+        assert system_survival(big, series, m) == pytest.approx(survival_orderstat(big, 1, 12, m), rel=1e-12)
+    # under exchangeability a class count is C(n, s) copies of one rectangle
+    counts = big.counts_table()
+    for m, s in [(1, 4), (3, 9), (2, 12)]:
+        rect = rect_prob(big, range(1, s + 1), range(s + 1, 13), m)
+        assert math.comb(12, s) * rect == pytest.approx(counts[m + 1, s], rel=1e-12)
+    # X_{2:12} from the minimal signature of 11-of-12:G, X_{12:12} from the
+    # maximal signature of the parallel system
+    second = exact_moment_finite(big, MomentRequest(r=2, n=12, p=1)).value
+    sig = minimal_signature(SystemStructure(12, path_sets=combinations(range(1, 13), 11)))
+    assert exchangeable_system_moment(big, sig, 1).value == pytest.approx(second, rel=1e-10)
+    largest = exact_moment_finite(big, MomentRequest(r=12, n=12, p=1)).value
+    sig = maximal_signature(k_out_of_n_structure(12, 1))
+    assert exchangeable_system_moment(big, sig, 1, form="beta").value == pytest.approx(largest, rel=1e-12)
+    # criterion 1's model with four path sets; the exact rational value of
+    # E T is 2.0392604804989483 (to double precision)
+    c1 = multinomial_pmf(20, [0.1] * 10)
+    four = SystemStructure(10, path_sets=[[1, 2], [3, 4, 5], [6, 7], [8, 9, 10]])
+    assert system_moment_exact(c1, four, 1).value == pytest.approx(2.0392604804989483, rel=1e-13)
 
 
 def test_multinomial_validation():

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used (no linter is a dependency)."""
+"""Every module-level import in the package is used, and every module-level
+private name is referenced somewhere in it (no linter is a dependency)."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,66 @@ def test_checker_flags_unused_and_honours_noqa():
         "os.path.join('a')\n"
     )
     assert unused_imports(source) == ["math (line 2)"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and constants named ``_x`` (not dunders)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module of ``sources`` reads, imports
+    or reaches as an attribute; a definition does not count as a reference."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_checker_flags_unreferenced_private_names():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_DEAD: int = 2\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _dead():\n"
+            "    pass\n"
+            "class _Shared:\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _helper, _Shared\nimport a\na._attr_only()\n_helper()\n",
+        "c.py": "def _attr_only():\n    pass\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _DEAD (line 2)", "a.py: _dead (line 6)"]

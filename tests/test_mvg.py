@@ -30,6 +30,7 @@ from lifemoments import (
     survival_orderstat,
     theta_all,
 )
+from lifemoments.mvg import _subset_minima
 
 
 def all_pairs_params(n: int, single: float, pair: float) -> MvgParams:
@@ -96,6 +97,20 @@ def test_min_param_is_product_over_intersecting_sets():
     assert mvg_min_param(params, (3,)) == pytest.approx(0.7 * 0.8)
     assert mvg_min_param(params, (2, 3)) == pytest.approx(0.6 * 0.7 * 0.9 * 0.8)
     assert mvg_min_param(params, (1, 2, 3)) == pytest.approx(theta_all(params))
+
+
+def test_min_param_equals_the_subset_table_bit_for_bit():
+    # tiny factors and a zero shock: one product rule, in stored-shock order,
+    # for the single-subset definition and the 2^n table
+    params = MvgParams(4, theta={
+        (1,): 0.0005, (1, 2): 0.9, (2, 3): 0.7, (3,): 0.0, (4,): 0.95, (2, 4): 0.0002, (1, 2, 3, 4): 0.99,
+    })
+    for k in range(1, 5):
+        table, mult = _subset_minima(params, k)
+        # the table lists the size-k subsets in increasing bit-mask order
+        subsets = [[i + 1 for i in range(4) if u >> i & 1] for u in range(16) if bin(u).count("1") == k]
+        assert mult == 1
+        assert [mvg_min_param(params, K) for K in subsets] == table.tolist()
 
 
 def test_joint_survival_worked_example():

@@ -23,6 +23,7 @@ from lifemoments import (
     approx_moment,
     enumerate_moment,
     exact_moment_finite,
+    multinomial_pmf,
     plan_generic,
     plan_negbin,
     plan_poisson,
@@ -96,6 +97,23 @@ def test_survival_checks_form_below_zero():
         assert survival_orderstat(model, 1, 2, -1, form=form) == 1.0
     with pytest.raises(ValidationError):
         survival_orderstat(model, 1, 2, -1, form="bogus")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        multinomial_pmf(6, [0.2, 0.3, 0.5]),
+        IndependentMarginals([FinitePMF([0.5, 0.5]), FinitePMF([0.2, 0.3, 0.5]), FinitePMF([1.0])]),
+    ],
+    ids=["multinomial", "independent_finite"],
+)
+def test_survival_past_the_support_reads_its_end(model):
+    # a threshold of 10**12 must not build a 10**12-entry series
+    end = model.support_max()
+    for r in (1, 2, 3):
+        for form in ("auto", "low", "high"):
+            far = survival_orderstat(model, r, 3, 10**12, form=form)
+            assert far == survival_orderstat(model, r, 3, end, form=form)
 
 
 def test_subset_class_capacity_guard():

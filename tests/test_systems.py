@@ -32,6 +32,7 @@ from lifemoments import (
     k_out_of_n_structure,
     maximal_signature,
     minimal_signature,
+    multinomial_pmf,
     mvg_min_param,
     signature_from_samaniego,
     signature_set,
@@ -324,6 +325,18 @@ def test_survival_checks_form_below_zero(bridge):
         assert system_survival(fair_bits(5), bridge, -1, form=form) == 1.0
     with pytest.raises(ValidationError):
         system_survival(fair_bits(5), bridge, -1, form="gamma")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [multinomial_pmf(4, [0.1, 0.2, 0.3, 0.15, 0.25]), random_independent(np.random.default_rng(5), 5)],
+    ids=["multinomial", "independent_finite"],
+)
+def test_survival_past_the_support_reads_its_end(bridge, model):
+    # a threshold of 10**12 must not build a 10**12-entry series
+    end = model.support_max()
+    for form in ("alpha", "beta"):
+        assert system_survival(model, bridge, 10**12, form=form) == system_survival(model, bridge, end, form=form)
 
 
 def test_survival_against_statistic_enumeration(bridge):
