@@ -10,8 +10,11 @@ independent marginals, and the common-shock geometric model of module
 ``JointModel`` built on that query, which a kind overrides where it has a
 faster or closed form.
 
-Marginal pmf/cdf work is done in log space via ``math.lgamma`` so that large
-rates and far tail indices neither overflow nor lose the leading digits.
+Marginal pmf work is done in log space, one array per family on 0..m
+(``logpmf_array``), so that large rates and far tail indices neither
+overflow nor lose the leading digits.  Poisson and geometric arrays repeat
+the scalar formulas' float operations bit for bit; the negative binomial
+sums log((R+k-1)/k), avoiding the cancellation in lgamma(x+R) - lgamma(x+1).
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ _DOUBLING_CAP = 200
 # marginal distributions
 # ---------------------------------------------------------------------------
 
+def _log_factorials(m_max: int) -> np.ndarray:
+    """log x! for x = 0..m_max, each from ``math.lgamma`` as the scalar formulas take it."""
+    return np.fromiter(map(lgamma, range(1, m_max + 2)), float, m_max + 1)
+
+
 class MarginalDist:
     """A univariate distribution on the non-negative integers."""
 
@@ -69,9 +77,13 @@ class MarginalDist:
     def pmf(self, x: int) -> float:
         return exp(self.logpmf(x)) if x >= 0 else 0.0
 
+    def logpmf_array(self, m_max: int) -> np.ndarray:
+        """log pmf on 0..m_max as a float vector; the families build it at once."""
+        return np.array([self.logpmf(x) for x in range(m_max + 1)], dtype=float)
+
     def pmf_array(self, m_max: int) -> np.ndarray:
         """pmf on 0..m_max as a float vector."""
-        return np.exp([self.logpmf(x) for x in range(m_max + 1)])
+        return np.exp(self.logpmf_array(m_max))
 
     def cdf_array(self, m_max: int) -> np.ndarray:
         return np.minimum(np.cumsum(self.pmf_array(m_max)), 1.0)
@@ -148,7 +160,7 @@ class MarginalDist:
         first = exp(self.logpmf(lo) + p * log(lo))
         x_hi, rho = self._tail_cutoff(max(first, 1e-300) * _TAIL_SLACK, p)
         x_hi = max(x_hi, lo)
-        terms = np.exp([self.logpmf(x) + p * log(x) for x in range(lo, x_hi + 1)])
+        terms = np.exp(self.logpmf_array(x_hi)[lo:] + p * np.log(np.arange(lo, x_hi + 1)))
         rem = terms[-1] * rho / (1.0 - rho)
         return float(np.sum(terms)) + rem
 
@@ -166,6 +178,9 @@ class Poisson(MarginalDist):
         if x < 0:
             return -math.inf
         return -self.lam + x * log(self.lam) - lgamma(x + 1)
+
+    def logpmf_array(self, m_max: int) -> np.ndarray:
+        return -self.lam + np.arange(m_max + 1) * log(self.lam) - _log_factorials(m_max)
 
     def mean(self) -> float:
         return self.lam
@@ -205,6 +220,12 @@ class NegBin(MarginalDist):
             + self.R * log(self.p)
         )
 
+    def logpmf_array(self, m_max: int) -> np.ndarray:
+        # log C(x+R-1, x) as a running sum of log((R+k-1)/k): no cancellation
+        k = np.arange(1.0, m_max + 1.0)
+        log_binom = np.concatenate(([0.0], np.cumsum(np.log((self.R + k - 1.0) / k))))[: m_max + 1]
+        return log_binom + np.arange(m_max + 1) * math.log1p(-self.p) + self.R * log(self.p)
+
     def mean(self) -> float:
         return self.R * (1.0 - self.p) / self.p
 
@@ -235,6 +256,10 @@ class Geometric(MarginalDist):
         if self.pi == 1.0:
             return 0.0 if x == 0 else -math.inf
         return log(self.pi) + x * math.log1p(-self.pi)
+
+    def logpmf_array(self, m_max: int) -> np.ndarray:
+        x = np.arange(m_max + 1)
+        return np.where(x == 0, 0.0, -math.inf) if self.pi == 1.0 else log(self.pi) + x * math.log1p(-self.pi)
 
     def survival(self, m: int) -> float:
         if m < 0:
@@ -483,7 +508,7 @@ class IndependentMarginals(JointModel):
         self.marginals = ms
         self.n = len(ms)
         self.exchangeable = bool(exchangeable)
-        self._cdfs: np.ndarray | None = None  # longest cdf_matrix built so far
+        self._cdfs: list[np.ndarray | None] = [None] * self.n  # longest column built so far
 
     def support_max(self) -> int | None:
         sizes = [d.support_max() for d in self.marginals]
@@ -491,17 +516,19 @@ class IndependentMarginals(JointModel):
             return None
         return max(sizes)
 
-    def cdf_matrix(self, m_max: int) -> np.ndarray:
-        """(m_max+1, n) matrix of F_j(m), read-only.
+    def _cdf(self, j: int, m_max: int) -> np.ndarray:
+        """F_j(m) for m = 0..m_max, read-only (j 1-based).  Each column keeps
+        its longest build; a cumsum's prefix is the cumsum of the prefix, so
+        a shorter read equals a fresh build."""
+        col = self._cdfs[j - 1]
+        if col is None or col.size <= m_max:
+            col = self._cdfs[j - 1] = self.marginals[j - 1].cdf_array(m_max)
+            col.flags.writeable = False
+        return col[: m_max + 1]
 
-        The longest matrix asked for is kept and shorter ones are its first
-        rows: a cumulated pmf's prefix is the cumulated prefix, so the values
-        are those of a fresh build.
-        """
-        if self._cdfs is None or self._cdfs.shape[0] <= m_max:
-            self._cdfs = np.column_stack([d.cdf_array(m_max) for d in self.marginals])
-            self._cdfs.flags.writeable = False
-        return self._cdfs[: m_max + 1]
+    def cdf_matrix(self, m_max: int) -> np.ndarray:
+        """(m_max+1, n) matrix of F_j(m), from the cached columns."""
+        return np.column_stack([self._cdf(j, m_max) for j in range(1, self.n + 1)])
 
     def class_counts(self, m_max: int) -> np.ndarray:
         """Poisson-binomial recursion over the coordinates, every threshold at once.
@@ -520,9 +547,8 @@ class IndependentMarginals(JointModel):
         return counts
 
     def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
-        cdfs = self.cdf_matrix(m_hi)
-        low_f, up_f = cdfs[:, sorted(i - 1 for i in low)], 1.0 - cdfs[:, sorted(j - 1 for j in up)]
-        return np.hstack([low_f, up_f]).prod(axis=1)
+        cols = [self._cdf(i, m_hi) for i in sorted(low)] + [1.0 - self._cdf(j, m_hi) for j in sorted(up)]
+        return np.column_stack(cols).prod(axis=1)
 
 
 class MvgModel(JointModel):
@@ -690,7 +716,7 @@ class MultinomialModel(ExplicitFinitePMF):
             trials, ps = self.trials, self.cell_probs
             dtype = np.int8 if trials < 128 else np.int16
             points = _compositions(trials, self.n, dtype)
-            lfact = np.array([lgamma(x + 1) for x in range(trials + 1)])
+            lfact = _log_factorials(trials)
             # column-wise accumulation keeps the peak memory at O(N) extra
             logw = np.full(points.shape[0], lgamma(trials + 1.0))
             for j in range(self.n):

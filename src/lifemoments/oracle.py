@@ -20,6 +20,7 @@ from .distributions import (
     Geometric,
     IndependentMarginals,
     JointModel,
+    MultinomialModel,
     MvgModel,
     NegBin,
     Poisson,
@@ -199,6 +200,8 @@ def _sample_marginal(dist, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_model(model: JointModel, size: int, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(model, MultinomialModel) and model.support_size() > ENUMERATION_CAP:
+        return rng.multinomial(model.trials, model.cell_probs / model.cell_probs.sum(), size)
     if isinstance(model, ExplicitFinitePMF):
         idx = rng.choice(model.points.shape[0], size=size, p=model.probs)
         return model.points[idx]

@@ -17,6 +17,7 @@ from lifemoments import (
     FinitePMF,
     Geometric,
     IndependentMarginals,
+    MarginalDist,
     MomentRequest,
     MvgModel,
     MvgParams,
@@ -42,6 +43,7 @@ from lifemoments import (
     system_moment_approx,
     system_moment_mvg,
 )
+from lifemoments import distributions
 from conftest import (
     BRIDGE_MINIMAL_SIGNATURE,
     BRIDGE_PATHS,
@@ -368,6 +370,37 @@ def test_criterion_5_bridge_tables():
             assert res2.M0_used == want_m0b, f"{lams} M0 p=2"
             assert abs(res1.value - want_et) <= 1e-3, f"{lams} ET"
             assert abs(res2.value - want_et2) <= 1e-3, f"{lams} ET2"
+
+
+def _quantile_per_x(dist: MarginalDist, q: float) -> int:
+    """The library's quantile decision on a pmf built one ``logpmf`` call at a time."""
+    eps = 1.0 - q
+    x_hi, rho = dist._tail_cutoff(eps * distributions._TAIL_SLACK, 0)
+    pmfs = np.exp([dist.logpmf(x) for x in range(x_hi + 1)])
+    tail = np.concatenate([np.cumsum(pmfs[::-1])[::-1][1:], [0.0]])
+    rem = pmfs[x_hi] * rho / (1.0 - rho)
+    return int(np.nonzero(tail + rem <= eps)[0][0])
+
+
+def test_golden_truncation_indices_match_a_per_x_quantile(monkeypatch):
+    """A last-bit change in an array pmf could flip a quantile decision: every
+    M0 of criteria 2, 3 and 5 is re-derived with per-x pmfs and must agree."""
+    requests = [MomentRequest(r=r, n=10, p=p, d=0.0005) for p in (1, 2) for r in range(1, 11)]
+
+    def m0s():
+        out = [plan_poisson([float(l) for l in lams], req).M0 for lams in POIS_ROWS for req in requests]
+        out += [plan_negbin(R, ps, req).M0 for R, ps in NB_ROWS for req in requests]
+        for lams, *_ in BRIDGE_POISSON:
+            model = IndependentMarginals([Poisson(float(l)) for l in lams])
+            out += [system_moment_approx(model, bridge(), p, 0.0005).M0_used for p in (1, 2)]
+        return out
+
+    golden = [m for table in zip(POIS_MEANS_M0, POIS_M2_M0) for row in table for m in row]
+    golden += [m for table in zip(NB_MEANS_M0, NB_M2_M0) for row in table for m in row]
+    golden += [m for _, _, m0a, _, m0b in BRIDGE_POISSON for m in (m0a, m0b)]
+    assert m0s() == golden
+    monkeypatch.setattr(MarginalDist, "quantile", _quantile_per_x)
+    assert m0s() == golden
 
 
 # ---------------------------------------------------------------------------

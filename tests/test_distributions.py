@@ -15,6 +15,7 @@ from lifemoments import (
     Geometric,
     IndependentMarginals,
     JointModel,
+    MarginalDist,
     MomentRequest,
     MvgModel,
     MvgParams,
@@ -22,6 +23,7 @@ from lifemoments import (
     Poisson,
     SystemStructure,
     ValidationError,
+    approx_moment,
     enumerate_moment,
     exact_moment_finite,
     exchangeable_system_moment,
@@ -32,6 +34,7 @@ from lifemoments import (
     multinomial_pmf,
     mvg_joint_survival,
     mvg_min_param,
+    plan_negbin,
     rect_prob,
     survival_orderstat,
     system_moment_exact,
@@ -113,6 +116,79 @@ def test_tail_moment_upper_bounds_brute_sum(dist, p):
         # never below the true tail beyond summation roundoff itself
         assert got >= brute * (1.0 - 1e-12) - 1e-250
         assert got == pytest.approx(brute, rel=1e-8, abs=1e-250)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Poisson(0.5), Poisson(3.0), Poisson(47.3), Poisson(500.0),
+     Geometric(1.0), Geometric(0.999), Geometric(0.3), Geometric(1e-3)],
+    ids=repr,
+)
+def test_logpmf_array_equals_the_scalar_formula(dist):
+    """Poisson and geometric arrays repeat the scalar float operations exactly."""
+    want = [dist.logpmf(x) for x in range(3001)]
+    assert np.array_equal(dist.logpmf_array(3000), want)
+    assert np.array_equal(dist.pmf_array(3000), np.exp(want))
+    assert dist.logpmf_array(-1).shape == (0,)
+
+
+def _negbin_exact_pmf(R: int, p: float, x_max: int) -> np.ndarray:
+    """C(x+R-1, x) (1-p)^x p^R for x = 0..x_max in integers, rounded once to float."""
+    a, b = Fraction(p).as_integer_ratio()  # p = a / b, b a power of two
+    out, binom = [], 1
+    for x in range(x_max + 1):
+        if x:
+            binom = binom * (R + x - 1) // x
+        out.append(binom * (b - a) ** x * a**R / b ** (x + R))  # int / int rounds correctly
+    return np.array(out)
+
+
+@pytest.mark.parametrize("R", [1, 2, 5])
+@pytest.mark.parametrize("p", [0.05, 0.25, 0.5])
+def test_negbin_pmf_array_matches_exact_values(R, p):
+    """The running-sum log binomial is within 5e-13 of the exact pmf and
+    never worse than the per-x lgamma formula, which cancels."""
+    dist, exact = NegBin(R, p), _negbin_exact_pmf(R, p, 1000)
+    array_err = np.max(np.abs(dist.pmf_array(1000) / exact - 1.0))
+    scalar_err = np.max(np.abs(np.exp([dist.logpmf(x) for x in range(1001)]) / exact - 1.0))
+    assert array_err <= 5e-13
+    assert array_err <= scalar_err
+
+
+def _tail_moment_per_x(dist: MarginalDist, p: int, m: int) -> float:
+    """tail_moment's cutoff and rest bound, with per-x terms summed by fsum."""
+    lo = max(m + 2, 1)
+    first = math.exp(dist.logpmf(lo) + p * math.log(lo))
+    x_hi, rho = dist._tail_cutoff(max(first, 1e-300) * distributions._TAIL_SLACK, p)
+    x_hi = max(x_hi, lo)
+    terms = [math.exp(dist.logpmf(x) + p * math.log(x)) for x in range(lo, x_hi + 1)]
+    return math.fsum(terms) + terms[-1] * rho / (1.0 - rho)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Poisson(0.7), Poisson(47.3), NegBin(2, 0.05), NegBin(3.5, 0.4), Geometric(0.3)],
+    ids=repr,
+)
+def test_tail_moment_matches_per_x_fsum(dist):
+    for p in (1, 2, 3):
+        for m in (-1, 0, 5, 60):
+            want = _tail_moment_per_x(dist, p, m)
+            assert dist.tail_moment(p, m) == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+def test_negbin_cell_makes_few_scalar_logpmf_calls(monkeypatch):
+    """One criterion-3 cell reads the pmf as arrays: the scalar log pmf is
+    left to the quantile's O(log M0) cutoff search."""
+    calls = []
+    logpmf = NegBin.logpmf
+    monkeypatch.setattr(NegBin, "logpmf", lambda d, x: calls.append(x) or logpmf(d, x))
+    ps = [0.1 * i - 0.05 for i in range(1, 11)]
+    req = MomentRequest(r=10, n=10, p=2, d=0.0005)
+    plan = plan_negbin(2, ps, req)
+    approx_moment(IndependentMarginals([NegBin(2, q) for q in ps]), req, plan)
+    assert plan.M0 == 510
+    assert 0 < len(calls) < 100
 
 
 def test_geometric_closed_forms():
@@ -366,6 +442,20 @@ def test_rect_prob_past_the_support_reads_its_end(make):
     for low, up in [((1,), ()), ((1,), (2,)), ((), (2,))]:
         assert rect_prob(model, low, up, 10**12) == rect_prob(model, low, up, end)
     assert marginal_survival(model, 2, 10**12) == marginal_survival(model, 2, end)
+
+
+def test_rect_prob_builds_only_the_named_columns(monkeypatch):
+    dists = [Poisson(3.0 + j) for j in range(8)]
+    survival = 1.0 - dists[0].cdf_array(3000)[-1]
+    rect = dists[0].cdf(40) * (1.0 - dists[2].cdf(40))
+    built = []
+    cdf_array = MarginalDist.cdf_array
+    monkeypatch.setattr(MarginalDist, "cdf_array", lambda d, m: built.append(d) or cdf_array(d, m))
+    model = IndependentMarginals(dists)
+    assert rect_prob(model, (), (1,), 3000) == survival
+    assert built == [dists[0]]
+    assert rect_prob(model, (1,), (3,), 40) == rect  # column 1 is a prefix of the kept one
+    assert built == [dists[0], dists[2]]
 
 
 # ---------------------------------------------------------------------------

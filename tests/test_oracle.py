@@ -8,13 +8,17 @@ from lifemoments import (
     FinitePMF,
     IndependentMarginals,
     McEstimate,
+    MomentRequest,
     MvgParams,
     SystemStructure,
     ValidationError,
     enumerate_moment,
+    exact_moment_finite,
     mc_moment,
+    multinomial_pmf,
     sample_mvg,
 )
+from lifemoments import distributions
 from conftest import random_explicit
 
 
@@ -100,6 +104,17 @@ def test_mc_moment_rank_and_mvg():
     want = enumerate_moment(model, 2, 1)
     est = mc_moment(model, 2, 1, n_samples=80_000, seed=5)
     assert abs(est.mean - want) < 3.0 * est.stderr
+
+
+def test_mc_samples_a_multinomial_too_large_to_list(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("support points were enumerated")
+
+    monkeypatch.setattr(distributions, "_compositions", refuse)
+    big = multinomial_pmf(30, [1 / 12] * 12)  # C(41, 11) ~ 2.3e9 count vectors
+    want = exact_moment_finite(big, MomentRequest(r=1, n=12, p=1)).value
+    est = mc_moment(big, 1, 1, n_samples=2000, seed=11)
+    assert abs(est.mean - want) < 5.0 * est.stderr
 
 
 def test_mc_sample_floor():
