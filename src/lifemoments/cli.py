@@ -93,9 +93,9 @@ from .systems import (
     maximal_signature,
     minimal_signature,
     signature_from_samaniego,
+    system_factorial_moments_mvg,
     system_moment_approx,
     system_moment_exact,
-    system_moment_mvg,
 )
 
 __all__ = ["main"]
@@ -235,11 +235,13 @@ def _cells(model: JointModel, statistic, requests: list[tuple[int, float | None]
     1..max p once, whatever moments are requested."""
     system = isinstance(statistic, SystemStructure)
     if isinstance(model, MvgModel):
+        p_max = max(p for p, _ in requests)
         if system:
-            factorial = lambda q: system_moment_mvg(model.params, statistic, q)
+            factorials = system_factorial_moments_mvg(model.params, statistic, p_max)
         else:
-            factorial = lambda q: mvg_orderstat_factorial_moment(model.params, statistic, model.n, q)
-        raws = factorial_to_raw([factorial(q) for q in range(1, max(p for p, _ in requests) + 1)])
+            factorials = [mvg_orderstat_factorial_moment(model.params, statistic, model.n, q)
+                          for q in range(1, p_max + 1)]
+        raws = factorial_to_raw(factorials)
         return {p: {"value": raws[p - 1], "M0": None} for p, _ in requests}
     finite = model.support_max() is not None
     cells = {}

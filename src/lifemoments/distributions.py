@@ -15,6 +15,14 @@ Marginal pmf work is done in log space, one array per family on 0..m
 overflow nor lose the leading digits.  Poisson and geometric arrays repeat
 the scalar formulas' float operations bit for bit; the negative binomial
 sums log((R+k-1)/k), avoiding the cancellation in lgamma(x+R) - lgamma(x+1).
+
+Three tables are kept per object, each grow-only and read as read-only
+prefixes (``_PrefixCache``): a marginal's log pmf, which ``pmf_array``,
+``cdf_array``, ``quantile`` and ``tail_moment`` read; and, in
+``IndependentMarginals``, each coordinate's cdf column and the class-count
+table.  Row x of each depends on rows 0..x alone, so a prefix of a longer
+build equals a shorter build bit for bit.  The caches assume that marginals
+and models are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -63,6 +71,48 @@ _DOUBLING_CAP = 200
 # marginal distributions
 # ---------------------------------------------------------------------------
 
+class _PrefixCache:
+    """A grow-only table of rows 0..m, handed out as read-only prefixes.
+
+    ``build(m)`` must return rows 0..m with row x depending on rows 0..x
+    alone (an elementwise formula or a running sum), so that a prefix of a
+    longer build is bit for bit the shorter build.  A rebuild grows the
+    table to the larger of the request and twice its size: rising requests
+    rebuild O(log) times, and no table holds more than twice the largest
+    request.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self):
+        self.table: np.ndarray | None = None
+
+    def read(self, m_max: int, build) -> np.ndarray:
+        table = self.table
+        if table is None or len(table) <= m_max:
+            rows = m_max + 1 if table is None else max(m_max + 1, 2 * len(table))
+            table = self.table = build(rows - 1)
+            table.flags.writeable = False
+        return table[: m_max + 1]
+
+
+def _compensated_row_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each row of ``a`` (at least one column), column by column with
+    Neumaier's compensation: each addition's exact rounding error (Knuth's
+    branch-free two-sum) is accumulated apart and added back once.  A few
+    array operations per column replace a ``math.fsum`` per row and stay
+    within an ulp of it on the few, same-signed terms of a row of class
+    counts."""
+    total = a[:, 0].copy()
+    comp = np.zeros_like(total)
+    for col in a.T[1:]:
+        t = total + col
+        back = t - total
+        comp += (total - (t - back)) + (col - back)
+        total = t
+    return total + comp
+
+
 def _log_factorials(m_max: int) -> np.ndarray:
     """log x! for x = 0..m_max, each from ``math.lgamma`` as the scalar formulas take it."""
     return np.fromiter(map(lgamma, range(1, m_max + 2)), float, m_max + 1)
@@ -78,7 +128,15 @@ class MarginalDist:
         return exp(self.logpmf(x)) if x >= 0 else 0.0
 
     def logpmf_array(self, m_max: int) -> np.ndarray:
-        """log pmf on 0..m_max as a float vector; the families build it at once."""
+        """log pmf on 0..m_max, a read-only prefix of the marginal's table."""
+        return self._logpmfs.read(m_max, self._logpmf_table)
+
+    @cached_property
+    def _logpmfs(self) -> _PrefixCache:
+        return _PrefixCache()
+
+    def _logpmf_table(self, m_max: int) -> np.ndarray:
+        """log pmf on 0..m_max, built afresh; the families build it at once."""
         return np.array([self.logpmf(x) for x in range(m_max + 1)], dtype=float)
 
     def pmf_array(self, m_max: int) -> np.ndarray:
@@ -179,7 +237,7 @@ class Poisson(MarginalDist):
             return -math.inf
         return -self.lam + x * log(self.lam) - lgamma(x + 1)
 
-    def logpmf_array(self, m_max: int) -> np.ndarray:
+    def _logpmf_table(self, m_max: int) -> np.ndarray:
         return -self.lam + np.arange(m_max + 1) * log(self.lam) - _log_factorials(m_max)
 
     def mean(self) -> float:
@@ -220,7 +278,7 @@ class NegBin(MarginalDist):
             + self.R * log(self.p)
         )
 
-    def logpmf_array(self, m_max: int) -> np.ndarray:
+    def _logpmf_table(self, m_max: int) -> np.ndarray:
         # log C(x+R-1, x) as a running sum of log((R+k-1)/k): no cancellation
         k = np.arange(1.0, m_max + 1.0)
         log_binom = np.concatenate(([0.0], np.cumsum(np.log((self.R + k - 1.0) / k))))[: m_max + 1]
@@ -257,7 +315,7 @@ class Geometric(MarginalDist):
             return 0.0 if x == 0 else -math.inf
         return log(self.pi) + x * math.log1p(-self.pi)
 
-    def logpmf_array(self, m_max: int) -> np.ndarray:
+    def _logpmf_table(self, m_max: int) -> np.ndarray:
         x = np.arange(m_max + 1)
         return np.where(x == 0, 0.0, -math.inf) if self.pi == 1.0 else log(self.pi) + x * math.log1p(-self.pi)
 
@@ -402,8 +460,15 @@ class JointModel:
             raise ValidationError(f"form must be auto, low, or high, not {form!r}")
         counts = self.class_counts(m_max)
         if form == "low":
-            return np.array([math.fsum(row[:r]) for row in counts])
-        return np.array([1.0 - math.fsum(row[r:]) for row in counts])
+            series = _compensated_row_sums(counts[:, :r])
+        else:
+            series = 1.0 - _compensated_row_sums(counts[:, r:])
+        # rows of class counts may sum to 1 plus a few ulps
+        return np.clip(series, 0.0, 1.0)
+
+    def orderstat_survival(self, r: int, m: int, form: str = "auto") -> float:
+        """P(X_{r:n} > m) at the one threshold m >= 0: the series' entry m."""
+        return float(self.orderstat_survival_series(r, m, form)[m])
 
 
 class ExplicitFinitePMF(JointModel):
@@ -508,7 +573,8 @@ class IndependentMarginals(JointModel):
         self.marginals = ms
         self.n = len(ms)
         self.exchangeable = bool(exchangeable)
-        self._cdfs: list[np.ndarray | None] = [None] * self.n  # longest column built so far
+        self._cdfs = [_PrefixCache() for _ in ms]
+        self._counts = _PrefixCache()
 
     def support_max(self) -> int | None:
         sizes = [d.support_max() for d in self.marginals]
@@ -517,25 +583,25 @@ class IndependentMarginals(JointModel):
         return max(sizes)
 
     def _cdf(self, j: int, m_max: int) -> np.ndarray:
-        """F_j(m) for m = 0..m_max, read-only (j 1-based).  Each column keeps
-        its longest build; a cumsum's prefix is the cumsum of the prefix, so
-        a shorter read equals a fresh build."""
-        col = self._cdfs[j - 1]
-        if col is None or col.size <= m_max:
-            col = self._cdfs[j - 1] = self.marginals[j - 1].cdf_array(m_max)
-            col.flags.writeable = False
-        return col[: m_max + 1]
+        """F_j(m) for m = 0..m_max (j 1-based), a prefix of the cached column;
+        a cumsum's prefix is the cumsum of the prefix."""
+        return self._cdfs[j - 1].read(m_max, self.marginals[j - 1].cdf_array)
 
     def cdf_matrix(self, m_max: int) -> np.ndarray:
         """(m_max+1, n) matrix of F_j(m), from the cached columns."""
         return np.column_stack([self._cdf(j, m_max) for j in range(1, self.n + 1)])
 
     def class_counts(self, m_max: int) -> np.ndarray:
+        """Poisson-binomial class counts, a read-only prefix of the cached table."""
+        return self._counts.read(m_max, self._class_count_table)
+
+    def _class_count_table(self, m_max: int) -> np.ndarray:
         """Poisson-binomial recursion over the coordinates, every threshold at once.
 
         Coordinate j moves a class up by one with probability F_j(m); every
         step mixes probabilities with non-negative weights, so nothing cancels
-        (Hong 2013, Comput. Stat. Data Anal. 59:41-51).
+        (Hong 2013, Comput. Stat. Data Anal. 59:41-51).  Row m reads F_j(m)
+        alone.
         """
         cdfs = self.cdf_matrix(m_max)
         counts = np.zeros((m_max + 1, self.n + 1))
@@ -589,6 +655,12 @@ class MvgModel(JointModel):
         if form != "auto":
             return super().orderstat_survival_series(r, m_max, form)
         return mvg_orderstat_survival(self.params, r, self.n, np.arange(m_max + 1))
+
+    def orderstat_survival(self, r: int, m: int, form: str = "auto") -> float:
+        """The closed form at the one threshold m; a forced form reads the class counts."""
+        if form != "auto":
+            return super().orderstat_survival(r, m, form)
+        return mvg_orderstat_survival(self.params, r, self.n, m)
 
 
 # ---------------------------------------------------------------------------

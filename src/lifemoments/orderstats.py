@@ -114,8 +114,7 @@ def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "a
         raise ValidationError(f"form must be auto, low, or high, not {form!r}")
     if m < 0:
         return 1.0
-    m = _support_clamp(model, m)
-    return float(model.orderstat_survival_series(r, m, form)[m])
+    return model.orderstat_survival(r, _support_clamp(model, m), form)
 
 
 def _weights(p: int, m_max: int) -> np.ndarray:

@@ -51,6 +51,7 @@ __all__ = [
     "system_moment_exact",
     "system_moment_approx",
     "system_moment_approx_beta",
+    "system_factorial_moments_mvg",
     "system_moment_mvg",
     "system_mean_var_mvg",
     "system_moment_from_min_moments",
@@ -446,13 +447,14 @@ def _prefix_coefficients(signature: Sequence) -> dict[frozenset[int], float]:
     return {frozenset(range(1, i + 1)): a for i, a in enumerate(signature, start=1) if a != 0}
 
 
-def system_moment_mvg(params: MvgParams, structure: SystemStructure, p: int) -> float:
-    """Closed-form factorial moment E(T)_p for multivariate geometric components.
+def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, p: int) -> tuple[float, ...]:
+    """Closed-form factorial moments (E(T)_1, ..., E(T)_p) for multivariate
+    geometric components.
 
     Each subset minimum is geometric with parameter theta(K), so the alpha
-    expansion turns into a finite signed sum of geometric factorial moments.
-    Exchangeable parameters need only the minimal signature: theta(K) depends
-    on K through its size alone.
+    expansion turns into a finite signed sum of geometric factorial moments;
+    every order reads one coefficient table.  Exchangeable parameters need
+    only the minimal signature: theta(K) depends on K through its size alone.
     """
     if params.n != structure.n:
         raise ValidationError(f"params.n={params.n} does not match structure.n={structure.n}")
@@ -467,14 +469,21 @@ def system_moment_mvg(params: MvgParams, structure: SystemStructure, p: int) -> 
         theta = mvg_min_param(params, K)
         if theta >= 1.0:
             raise ValidationError(f"defective minimum over {sorted(K)}: theta={theta}")
-        terms.append(c * geometric_factorial_moment(theta, p))
-    return float(math.fsum(terms))
+        terms.append((c, theta))
+    return tuple(
+        float(math.fsum([c * geometric_factorial_moment(theta, q) for c, theta in terms]))
+        for q in range(1, p + 1)
+    )
+
+
+def system_moment_mvg(params: MvgParams, structure: SystemStructure, p: int) -> float:
+    """Closed-form factorial moment E(T)_p, the last of `system_factorial_moments_mvg`."""
+    return system_factorial_moments_mvg(params, structure, p)[-1]
 
 
 def system_mean_var_mvg(params: MvgParams, structure: SystemStructure) -> tuple[float, float]:
     """(ET, Var T) from the first two closed-form factorial moments."""
-    m1 = system_moment_mvg(params, structure, 1)
-    m2 = system_moment_mvg(params, structure, 2)
+    m1, m2 = system_factorial_moments_mvg(params, structure, 2)
     return m1, m2 + m1 * (1.0 - m1)
 
 

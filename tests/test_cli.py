@@ -25,8 +25,9 @@ from lifemoments import (
     plan_generic,
     plan_negbin,
     plan_poisson,
+    system_moment_mvg,
 )
-from lifemoments import cli
+from lifemoments import cli, systems
 from lifemoments.cli import main
 
 
@@ -269,32 +270,39 @@ def test_signature_table_format(tmp_path, capsys):
 
 
 def test_mvg_closed_forms_computed_once_per_rank_or_structure(tmp_path, capsys, monkeypatch):
-    # moments [1, 2] read factorial moments 1 and 2 once per rank, structure
-    # or grid point, not once more for every requested p
-    calls = []
+    # moments [1, 2] build one coefficient table (a Mobius transform) per
+    # structure, or per grid point of a sweep, and read factorial moments 1
+    # and 2 once per rank, not once more for every requested p
+    transforms, factorials = [], []
 
-    def counted(fn):
+    def counted(calls, fn):
         def wrapper(*args):
             calls.append(args)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "system_moment_mvg", counted(cli.system_moment_mvg))
-    monkeypatch.setattr(cli, "mvg_orderstat_factorial_moment", counted(cli.mvg_orderstat_factorial_moment))
+    monkeypatch.setattr(systems, "_collection_coefficients", counted(transforms, systems._collection_coefficients))
+    monkeypatch.setattr(cli, "mvg_orderstat_factorial_moment", counted(factorials, cli.mvg_orderstat_factorial_moment))
     model = {"kind": "mvg", "n": 5, "theta": {"1": 0.9, "3": 0.8, "1,4,5": 0.99, "2,3,5": 0.99}}
     params = cli.build_mvg_params(model)
     runs = [
-        ("system", {"model": model, "structure": BRIDGE_STRUCTURE, "requests": {"moments": [1, 2]}}, 2),
+        ("system", {"model": model, "structure": BRIDGE_STRUCTURE, "requests": {"moments": [1, 2]}}, 1, 0),
         ("sweep", {"structure": BRIDGE_STRUCTURE,
-                   "sweep": {"family": "geometric", "values": [0.05, 0.1, 0.15, 0.2]}}, 8),
-        ("orderstat", {"model": model, "requests": {"moments": [1, 2]}}, 10),
+                   "sweep": {"family": "geometric", "values": [0.05, 0.1, 0.15, 0.2]}}, 4, 0),
+        ("orderstat", {"model": model, "requests": {"moments": [1, 2]}}, 0, 10),
     ]
-    for command, cfg, want in runs:
-        calls.clear()
+    for command, cfg, want_transforms, want_factorials in runs:
+        transforms.clear()
+        factorials.clear()
         argv = [command, "--config", write_cfg(tmp_path, cfg), "--format", "csv", "--precision", "full"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
-        assert len(calls) == want, command
+        assert (len(transforms), len(factorials)) == (want_transforms, want_factorials), command
+        if command == "system":
+            _, rows = parse_csv(out)
+            structure = cli.build_structure(BRIDGE_STRUCTURE)
+            raws = factorial_to_raw([system_moment_mvg(params, structure, q) for q in (1, 2)])
+            assert [float(v) for v in rows[0][:2]] == raws
     _, rows = parse_csv(out)
     for r, row in enumerate(rows, start=1):
         raws = factorial_to_raw([mvg_orderstat_factorial_moment(params, r, 5, q) for q in (1, 2)])

@@ -1,6 +1,7 @@
 """Marginal and joint distribution layer, cross-checked against scipy."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -456,6 +457,141 @@ def test_rect_prob_builds_only_the_named_columns(monkeypatch):
     assert built == [dists[0]]
     assert rect_prob(model, (1,), (3,), 40) == rect  # column 1 is a prefix of the kept one
     assert built == [dists[0], dists[2]]
+
+
+# ---------------------------------------------------------------------------
+# per-object prefix caches and the compensated class sums
+# ---------------------------------------------------------------------------
+
+CACHE_MODELS = {
+    "poisson": lambda: IndependentMarginals([Poisson(0.5 + 1.5 * j) for j in range(6)]),
+    "negbin": lambda: IndependentMarginals([NegBin(2.0, 0.1 + 0.15 * j) for j in range(5)]),
+    "mixed": lambda: IndependentMarginals(
+        [Poisson(4.0), NegBin(1.5, 0.3), Geometric(0.2), Geometric(1.0), FinitePMF([0.2, 0.5, 0.3])]
+    ),
+}
+
+READ_ORDERS = {
+    "ascending": list(range(0, 200, 7)),
+    "descending": list(range(200, -1, -9)),
+    "random": np.random.default_rng(17).integers(0, 300, 25).tolist(),
+}
+
+
+@pytest.mark.parametrize("order", READ_ORDERS)
+@pytest.mark.parametrize("kind", CACHE_MODELS)
+def test_prefix_caches_read_like_fresh_builds(kind, order):
+    """Every read of a kept table equals a fresh object's build bit for bit."""
+    model = CACHE_MODELS[kind]()
+    for m in READ_ORDERS[order]:
+        fresh = CACHE_MODELS[kind]()
+        assert np.array_equal(model.class_counts(m), fresh.class_counts(m))
+        fresh = CACHE_MODELS[kind]()
+        assert np.array_equal(model.cdf_matrix(m), fresh.cdf_matrix(m))
+        for r in (1, model.n):
+            for form in ("low", "high"):
+                want = CACHE_MODELS[kind]().orderstat_survival_series(r, m, form)
+                assert np.array_equal(model.orderstat_survival_series(r, m, form), want)
+        for d, f in zip(model.marginals, CACHE_MODELS[kind]().marginals):
+            assert np.array_equal(d.pmf_array(m), f.pmf_array(m))
+        for d, f in zip(model.marginals, CACHE_MODELS[kind]().marginals):
+            assert np.array_equal(d.logpmf_array(m), f.logpmf_array(m))
+            assert d.tail_moment(2, m) == f.tail_moment(2, m)
+
+
+def test_cached_tables_are_read_only():
+    model = IndependentMarginals([Poisson(3.0), NegBin(2.0, 0.4), Geometric(0.3)])
+    kept = [model.class_counts(30), model._cdf(2, 30), *(d.logpmf_array(30) for d in model.marginals)]
+    for arr in kept:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert np.array_equal(model.class_counts(30), IndependentMarginals(model.marginals).class_counts(30))
+    # arrays built from the tables are the caller's own
+    for arr in (model.cdf_matrix(30), model.marginals[0].pmf_array(30), model.marginals[0].cdf_array(30)):
+        assert arr.flags.writeable
+
+
+def test_prefix_caches_stay_within_twice_the_largest_request(monkeypatch):
+    largest, builds = {}, Counter()
+    read = distributions._PrefixCache.read
+
+    def recorded(cache, m_max, build):
+        largest[cache] = max(largest.get(cache, -1), m_max)
+
+        def counted(m):
+            builds[cache] += 1
+            return build(m)
+
+        return read(cache, m_max, counted)
+
+    monkeypatch.setattr(distributions._PrefixCache, "read", recorded)
+    model = CACHE_MODELS["mixed"]()
+    for m in range(1000):  # rising one at a time: a rebuild per doubling
+        model.class_counts(m)
+    assert builds[model._counts] <= 1 + math.ceil(math.log2(1000))
+    rng = np.random.default_rng(3)
+    for m in rng.integers(0, 5000, 40).tolist():
+        model.class_counts(m)
+        model.marginals[1].tail_moment(1, m)
+        model.marginals[0].quantile(1.0 - 10.0 ** -rng.uniform(1, 12))
+    assert len(largest) == 1 + model.n + len(model.marginals) - 1  # FinitePMF builds no log pmf
+    for cache, m in largest.items():
+        assert m + 1 <= len(cache.table) <= 2 * (m + 1)
+
+
+def test_class_count_recursion_runs_once_per_table(monkeypatch):
+    """The 20 cells of a criterion-2 table (ranks 1..10, p = 1, 2) share one
+    model's class counts: the recursion reruns only when M0 doubles, and not
+    at all once the table holds the largest M0."""
+    builds = []
+    cdf_matrix = IndependentMarginals.cdf_matrix
+    monkeypatch.setattr(IndependentMarginals, "cdf_matrix", lambda model, m: builds.append(m) or cdf_matrix(model, m))
+    model = IndependentMarginals([Poisson(0.5 * j) for j in range(1, 11)])
+    cells = [MomentRequest(r=r, n=10, p=p, d=5e-4) for p in (1, 2) for r in range(1, 11)]
+    first = [approx_moment(model, req) for req in cells]
+    m0 = sorted({res.M0_used for res in first})
+    assert len(builds) <= 1 + math.ceil(math.log2((m0[-1] + 1) / (m0[0] + 1)))
+    builds.clear()
+    assert [approx_moment(model, req) for req in cells] == first
+    assert builds == []
+    fresh = IndependentMarginals(model.marginals)
+    fresh.class_counts(m0[-1])
+    builds.clear()
+    assert [approx_moment(fresh, req) for req in cells] == first
+    assert builds == []
+
+
+def _random_marginals(rng, n):
+    def one():
+        kind = rng.integers(3)
+        if kind == 0:
+            return Poisson(float(rng.uniform(0.1, 30.0)))
+        if kind == 1:
+            return NegBin(float(rng.uniform(0.3, 6.0)), float(rng.uniform(0.05, 0.9)))
+        return Geometric(float(rng.uniform(0.02, 1.0)))
+
+    return IndependentMarginals([one() for _ in range(n)])
+
+
+def test_compensated_class_sums_match_per_row_fsum():
+    """Both forms' class sums are within an ulp of a per-row math.fsum, and
+    the survival series stays in [0, 1] (rows of class counts may sum to 1
+    plus a few ulps)."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        model = _random_marginals(rng, n)
+        m = int(rng.integers(1, 150))
+        counts = model.class_counts(m)
+        for r in range(1, n + 1):
+            for form, classes in (("low", counts[:, :r]), ("high", counts[:, r:])):
+                got = distributions._compensated_row_sums(classes)
+                want = np.array([math.fsum(row) for row in classes])
+                assert np.all(np.abs(got - want) <= np.spacing(want)), (form, r)
+                series = model.orderstat_survival_series(r, m, form)
+                assert np.all((series >= 0.0) & (series <= 1.0))
+                assert np.array_equal(series, np.clip(got if form == "low" else 1.0 - got, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from lifemoments import (
     plan_poisson,
     survival_orderstat,
 )
+from lifemoments import distributions
 from lifemoments.orderstats import binomial_head, plan_for
 from conftest import product_explicit, random_explicit, random_independent
 
@@ -78,6 +79,26 @@ def test_survival_dependent_model_via_subset_classes():
             hi = survival_orderstat(model, r, 3, m, form="high")
             assert lo == pytest.approx(hi, abs=1e-12)
     assert survival_orderstat(model, 1, 3, -1) == 1.0
+
+
+def test_mvg_single_threshold_survival_reads_one_threshold(monkeypatch):
+    """The closed form is asked for the one threshold and gives the series
+    entry bit for bit; a forced form still reads the class counts."""
+    params = MvgParams(4, theta={(1,): 0.6, (2,): 0.7, (3,): 0.5, (1, 2): 0.95, (2, 3, 4): 0.9})
+    model = MvgModel(params)
+    seen = []
+    closed = distributions.mvg_orderstat_survival
+    monkeypatch.setattr(
+        distributions, "mvg_orderstat_survival", lambda *args: seen.append(args[3]) or closed(*args)
+    )
+    for r in range(1, 5):
+        for m in (0, 7, 250):
+            seen.clear()
+            got = survival_orderstat(model, r, 4, m)
+            assert seen == [m]
+            assert got == model.orderstat_survival_series(r, m)[m]
+            for form in ("low", "high"):
+                assert survival_orderstat(model, r, 4, m, form) == model.orderstat_survival_series(r, m, form)[m]
 
 
 def test_survival_validation():

@@ -36,6 +36,7 @@ from lifemoments import (
     mvg_min_param,
     signature_from_samaniego,
     signature_set,
+    system_factorial_moments_mvg,
     system_mean_var_mvg,
     system_moment_approx,
     system_moment_approx_beta,
@@ -45,6 +46,7 @@ from lifemoments import (
     system_moment_mvg,
     system_survival,
 )
+from lifemoments import distributions, systems
 from conftest import (
     BRIDGE_CUTS,
     BRIDGE_MINIMAL_SIGNATURE,
@@ -408,16 +410,25 @@ def test_approx_poisson_bridge_row(bridge):
 
 
 def test_approx_builds_the_cdf_matrix_once(bridge, monkeypatch):
-    builds = []
-    cdf_array = MarginalDist.cdf_array
-    monkeypatch.setattr(MarginalDist, "cdf_array", lambda d, m: builds.append(m) or cdf_array(d, m))
+    builds = Counter()
+    read = distributions._PrefixCache.read
+
+    def counted(cache, m_max, build):
+        return read(cache, m_max, lambda m: builds.update([build.__qualname__]) or build(m))
+
+    monkeypatch.setattr(distributions._PrefixCache, "read", counted)
     got = system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005)
-    assert len(builds) == 5  # one matrix: one column per marginal
-    monkeypatch.setattr(
-        IndependentMarginals,
-        "cdf_matrix",
-        lambda model, m: np.column_stack([d.cdf_array(m) for d in model.marginals]),
-    )
+    # one cdf column per marginal, one log pmf per marginal object (the five
+    # columns share one) plus the planner's own, and no class counts
+    assert builds == {"MarginalDist.cdf_array": 5, "Poisson._logpmf_table": 2}
+
+    def uncached(model, low, up, m_hi):
+        def cdf(i):  # a fresh marginal keeps nothing from earlier reads
+            return Poisson(model.marginals[i - 1].lam).cdf_array(m_hi)
+
+        return np.column_stack([cdf(i) for i in sorted(low)] + [1.0 - cdf(j) for j in sorted(up)]).prod(axis=1)
+
+    monkeypatch.setattr(IndependentMarginals, "rect_series", uncached)
     want = system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005)
     assert got == want
 
@@ -523,6 +534,25 @@ def test_system_mvg_vs_truncated_series(bridge):
     for p in (1, 2):
         res = system_moment_approx(model, bridge, p, 5e-7)
         assert abs(closed_raw[p - 1] - res.value) <= 1e-6
+
+
+def test_mvg_system_moments_share_one_coefficient_table(bridge, monkeypatch):
+    """Factorial moments 1..p come from one Mobius transform per structure and
+    equal the one-order calls bit for bit."""
+    transforms = []
+    collection = systems._collection_coefficients
+    monkeypatch.setattr(systems, "_collection_coefficients", lambda *a: transforms.append(a) or collection(*a))
+    for params in (MvgParams(5, theta=bridge_theta(1)), MvgParams(5, exchangeable_levels=[0.9, 0.95, 1.0, 1.0, 1.0])):
+        one_order = [system_moment_mvg(params, bridge, q) for q in (1, 2, 3, 4)]
+        transforms.clear()
+        assert system_factorial_moments_mvg(params, bridge, 4) == tuple(one_order)
+        assert len(transforms) == 1
+        transforms.clear()
+        mean, var = system_mean_var_mvg(params, bridge)
+        assert len(transforms) == 1
+        assert (mean, var) == (one_order[0], one_order[1] + one_order[0] * (1.0 - one_order[0]))
+    with pytest.raises(ValidationError):
+        system_factorial_moments_mvg(params, bridge, 0)
 
 
 def test_system_mvg_validation(bridge):
