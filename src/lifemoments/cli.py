@@ -88,11 +88,8 @@ from .oracle import enumerate_moment, mc_moment
 from .orderstats import MomentRequest, approx_moment, exact_moment_finite
 from .systems import (
     SystemStructure,
-    alpha_coefficients,
-    beta_coefficients,
-    maximal_signature,
-    minimal_signature,
     signature_from_samaniego,
+    signature_set,
     system_factorial_moments_mvg,
     system_moment_approx,
     system_moment_exact,
@@ -348,17 +345,15 @@ def cmd_system(cfg: dict, args) -> int:
 def cmd_signature(cfg: dict, args) -> int:
     spec = _require(cfg, "structure", "config")
     structure = build_structure(spec)
+    sigs = signature_set(structure)  # one coefficient table per family supplied
     rows: list[list] = []
-    if structure.path_sets is not None:
-        for K, c in sorted(alpha_coefficients(structure).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-            rows.append(["alpha_subset", ",".join(map(str, sorted(K))), c])
-        for i, a in enumerate(minimal_signature(structure), start=1):
-            rows.append(["alpha", i, a])
-    if structure.cut_sets is not None:
-        for K, c in sorted(beta_coefficients(structure).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-            rows.append(["beta_subset", ",".join(map(str, sorted(K))), c])
-        for i, b in enumerate(maximal_signature(structure), start=1):
-            rows.append(["beta", i, b])
+    for label, subsets, vec in (("alpha", sigs.alpha_subsets, sigs.alpha), ("beta", sigs.beta_subsets, sigs.beta)):
+        if subsets is None:
+            continue
+        for K, c in sorted(subsets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+            rows.append([f"{label}_subset", ",".join(map(str, sorted(K))), c])
+        for i, a in enumerate(vec, start=1):
+            rows.append([label, i, a])
     if "samaniego" in spec:
         sam = [Fraction(str(x)) for x in spec["samaniego"]]
         for i, a in enumerate(signature_from_samaniego(sam, structure.n), start=1):

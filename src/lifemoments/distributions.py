@@ -56,7 +56,6 @@ __all__ = [
     "MvgModel",
     "rect_prob",
     "marginal_survival",
-    "quantile",
     "multinomial_pmf",
 ]
 
@@ -710,11 +709,6 @@ def marginal_survival(model: JointModel, j: int, m: int) -> float:
     if m < 0:
         return 1.0
     return rect_prob(model, (), (j,), m)
-
-
-def quantile(dist: MarginalDist, q: float) -> int:
-    """F^{<-}(q) = min{x : P(X <= x) >= q} for q in (0, 1)."""
-    return dist.quantile(q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ marginalization to sub-vectors, the geometric law of subset minima, and the
 closed-form factorial moments and survival of order statistics, together
 with the factorial-to-raw moment conversion.
 
+Exchangeable parameters enter every formula through one log-space product
+of their levels, prod_s theta_s^(e_s), each caller supplying its exponents.
 The closed forms sum over subsets K of the components, and each term reads
 the subset-minimum parameter theta(K).  ``mvg_min_param`` is the definition
-for one subset.  The sums read every theta(K) of one size at once: one
-value standing for all C(n, k) subsets under exchangeable parameters, or
-the size-k slice of one table over all 2^n subsets for general ones, built
-once per parameter set (n <= LATTICE_N_CAP).
+for one subset.  The sums read every theta(K) of one size at once from one
+table per parameter set: one value standing for all C(n, k) subsets under
+exchangeable parameters, filled size by size, or the size-k slice of a
+table over all 2^n subsets for general ones (n <= LATTICE_N_CAP).  The
+order statistics run one weighted sum over the sizes n-j, j < r.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericError, ValidationError
 
 # Tables over all 2^n component subsets (the general MVG sums here, default
 # class counts, signature lattices) are refused above this n.
@@ -78,7 +81,7 @@ class MvgParams:
         if n < 1:
             raise ValidationError("n must be at least 1")
         self.n = int(n)
-        self._minima: tuple[np.ndarray, ...] | None = None  # built by _subset_minima
+        self._minima: dict[int, np.ndarray] = {}  # filled by _subset_minima
         if (theta is None) == (exchangeable_levels is None):
             raise ValidationError("give exactly one of theta or exchangeable_levels")
         if exchangeable_levels is not None:
@@ -131,9 +134,24 @@ class MvgParams:
         return f"MvgParams(n={self.n}, theta={body})"
 
 
-def _log_or_none(t: float) -> float:
-    # log(0) is -inf, which propagates correctly through the sums below
-    return math.log(t) if t > 0.0 else -math.inf
+def _level_product(levels: Sequence[float], exponent: Callable[[int], int]) -> float:
+    """prod over positions s = 1, 2, ... of levels[s-1] ** exponent(s), in log space.
+
+    A level of 1 is skipped before its exponent is formed, and a zero
+    exponent drops out.  A zero level with a positive exponent, or any
+    exponent above _HUGE_EXPONENT, makes the product 0.0.
+    """
+    log = 0.0
+    for s, t in enumerate(levels, start=1):
+        if t == 1.0:
+            continue
+        e = exponent(s)
+        if e == 0:
+            continue
+        if t == 0.0 or e > _HUGE_EXPONENT:
+            return 0.0
+        log += e * math.log(t)
+    return math.exp(log)
 
 
 def theta_all(params: MvgParams) -> float:
@@ -150,51 +168,40 @@ def mvg_min_param(params: MvgParams, subset: Iterable[int]) -> float:
     S = _as_subset(subset, params.n)
     if params.exchangeable:
         n, k = params.n, len(S)
-        log = 0.0
-        for s in range(1, n + 1):
-            t = params.level(s)
-            if t == 1.0:
-                continue
-            e = math.comb(n, s) - math.comb(n - k, s)
-            if t == 0.0:
-                if e > 0:
-                    return 0.0
-                continue
-            if e > _HUGE_EXPONENT:
-                return 0.0
-            log += e * math.log(t)
-        return math.exp(log)
+        # C(n, s) - C(n-k, s) of the size-s shocks meet S
+        return _level_product(params.exchangeable_levels, lambda s: math.comb(n, s) - math.comb(n - k, s))
     return math.prod(t for I, t in params.theta.items() if I & S)
 
 
 def _subset_minima(params: MvgParams, k: int) -> tuple[np.ndarray, int]:
     """theta(K) of the size-k subsets K, and how many subsets each value stands for.
 
-    Exchangeable parameters give one value for all C(n, k) subsets.  General
-    parameters give the size-k slice of a table over all 2^n subsets, entry
-    K the product of the stored theta_I with I meeting K.  The table is built
-    on first use, one vectorised product per stored shock (a theta_I of 0
-    needs no special case), and kept on the parameter set, which never
-    changes after construction.
+    One table per parameter set, kept on it (it never changes after
+    construction).  Exchangeable parameters store one value per size, for
+    all C(n, k) subsets, on first request of that size.  General ones store
+    the size-k slices of a table over all 2^n subsets, entry K the product
+    of the stored theta_I with I meeting K, built on first use by one
+    vectorised product per stored shock (a theta_I of 0 needs no special case).
     """
-    n = params.n
-    if params.exchangeable:
-        return np.array([mvg_min_param(params, range(1, k + 1))]), math.comb(n, k)
-    if params._minima is None:
-        if n > LATTICE_N_CAP:
-            raise CapacityError(
-                f"general MVG sums read all 2^n subsets; n={n} exceeds the cap "
-                f"{LATTICE_N_CAP} (use exchangeable_levels for larger n)"
-            )
-        masks = np.arange(1 << n)
-        table = np.ones(1 << n)
-        for I, t in params.theta.items():
-            table[(masks & sum(1 << (i - 1) for i in I)) != 0] *= t
-        sizes = np.zeros(1 << n, dtype=np.int8)
-        for b in range(n):
-            sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
-        params._minima = tuple(table[sizes == s] for s in range(n + 1))
-    return params._minima[k], 1
+    n, minima = params.n, params._minima
+    if k not in minima:
+        if params.exchangeable:
+            minima[k] = np.array([mvg_min_param(params, range(1, k + 1))])
+        else:
+            if n > LATTICE_N_CAP:
+                raise CapacityError(
+                    f"general MVG sums read all 2^n subsets; n={n} exceeds the cap "
+                    f"{LATTICE_N_CAP} (use exchangeable_levels for larger n)"
+                )
+            masks = np.arange(1 << n)
+            table = np.ones(1 << n)
+            for I, t in params.theta.items():
+                table[(masks & sum(1 << (i - 1) for i in I)) != 0] *= t
+            sizes = np.zeros(1 << n, dtype=np.int8)
+            for b in range(n):
+                sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
+            minima.update((s, table[sizes == s]) for s in range(n + 1))
+    return minima[k], math.comb(n, k) if params.exchangeable else 1
 
 
 def mvg_joint_survival(params: MvgParams, k: Sequence[int]) -> float:
@@ -207,28 +214,21 @@ def mvg_joint_survival(params: MvgParams, k: Sequence[int]) -> float:
     if params.exchangeable:
         n = params.n
         # Sorted descending, the i-th largest threshold is the max over
-        # exactly C(n-i, s-1) of the size-s subsets, i = 1..n.
+        # exactly C(n-i, s-1) of the size-s subsets, i = 1..n; a threshold
+        # of -1 adds nothing to the exponent.
         srt = sorted(ks, reverse=True)
-        log = 0.0
-        for s in range(1, n + 1):
-            t = params.level(s)
-            if t == 1.0:
-                continue
-            lt = _log_or_none(t)
-            for i, kv in enumerate(srt, start=1):
-                cnt = math.comb(n - i, s - 1)
-                if cnt and kv >= 0:
-                    log += cnt * (kv + 1) * lt
-        return math.exp(log) if log > -math.inf else 0.0
+        return _level_product(
+            params.exchangeable_levels,
+            lambda s: sum(math.comb(n - i, s - 1) * (kv + 1) for i, kv in enumerate(srt, start=1)),
+        )
     logs = []
     for I, t in params.theta.items():
         m = max(ks[i - 1] for i in I)
         if m >= 0:
-            lt = _log_or_none(t)
-            if lt == -math.inf:
+            if t == 0.0:
                 return 0.0
-            logs.append((m + 1) * lt)
-    return math.exp(math.fsum(logs)) if logs else 1.0
+            logs.append((m + 1) * math.log(t))
+    return math.exp(math.fsum(logs))
 
 
 def mvg_marginal(params: MvgParams, subset: Iterable[int]) -> MvgParams:
@@ -242,21 +242,13 @@ def mvg_marginal(params: MvgParams, subset: Iterable[int]) -> MvgParams:
     kept = sorted(S)
     k = len(kept)
     if params.exchangeable:
-        n = params.n
-        c = n - k
-        levels = []
-        for s in range(1, k + 1):
-            # shocks of size s+u hitting exactly s kept components: C(c, u) ways
-            log = 0.0
-            for u in range(0, c + 1):
-                t = params.level(s + u)
-                if t == 1.0:
-                    continue
-                if t == 0.0:
-                    log = -math.inf
-                    break
-                log += math.comb(c, u) * math.log(t)
-            levels.append(math.exp(log) if log > -math.inf else 0.0)
+        c = params.n - k
+        # shocks of size s+u hitting exactly s kept components: C(c, u) ways;
+        # the level of size s+u sits at position u+1 of the slice
+        levels = [
+            _level_product(params.exchangeable_levels[s - 1 : s + c], lambda i: math.comb(c, i - 1))
+            for s in range(1, k + 1)
+        ]
         return MvgParams(k, exchangeable_levels=levels)
     index = {comp: pos for pos, comp in enumerate(kept, start=1)}
     grouped: dict[frozenset[int], list[float]] = {}
@@ -292,11 +284,7 @@ class FactorialMomentTerms:
     S: tuple[float, ...]
 
     def signed_terms(self) -> tuple[float, ...]:
-        r, n = self.r, self.n
-        return tuple(
-            (-1) ** (r - 1 - j) * math.comb(n - j - 1, n - r) * s
-            for j, s in enumerate(self.S)
-        )
+        return tuple(_orderstat_weight(self.r, self.n, j) * s for j, s in enumerate(self.S))
 
     def value(self) -> float:
         return math.factorial(self.p) * math.fsum(self.signed_terms())
@@ -310,8 +298,34 @@ class FactorialMomentTerms:
         return peak / abs(value)
 
 
-def _g(theta: float) -> float:
-    return theta / (1.0 - theta)
+def _orderstat_weight(r: int, n: int, j: int) -> int:
+    """(-1)^(r-1-j) C(n-j-1, n-r): the weight of the size-(n-j) subset sum in
+    the expansion of the r-th order statistic."""
+    return (-1) ** (r - 1 - j) * math.comb(n - j - 1, n - r)
+
+
+def _size_sums(
+    params: MvgParams, r: int, n: int, fsums: Callable[[np.ndarray], list[float]]
+) -> list[tuple[float, list[float]]]:
+    """(weight, sums) per size n-j, j = 0..r-1, of the expansion of X_{r:n}:
+    ``sums`` is ``fsums`` of the theta(K) of the size-(n-j) subsets, each
+    times the number of subsets a table entry stands for.  A weight or
+    subset count beyond the float range raises NumericError."""
+    if n != params.n:
+        raise ValidationError(f"n={n} does not match params.n={params.n}")
+    if not 1 <= r <= n:
+        raise ValidationError(f"rank r={r} outside 1..{n}")
+    out = []
+    for j in range(r):
+        thetas, mult = _subset_minima(params, n - j)
+        try:
+            w, count = float(_orderstat_weight(r, n, j)), float(mult)
+        except OverflowError:
+            raise NumericError(
+                f"weight C({n - j - 1}, {n - r}) or subset count C({n}, {n - j}) exceeds the float range"
+            ) from None
+        out.append((w, [count * s for s in fsums(thetas)]))
+    return out
 
 
 def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> FactorialMomentTerms:
@@ -321,19 +335,12 @@ def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> Factori
     p-th geometric factorial moment kernel of the minimum over the remaining
     n-j components.
     """
-    if n != params.n:
-        raise ValidationError(f"n={n} does not match params.n={params.n}")
-    if not 1 <= r <= n:
-        raise ValidationError(f"rank r={r} outside 1..{n}")
     if p < 1:
         raise ValidationError("p must be a positive integer")
-    S: list[float] = []
-    for j in range(r):
-        # drop j components <=> keep a subset K of size n-j; the term is
-        # g(theta(K))^p which sidesteps 0/0 in the theta_all ratio form
-        thetas, mult = _subset_minima(params, n - j)
-        S.append(mult * math.fsum([g**p for g in _g(thetas).tolist()]))
-    return FactorialMomentTerms(r=r, n=n, p=p, S=tuple(S))
+    # the term of a kept subset K is g(theta(K))^p with g = theta/(1-theta),
+    # which sidesteps 0/0 in the theta_all ratio form
+    fsums = lambda thetas: [math.fsum([g**p for g in (thetas / (1.0 - thetas)).tolist()])]
+    return FactorialMomentTerms(r=r, n=n, p=p, S=tuple(sums[0] for _, sums in _size_sums(params, r, n, fsums)))
 
 
 def mvg_orderstat_factorial_moment(params: MvgParams, r: int, n: int, p: int) -> float:
@@ -360,20 +367,14 @@ def mvg_orderstat_survival(
     (an array of survival probabilities is returned); thresholds below 0
     give 1.
     """
-    if n != params.n:
-        raise ValidationError(f"n={n} does not match params.n={params.n}")
-    if not 1 <= r <= n:
-        raise ValidationError(f"rank r={r} outside 1..{n}")
     exps = [max(int(v) + 1, 0) for v in np.atleast_1d(m)]
-    terms: list[list[float]] = [[] for _ in exps]
-    for j in range(r):
-        w = (-1) ** (r - 1 - j) * math.comb(n - j - 1, n - r)
-        thetas, mult = _subset_minima(params, n - j)
+
+    def fsums(thetas: np.ndarray) -> list[float]:
         ts = thetas.tolist()
-        for row, e in zip(terms, exps):
-            sub = mult * math.fsum([1.0 - t**e for t in ts])
-            row.append(w * sub)
-    surv = [min(1.0, max(0.0, 1.0 - math.fsum(row))) for row in terms]
+        return [math.fsum([1.0 - t**e for t in ts]) for e in exps]
+
+    sizes = _size_sums(params, r, n, fsums)
+    surv = [min(1.0, max(0.0, 1.0 - math.fsum([w * sums[i] for w, sums in sizes]))) for i in range(len(exps))]
     return surv[0] if np.ndim(m) == 0 else np.array(surv)
 
 

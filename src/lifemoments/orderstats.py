@@ -203,19 +203,20 @@ def _check_threshold(q: float):
         )
 
 
-def poisson_truncation_index(lam0: float, p: int, d_scaled: float) -> tuple[int, float]:
-    """(M0, threshold) certifying tail error <= the pre-scaled bound d_scaled.
+def poisson_truncation_index(dist: Poisson, p: int, d_scaled: float) -> tuple[int, float]:
+    """(M0, threshold) certifying tail error <= the pre-scaled bound d_scaled
+    for the dominating marginal ``dist`` = Pois(lam).
 
     The p-th tail moment of Pois(lam) is bounded through the identity
     x(x-1)...(x-p+1) pmf(x) = lam^p pmf(x-p) plus x^p <= 2^(p(p-1)/2) x!/(x-p)!
     for x >= 2(p-1), so the condition reduces to a Poisson quantile at
-    1 - d_scaled / (2^(p(p-1)/2) lam^p).
+    1 - d_scaled / (2^(p(p-1)/2) lam^p), read from ``dist`` itself.
     """
-    q = 1.0 - d_scaled * 2.0 ** (-(p * (p - 1)) // 2) / lam0**p
+    q = 1.0 - d_scaled * 2.0 ** (-(p * (p - 1)) // 2) / dist.lam**p
     if q <= 0.0:
         return p - 2, q
     _check_threshold(q)
-    return Poisson(lam0).quantile(q) + p - 1, q
+    return dist.quantile(q) + p - 1, q
 
 
 def plan_poisson(lambdas: list[float], req: MomentRequest) -> TruncationPlan:
@@ -227,8 +228,8 @@ def plan_poisson(lambdas: list[float], req: MomentRequest) -> TruncationPlan:
     return plan_for(model, req.p, _require_d(req.d) / binomial_head(req.n, req.r))
 
 
-def negbin_truncation_index(R: float, p0: float, p: int, d_scaled: float) -> tuple[int, float]:
-    """(M0, threshold) for NBin(R, p0).
+def negbin_truncation_index(dist: NegBin, p: int, d_scaled: float) -> tuple[int, float]:
+    """(M0, threshold) for the dominating marginal ``dist`` = NBin(R, p0).
 
     The threshold scales the allowed error by the p-th ascending-factorial
     constant of the marginal, 2^(p(p-1)/2) R(R+1)...(R+p-1) ((1-p0)/p0)^p, and
@@ -240,15 +241,15 @@ def negbin_truncation_index(R: float, p0: float, p: int, d_scaled: float) -> tup
     binomial tail oracle reproduces), and for R <= 3 the realized error can
     exceed d by two orders of magnitude.
     """
-    odds = p0 / (1.0 - p0)
+    odds = dist.p / (1.0 - dist.p)
     rising = 1.0
     for i in range(p):
-        rising *= R + i
+        rising *= dist.R + i
     q = 1.0 - d_scaled * odds**p / (2.0 ** ((p * (p - 1)) // 2) * rising)
     if q <= 0.0:
         return p - 2, q
     _check_threshold(q)
-    return NegBin(R, p0).quantile(q), q
+    return dist.quantile(q), q
 
 
 def plan_negbin(R: float, ps: list[float], req: MomentRequest) -> TruncationPlan:
@@ -316,12 +317,12 @@ def plan_for(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
     if all(isinstance(m, Poisson) for m in margs):
         lams = [m.lam for m in margs]
         j0 = max(range(len(lams)), key=lambda j: (lams[j], -j)) + 1
-        M0, q = poisson_truncation_index(lams[j0 - 1], p, scaled_d)
+        M0, q = poisson_truncation_index(margs[j0 - 1], p, scaled_d)
         return TruncationPlan(M0=M0, j0=j0, threshold=q)
     if all(isinstance(m, NegBin) for m in margs) and len({m.R for m in margs}) == 1:
         ps = [m.p for m in margs]
         j0 = min(range(len(ps)), key=lambda j: (ps[j], j)) + 1
-        M0, q = negbin_truncation_index(margs[0].R, ps[j0 - 1], p, scaled_d)
+        M0, q = negbin_truncation_index(margs[j0 - 1], p, scaled_d)
         return TruncationPlan(M0=M0, j0=j0, threshold=q)
     j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
     dist = margs[j0 - 1]

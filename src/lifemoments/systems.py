@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
 )
-from .mvg import LATTICE_N_CAP, MvgParams, geometric_factorial_moment, mvg_min_param
+from .mvg import LATTICE_N_CAP, MvgParams, _subset_minima, geometric_factorial_moment, mvg_min_param
 from .orderstats import MomentResult, TruncationPlan, _series_moment
 # not used here; bench/test_bench.py checks that the tracer also wraps this
 # second binding of a traced function
@@ -454,7 +454,8 @@ def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, 
     Each subset minimum is geometric with parameter theta(K), so the alpha
     expansion turns into a finite signed sum of geometric factorial moments;
     every order reads one coefficient table.  Exchangeable parameters need
-    only the minimal signature: theta(K) depends on K through its size alone.
+    only the minimal signature: theta(K) depends on K through its size alone
+    and is read by size from the subset-minima table.
     """
     if params.n != structure.n:
         raise ValidationError(f"params.n={params.n} does not match structure.n={structure.n}")
@@ -462,11 +463,13 @@ def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, 
         raise ValidationError(f"moment order p={p} must be >= 1")
     if params.exchangeable:
         coeffs = _prefix_coefficients(minimal_signature(structure))
+        theta_of = lambda K: _subset_minima(params, len(K))[0].item()
     else:
         coeffs = alpha_coefficients(structure)
+        theta_of = lambda K: mvg_min_param(params, K)
     terms = []
     for K, c in coeffs.items():
-        theta = mvg_min_param(params, K)
+        theta = theta_of(K)
         if theta >= 1.0:
             raise ValidationError(f"defective minimum over {sorted(K)}: theta={theta}")
         terms.append((c, theta))

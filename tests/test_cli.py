@@ -269,6 +269,27 @@ def test_signature_table_format(tmp_path, capsys):
     assert any("beta" in line for line in lines[1:])
 
 
+def test_signature_transforms_each_family_once(tmp_path, capsys, monkeypatch):
+    transforms = []
+    original = systems._collection_coefficients
+
+    def counted(family, n):
+        transforms.append(family)
+        return original(family, n)
+
+    monkeypatch.setattr(systems, "_collection_coefficients", counted)
+    both = dict(BRIDGE_STRUCTURE, cut_sets=[[1, 4], [2, 3], [1, 3, 5], [2, 4, 5]])
+    for structure, want in ((BRIDGE_STRUCTURE, 1), (both, 2)):
+        transforms.clear()
+        code, out, _ = run_cli(capsys, ["signature", "--config", write_cfg(tmp_path, {"structure": structure}),
+                                        "--format", "csv"])
+        assert code == 0
+        assert len(transforms) == want
+        _, rows = parse_csv(out)
+        assert [int(r[2]) for r in rows if r[0] == "alpha"] == [0, 2, 2, -5, 2]
+        assert len([r for r in rows if r[0] == "beta"]) == (5 if want == 2 else 0)
+
+
 def test_mvg_closed_forms_computed_once_per_rank_or_structure(tmp_path, capsys, monkeypatch):
     # moments [1, 2] build one coefficient table (a Mobius transform) per
     # structure, or per grid point of a sweep, and read factorial moments 1
@@ -423,6 +444,16 @@ def test_exit_4_numeric(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["orderstat", "--config", write_cfg(tmp_path, cfg)])
     assert code == 4
     assert "numeric error" in err
+
+
+def test_exit_4_mvg_counts_beyond_float(tmp_path, capsys):
+    cfg = {
+        "model": {"kind": "mvg", "n": 1100, "levels": [0.7] + [1.0] * 1099},
+        "requests": {"ranks": [550], "moments": [1]},
+    }
+    code, out, err = run_cli(capsys, ["orderstat", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 4
+    assert "numeric error" in err and "float range" in err
 
 
 def test_module_entry_smoke(tmp_path):

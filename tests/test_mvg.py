@@ -12,6 +12,7 @@ from lifemoments import (
     MomentRequest,
     MvgModel,
     MvgParams,
+    NumericError,
     TruncationPlan,
     ValidationError,
     approx_moment,
@@ -30,7 +31,7 @@ from lifemoments import (
     survival_orderstat,
     theta_all,
 )
-from lifemoments.mvg import _subset_minima
+from lifemoments.mvg import _level_product, _subset_minima
 
 
 def all_pairs_params(n: int, single: float, pair: float) -> MvgParams:
@@ -111,6 +112,65 @@ def test_min_param_equals_the_subset_table_bit_for_bit():
         subsets = [[i + 1 for i in range(4) if u >> i & 1] for u in range(16) if bin(u).count("1") == k]
         assert mult == 1
         assert [mvg_min_param(params, K) for K in subsets] == table.tolist()
+    # exchangeable, with a zero level and levels of 1: every size-k subset has
+    # the law of the prefix {1..k}, so one value stands for C(n, k) subsets
+    params = MvgParams(6, exchangeable_levels=[0.8, 1.0, 0.95, 0.0, 1.0, 0.999])
+    rng = np.random.default_rng(7)
+    for k in range(1, 7):
+        table, mult = _subset_minima(params, k)
+        assert isinstance(table, np.ndarray) and mult == math.comb(6, k)
+        K = rng.choice(np.arange(1, 7), size=k, replace=False).tolist()
+        assert table.tolist() == [mvg_min_param(params, K)]
+        assert _subset_minima(params, k)[0] is table  # kept, not rebuilt
+
+
+@pytest.mark.parametrize("n,seed", [(2, 1), (4, 2), (6, 3), (8, 4)])
+def test_exchangeable_table_matches_the_equivalent_general_table(n, seed):
+    rng = np.random.default_rng(seed)
+    levels = [float(t) for t in rng.uniform(0.8, 1.0, size=n)]
+    levels[int(rng.integers(n))] = 1.0
+    exch = MvgParams(n, exchangeable_levels=levels)
+    general = MvgParams(n, theta={
+        K: levels[s - 1] for s in range(1, n + 1) for K in combinations(range(1, n + 1), s)
+    })
+    for k in range(1, n + 1):
+        one, mult = _subset_minima(exch, k)
+        table, ones = _subset_minima(general, k)
+        assert (mult, ones, len(table)) == (math.comb(n, k), 1, math.comb(n, k))
+        assert table.tolist() == pytest.approx([one[0]] * mult, rel=1e-12, abs=0.0)
+
+
+def test_level_product_never_forms_the_exponent_of_a_level_of_one():
+    levels = [0.7, 1.0, 0.9, 1.0, 0.0]
+
+    def exponent(s):
+        assert levels[s - 1] != 1.0, f"exponent of level {s} formed"
+        return {1: 2, 3: 3, 5: 0}[s]
+
+    assert _level_product(levels, exponent) == pytest.approx(0.7**2 * 0.9**3, rel=1e-15)
+    # a zero level with a positive exponent, and a huge exponent, give 0
+    assert _level_product(levels, lambda s: 1) == 0.0
+    assert _level_product([0.5], lambda s: 1 << 61) == 0.0
+
+
+def test_large_exchangeable_n_underflows_to_zero():
+    # the exponents C(n, s) are far beyond the float range at n = 1100
+    params = MvgParams(1100, exchangeable_levels=[0.5] * 1100)
+    assert mvg_min_param(params, range(1, 1101)) == 0.0
+    assert mvg_joint_survival(params, [0] * 1100) == 0.0
+    assert mvg_marginal(params, [1]).exchangeable_levels == (0.0,)
+
+
+def test_orderstat_closed_forms_refuse_counts_beyond_float():
+    params = MvgParams(1100, exchangeable_levels=[0.7] + [1.0] * 1099)
+    # the weight C(1099, 550) does not fit in a float
+    with pytest.raises(NumericError, match="float range"):
+        mvg_orderstat_factorial_moment(params, 550, 1100, 1)
+    with pytest.raises(NumericError, match="float range"):
+        mvg_orderstat_survival(params, 550, 1100, 5)
+    # at r = n every weight is 1 but the count C(1100, j) leaves the float range
+    with pytest.raises(NumericError, match="float range"):
+        mvg_orderstat_mean_var(params, 1100, 1100)
 
 
 def test_joint_survival_worked_example():

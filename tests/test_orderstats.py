@@ -407,6 +407,19 @@ def test_approx_moment_plans_for_itself(model):
                 approx_moment(model, MomentRequest(r=r, n=n, p=p))
 
 
+@pytest.mark.parametrize("model", [c[1] for c in PLAN_FREE_CASES[:2]], ids=[c[0] for c in PLAN_FREE_CASES[:2]])
+def test_closed_form_planners_read_the_models_own_marginal(model, monkeypatch):
+    """The Poisson and negative binomial cutoffs take their quantile from the
+    dominating marginal of the model, not from a freshly built copy of it."""
+    want = [plan_for(model, p, 1e-6) for p in (1, 2, 3)]
+    built = []
+    for cls in (Poisson, NegBin):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=cls.__init__: built.append(a) or _init(self, *a))
+    fresh = [plan_for(model, p, 1e-6) for p in (1, 2, 3)]
+    assert built == []
+    assert fresh == want
+
+
 def test_approx_moment_degenerate_plan():
     model = IndependentMarginals([Poisson(1.0)] * 2)
     req = MomentRequest(r=1, n=2, p=1, d=100.0)

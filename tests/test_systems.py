@@ -419,8 +419,8 @@ def test_approx_builds_the_cdf_matrix_once(bridge, monkeypatch):
     monkeypatch.setattr(distributions._PrefixCache, "read", counted)
     got = system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005)
     # one cdf column per marginal, one log pmf per marginal object (the five
-    # columns share one) plus the planner's own, and no class counts
-    assert builds == {"MarginalDist.cdf_array": 5, "Poisson._logpmf_table": 2}
+    # columns and the planner's quantile share one), and no class counts
+    assert builds == {"MarginalDist.cdf_array": 5, "Poisson._logpmf_table": 1}
 
     def uncached(model, low, up, m_hi):
         def cdf(i):  # a fresh marginal keeps nothing from earlier reads
