@@ -79,20 +79,14 @@ from .distributions import (
     multinomial_pmf,
 )
 from .errors import CapacityError, LifemomentsError, NumericError, ValidationError
-from .mvg import (
-    MvgParams,
-    factorial_to_raw,
-    mvg_orderstat_factorial_moment,
-)
+from .mvg import MvgParams, factorial_to_raw
 from .oracle import enumerate_moment, mc_moment
-from .orderstats import MomentRequest, approx_moment, exact_moment_finite
+from .orderstats import _check_request, _moment
 from .systems import (
     SystemStructure,
+    _statistic,
     signature_from_samaniego,
     signature_set,
-    system_factorial_moments_mvg,
-    system_moment_approx,
-    system_moment_exact,
 )
 
 __all__ = ["main"]
@@ -228,30 +222,21 @@ def _expand_requests(cfg: dict, n: int, flag_d, with_ranks: bool) -> list[tuple[
 def _cells(model: JointModel, statistic, requests: list[tuple[int, float | None]]) -> dict[int, dict]:
     """value plus truncation metadata for each (moment, bound) request on one
     statistic, a rank or a structure, keyed by moment (a later request for
-    the same moment wins).  MVG closed forms compute the factorial moments
-    1..max p once, whatever moments are requested."""
-    system = isinstance(statistic, SystemStructure)
-    if isinstance(model, MvgModel):
-        p_max = max(p for p, _ in requests)
-        if system:
-            factorials = system_factorial_moments_mvg(model.params, statistic, p_max)
-        else:
-            factorials = [mvg_orderstat_factorial_moment(model.params, statistic, model.n, q)
-                          for q in range(1, p_max + 1)]
+    the same moment wins).  A model kind with closed forms computes the
+    factorial moments 1..max p once, whatever moments are requested."""
+    stat = _statistic(model, statistic)
+    for p, d in requests:
+        _check_request(p, d)
+    factorials = model.factorial_moments(stat, max(p for p, _ in requests))
+    if factorials is not None:
         raws = factorial_to_raw(factorials)
         return {p: {"value": raws[p - 1], "M0": None} for p, _ in requests}
     finite = model.support_max() is not None
     cells = {}
     for p, d in requests:
         if not finite and d is None:
-            where = "" if system else f"rank {statistic}, "
-            raise ValidationError(f"{where}p={p}: infinite support needs an error bound (request d or --d)")
-        if system:
-            res = system_moment_exact(model, statistic, p) if finite else system_moment_approx(model, statistic, p, d)
-        elif finite:
-            res = exact_moment_finite(model, MomentRequest(r=statistic, n=model.n, p=p))
-        else:
-            res = approx_moment(model, MomentRequest(r=statistic, n=model.n, p=p, d=d))
+            raise ValidationError(f"p={p}: infinite support needs an error bound (request d or --d)")
+        res = _moment(model, stat, p, None if finite else d)
         cells[p] = {"value": res.value, "M0": res.M0_used}
     return cells
 

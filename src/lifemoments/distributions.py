@@ -8,7 +8,8 @@ count vector (an explicit pmf that never lists its support), a product of
 independent marginals, and the common-shock geometric model of module
 ``mvg``.  Class counts and order-statistic survival have defaults on
 ``JointModel`` built on that query, which a kind overrides where it has a
-faster or closed form.
+faster or closed form; a kind with closed-form moments of a statistic
+returns them from ``factorial_moments``.
 
 Marginal pmf work is done in log space, one array per family on 0..m
 (``logpmf_array``), so that large rates and far tail indices neither
@@ -469,6 +470,11 @@ class JointModel:
         """P(X_{r:n} > m) at the one threshold m >= 0: the series' entry m."""
         return float(self.orderstat_survival_series(r, m, form)[m])
 
+    def factorial_moments(self, stat, p: int) -> Sequence[float] | None:
+        """Closed-form factorial moments E(T)_1..E(T)_p of a statistic T, or
+        None when the kind has none and moments come from the survival series."""
+        return None
+
 
 class ExplicitFinitePMF(JointModel):
     """Finite support listed point by point.
@@ -660,6 +666,10 @@ class MvgModel(JointModel):
         if form != "auto":
             return super().orderstat_survival(r, m, form)
         return mvg_orderstat_survival(self.params, r, self.n, m)
+
+    def factorial_moments(self, stat, p: int) -> Sequence[float]:
+        """The statistic's subset-minima closed form."""
+        return stat.mvg_factorial_moments(self.params, p)
 
 
 # ---------------------------------------------------------------------------

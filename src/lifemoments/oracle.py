@@ -2,7 +2,10 @@
 
 Two oracles: exhaustive enumeration over finite supports, and Monte Carlo
 simulation with a seeded generator.  Property tests compare the analytic
-formulas against these; nothing here reuses the survival-series machinery.
+formulas against these.  The oracles share only the statistic's definition
+with the analytic side, its value at each point (``values``); nothing here
+reuses the survival-series machinery, and each model kind keeps its own
+enumerator and sampler.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .distributions import (
 )
 from .errors import CapacityError, ConvergenceError, UnsupportedModelError, ValidationError
 from .mvg import MvgParams
-from .systems import SystemStructure
+from .systems import _statistic
 
 __all__ = ["McEstimate", "enumerate_moment", "sample_mvg", "mc_moment"]
 
@@ -59,30 +62,6 @@ class McEstimate:
             raise ValidationError(f"samples={self.samples} must be >= 1")
 
 
-def _statistic_values(points: np.ndarray, statistic) -> np.ndarray:
-    """Per-outcome value of the statistic: rank r order statistic, or the
-    system lifetime max over path sets of the in-set minimum."""
-    n = points.shape[1]
-    if isinstance(statistic, SystemStructure):
-        if statistic.n != n:
-            raise ValidationError(f"structure.n={statistic.n} does not match model n={n}")
-        if statistic.path_sets is not None:
-            mins = [
-                points[:, sorted(i - 1 for i in P)].min(axis=1) for P in statistic.path_sets
-            ]
-            return reduce(np.maximum, mins)
-        maxs = [points[:, sorted(i - 1 for i in C)].max(axis=1) for C in statistic.cut_sets]
-        return reduce(np.minimum, maxs)
-    r = int(statistic)
-    if not 1 <= r <= n:
-        raise ValidationError(f"rank r={r} outside 1..{n}")
-    if r == 1:
-        return points.min(axis=1)
-    if r == n:
-        return points.max(axis=1)
-    return np.partition(points, r - 1, axis=1)[:, r - 1]
-
-
 def _full_support(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(model, ExplicitFinitePMF):
         # checked before reading points: a multinomial lists them on first read
@@ -112,8 +91,9 @@ def enumerate_moment(model: JointModel, statistic, p: int) -> float:
     """E statistic(X)^p by summing over every support point."""
     if p < 1:
         raise ValidationError(f"moment order p={p} must be >= 1")
+    stat = _statistic(model, statistic)
     points, probs = _full_support(model)
-    vals = _statistic_values(points, statistic).astype(float)
+    vals = stat.values(points).astype(float)
     return float(np.dot(probs, vals**p))
 
 
@@ -229,6 +209,7 @@ def mc_moment(model: JointModel, statistic, p: int, n_samples: int, seed) -> McE
         raise ValidationError(f"moment order p={p} must be >= 1")
     if n_samples < _MC_MIN_SAMPLES:
         raise ValidationError(f"n_samples={n_samples} below the minimum {_MC_MIN_SAMPLES}")
+    stat = _statistic(model, statistic)
     rng = _rng(seed)
     chunk = _chunk_size(model)
     done = 0
@@ -236,7 +217,7 @@ def mc_moment(model: JointModel, statistic, p: int, n_samples: int, seed) -> McE
     total_sq = 0.0
     while done < n_samples:
         size = min(chunk, n_samples - done)
-        vals = _statistic_values(_sample_model(model, size, rng), statistic).astype(float)
+        vals = stat.values(_sample_model(model, size, rng)).astype(float)
         vals = vals**p
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))

@@ -4,13 +4,17 @@ Every moment here and in `systems` comes from the survival-series identity
 
     E T^p = sum_m ((m+1)^p - m^p) P(T > m)
 
-for T an order statistic X_{r:n} or a coherent-system lifetime, and one
-evaluator, `_series_moment`, sums it.  Finite supports run to the end of
-the support; infinite supports are truncated at an index M0 chosen so the
-discarded tail is provably at most a requested d > 0 (the partial sums
-always underestimate, so the error sign is known).  The statistic supplies
-its survival series and its d-scale, the factor by which a single marginal's
-tail condition is tightened: `binomial_head(n, r)` for X_{r:n}, the positive
+for T a statistic of the vector: an order statistic X_{r:n} (`_OrderStat`,
+here) or a coherent-system lifetime (`_System`, in `systems`); X_{r:n} is
+the (n-r+1)-out-of-n:G system.  A statistic gives its survival series
+P(T > m) for m = 0..m_hi (``series``), one threshold of it (``at``), its
+d-scale (``scale``) and its value at given points (``values``, for the
+oracles).  `_moment` sums the series and `_survival` reads one threshold,
+for every statistic.  Finite supports run to the end of the support;
+infinite supports are truncated at an index M0 chosen so the discarded tail
+is provably at most a requested d > 0 (the partial sums always
+underestimate, so the error sign is known).  The d-scale tightens a single
+marginal's tail condition: `binomial_head(n, r)` for X_{r:n}, the positive
 subset coefficients for systems.  Closed-form M0 planners cover Poisson and
 negative binomial marginals; a generic planner searches any user-supplied
 tail oracle.
@@ -19,6 +23,7 @@ tail oracle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +36,7 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
 )
+from .mvg import MvgParams, mvg_orderstat_factorial_moment
 
 __all__ = [
     "MomentRequest",
@@ -89,14 +95,83 @@ class MomentResult:
 
 
 # ---------------------------------------------------------------------------
-# survival of the r-th order statistic
+# the statistic entries
 # ---------------------------------------------------------------------------
 
-def _check_rank(model: JointModel, r: int, n: int):
-    if n != model.n:
-        raise ValidationError(f"n={n} does not match model.n={model.n}")
-    if not 1 <= r <= n:
-        raise ValidationError(f"rank r={r} outside 1..{n}")
+class _OrderStat:
+    """T = X_{r:n}, read from the model's class counts; ``form`` as in `survival_orderstat`."""
+
+    def __init__(self, model: JointModel, r, n: int, form: str = "auto"):
+        if n != model.n:
+            raise ValidationError(f"n={n} does not match model.n={model.n}")
+        try:
+            r = operator.index(r)
+        except TypeError:
+            raise ValidationError(f"rank r={r!r} is not an integer") from None
+        if not 1 <= r <= n:
+            raise ValidationError(f"rank r={r} outside 1..{n}")
+        if form not in ("auto", "low", "high"):
+            raise ValidationError(f"form must be auto, low, or high, not {form!r}")
+        self.n, self.r, self.form = n, r, form
+
+    @property
+    def scale(self) -> int:
+        return binomial_head(self.n, self.r)
+
+    def series(self, model: JointModel, m_hi: int) -> np.ndarray:
+        return model.orderstat_survival_series(self.r, m_hi, self.form)
+
+    def at(self, model: JointModel, m: int) -> float:
+        return model.orderstat_survival(self.r, m, self.form)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        if self.r == 1:
+            return points.min(axis=1)
+        if self.r == self.n:
+            return points.max(axis=1)
+        return np.partition(points, self.r - 1, axis=1)[:, self.r - 1]
+
+    def mvg_factorial_moments(self, params: MvgParams, p: int) -> list[float]:
+        return [mvg_orderstat_factorial_moment(params, self.r, self.n, q) for q in range(1, p + 1)]
+
+
+def _check_request(p: int, d: float | None):
+    if p < 1:
+        raise ValidationError(f"moment order p={p} must be >= 1")
+    if d is not None and not d > 0.0:
+        raise ValidationError(f"error bound d={d} must be positive")
+
+
+def _survival(model: JointModel, stat, m: int) -> float:
+    """P(T > m): 1 below zero, else the statistic at the clamped threshold."""
+    if m < 0:
+        return 1.0
+    return stat.at(model, _support_clamp(model, m))
+
+
+def _moment(
+    model: JointModel, stat, p: int, d: float | None = None, plan: TruncationPlan | None = None
+) -> MomentResult:
+    """E T^p for the statistic ``stat`` from its survival series.
+
+    The series stops at plan.M0, else at the end of a finite support, else
+    at the index planned for d / stat.scale.  The result is exact only when
+    neither d nor a plan is given.
+    """
+    _check_request(p, d)
+    if plan is not None:
+        m_hi = plan.M0
+    elif (m_max := model.support_max()) is not None:
+        m_hi = m_max - 1
+    else:
+        m_hi = plan_for(model, p, _require_d(d) / stat.scale).M0
+    value = 0.0
+    if m_hi >= 0:
+        ms = np.arange(m_hi + 1, dtype=float)
+        value = float(np.dot((ms + 1.0) ** p - ms**p, stat.series(model, m_hi)))
+    if d is None and plan is None:
+        return MomentResult(value=value, exact=True)
+    return MomentResult(value=value, exact=False, M0_used=m_hi, error_bound=d)
 
 
 def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "auto") -> float:
@@ -109,53 +184,7 @@ def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "a
     side of the class counts, which is useful for cross-checking the
     evaluations against each other.
     """
-    _check_rank(model, r, n)
-    if form not in ("auto", "low", "high"):
-        raise ValidationError(f"form must be auto, low, or high, not {form!r}")
-    if m < 0:
-        return 1.0
-    return model.orderstat_survival(r, _support_clamp(model, m), form)
-
-
-def _weights(p: int, m_max: int) -> np.ndarray:
-    ms = np.arange(m_max + 1, dtype=float)
-    return (ms + 1.0) ** p - ms**p
-
-
-def _series_moment(
-    model: JointModel,
-    survival: Callable[[int], np.ndarray],
-    p: int,
-    scale: float,
-    d: float | None = None,
-    plan: TruncationPlan | None = None,
-) -> MomentResult:
-    """E T^p from ``survival(m_hi)``, the series P(T > m) for m = 0..m_hi.
-
-    The series stops at plan.M0, else at the end of a finite support, else
-    at the index planned for d / scale, where ``scale`` is the statistic's
-    d-scale.  The result is exact only when neither d nor a plan is given.
-    """
-    if plan is not None:
-        m_hi = plan.M0
-    elif (m_max := model.support_max()) is not None:
-        m_hi = m_max - 1
-    else:
-        m_hi = plan_for(model, p, _require_d(d) / scale).M0
-    value = 0.0
-    if m_hi >= 0:
-        value = float(np.dot(_weights(p, m_hi), survival(m_hi)))
-    if d is None and plan is None:
-        return MomentResult(value=value, exact=True)
-    return MomentResult(value=value, exact=False, M0_used=m_hi, error_bound=d)
-
-
-def _orderstat_moment(
-    model: JointModel, req: MomentRequest, d: float | None, plan: TruncationPlan | None = None
-) -> MomentResult:
-    _check_rank(model, req.r, req.n)
-    series = lambda m_hi: model.orderstat_survival_series(req.r, m_hi)
-    return _series_moment(model, series, req.p, binomial_head(req.n, req.r), d, plan)
+    return _survival(model, _OrderStat(model, r, n, form), m)
 
 
 def exact_moment_finite(model: JointModel, req: MomentRequest) -> MomentResult:
@@ -164,7 +193,7 @@ def exact_moment_finite(model: JointModel, req: MomentRequest) -> MomentResult:
         raise UnsupportedModelError(
             "model has infinite support; plan a truncation and call approx_moment"
         )
-    return _orderstat_moment(model, req, None)
+    return _moment(model, _OrderStat(model, req.r, req.n), req.p)
 
 
 def approx_moment(
@@ -177,7 +206,7 @@ def approx_moment(
     moment exceeds the returned value by at most the planned d and never by
     a negative amount: dropped terms are non-negative.
     """
-    return _orderstat_moment(model, req, req.d, plan)
+    return _moment(model, _OrderStat(model, req.r, req.n), req.p, req.d, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +337,7 @@ def plan_for(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
     everything else searches the largest-mean marginal's tail moment
     directly (smallest index on ties).  The caller is responsible for the
     premise that one marginal dominates at every threshold (automatic in the
-    two closed-form families).  `_series_moment` calls this with d over the
+    two closed-form families).  `_moment` calls this with d over the
     statistic's d-scale.
     """
     margs = model.marginals

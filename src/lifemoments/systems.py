@@ -10,6 +10,11 @@ collections of minimal path sets; the dual expansion over minimal cut sets
 gives beta_K against maxima.  Moments follow by the survival series of
 `orderstats`, exactly on finite supports, truncated with a certified error
 bound otherwise, and in closed form for multivariate geometric components.
+
+The system kind of the statistic type of `orderstats`, `_System`, computes
+its coefficients on first use, so the oracles, which read only its values,
+never run a Mobius transform.  `_statistic` turns a rank or a structure
+into a statistic.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import JointModel, _support_clamp
+from .distributions import JointModel
 from .errors import (
     CapacityError,
     NumericError,
@@ -31,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .mvg import LATTICE_N_CAP, MvgParams, _subset_minima, geometric_factorial_moment, mvg_min_param
-from .orderstats import MomentResult, TruncationPlan, _series_moment
+from .orderstats import MomentResult, TruncationPlan, _moment, _OrderStat, _require_d, _survival
 # not used here; bench/test_bench.py checks that the tracer also wraps this
 # second binding of a traced function
 from .orderstats import poisson_truncation_index  # noqa: F401
@@ -333,77 +339,78 @@ def _minimal_transversals(fam: Sequence[frozenset[int]], n: int) -> tuple[frozen
 # survival and moments
 # ---------------------------------------------------------------------------
 
-def _survival_series(
-    model: JointModel, coeffs: Mapping[frozenset[int], float], form: str, m_hi: int
-) -> np.ndarray:
-    """P(T > m) for m = 0..m_hi from the signed subset expansion ``coeffs``.
+class _System:
+    """T of a coherent system.  ``form`` "alpha" expands P(T > m) over subset
+    minima, "beta" P(T <= m) over subset maxima.  Exchangeable models pass
+    signature entries on prefixes as ``coeffs``, and no structure."""
 
-    ``form`` "alpha" reads coeffs against subset minima, "beta" against
-    subset maxima (the expansion is then of P(T <= m)).
-    """
-    none = frozenset()
-    series = np.zeros(m_hi + 1)
-    for K, c in coeffs.items():
-        low, up = (none, K) if form == "alpha" else (K, none)
-        series += c * model.rect_series(low, up, m_hi)
-    return series if form == "alpha" else 1.0 - series
+    def __init__(self, model: JointModel, form: str, structure: SystemStructure | None = None,
+                 coeffs: Mapping[frozenset[int], float] | None = None):
+        if structure is not None:
+            if model.n != structure.n:
+                raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
+            if form == "auto":
+                form = "alpha" if structure.path_sets is not None else "beta"
+        if form not in ("alpha", "beta"):
+            allowed = "alpha or beta" if structure is None else "auto, alpha, or beta"
+            raise ValidationError(f"form must be {allowed}, not {form!r}")
+        self.n, self.form, self.structure = model.n, form, structure
+        if coeffs is not None:
+            self.coeffs = coeffs  # fills the cached property
+
+    @cached_property
+    def coeffs(self) -> Mapping[frozenset[int], float]:
+        if self.form == "alpha":
+            return alpha_coefficients(self.structure)
+        return beta_coefficients(self.structure)
+
+    @property
+    def scale(self):
+        scale = sum(c for c in self.coeffs.values() if c > 0)
+        return scale * (2**self.n - 1) if self.form == "beta" else scale
+
+    def series(self, model: JointModel, m_hi: int) -> np.ndarray:
+        none = frozenset()
+        series = np.zeros(m_hi + 1)
+        for K, c in self.coeffs.items():
+            low, up = (none, K) if self.form == "alpha" else (K, none)
+            series += float(c) * model.rect_series(low, up, m_hi)  # a Fraction would make an object array
+        return series if self.form == "alpha" else 1.0 - series
+
+    def at(self, model: JointModel, m: int) -> float:
+        return float(self.series(model, m)[m])
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Max over path sets of the in-set minimum, else min over cut sets of the maximum."""
+        s = self.structure
+        if s.path_sets is not None:
+            return reduce(np.maximum, [points[:, sorted(i - 1 for i in P)].min(axis=1) for P in s.path_sets])
+        return reduce(np.minimum, [points[:, sorted(i - 1 for i in C)].max(axis=1) for C in s.cut_sets])
+
+    def mvg_factorial_moments(self, params: MvgParams, p: int) -> tuple[float, ...]:
+        return system_factorial_moments_mvg(params, self.structure, p)
+
+
+def _statistic(model: JointModel, statistic) -> _OrderStat | _System:
+    """The statistic kind of a rank or a `SystemStructure`, checked against the model."""
+    if isinstance(statistic, SystemStructure):
+        return _System(model, "auto", statistic)
+    return _OrderStat(model, statistic, model.n)
 
 
 def system_survival(model: JointModel, structure: SystemStructure, m: int, form: str = "auto") -> float:
     """P(T > m) by the alpha expansion, or the beta complement when asked
     (or when only cut sets are available)."""
-    if model.n != structure.n:
-        raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
-    if form == "auto":
-        form = "alpha" if structure.path_sets is not None else "beta"
-    if form not in ("alpha", "beta"):
-        raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
-    if m < 0:
-        return 1.0
-    m = _support_clamp(model, m)
-    coeffs = alpha_coefficients(structure) if form == "alpha" else beta_coefficients(structure)
-    return float(_survival_series(model, coeffs, form, m)[m])
-
-
-def _expansion_moment(
-    model: JointModel,
-    coeffs: Mapping[frozenset[int], float],
-    form: str,
-    p: int,
-    d: float | None = None,
-    plan: TruncationPlan | None = None,
-) -> MomentResult:
-    """E T^p from the survival series of the signed subset expansion ``coeffs``;
-    d is scaled by the positive coefficients (times 2^n - 1 for the beta form)."""
-    scale = sum(c for c in coeffs.values() if c > 0)
-    if form == "beta":
-        scale *= 2**model.n - 1
-    series = lambda m_hi: _survival_series(model, coeffs, form, m_hi)
-    return _series_moment(model, series, p, scale, d, plan)
-
-
-def _check_system(model: JointModel, structure: SystemStructure, p: int):
-    if model.n != structure.n:
-        raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
-
-
-def _check_bound(d: float):
-    if not d > 0.0:
-        raise ValidationError(f"error bound d={d} must be positive")
+    return _survival(model, _System(model, form, structure), m)
 
 
 def system_moment_exact(model: JointModel, structure: SystemStructure, p: int) -> MomentResult:
     """E T^p on a finite-support model, summed to the end of the support."""
-    _check_system(model, structure, p)
     if model.support_max() is None:
         raise UnsupportedModelError(
             "model has infinite support; use system_moment_approx with an error bound"
         )
-    if structure.path_sets is not None:
-        return _expansion_moment(model, alpha_coefficients(structure), "alpha", p)
-    return _expansion_moment(model, beta_coefficients(structure), "beta", p)
+    return _moment(model, _System(model, "auto", structure), p)
 
 
 def system_moment_approx(
@@ -418,9 +425,7 @@ def system_moment_approx(
     The truncation index satisfies the tail condition scaled by the sum of
     positive alpha coefficients, so the dropped terms cannot exceed d.
     """
-    _check_system(model, structure, p)
-    _check_bound(d)
-    return _expansion_moment(model, alpha_coefficients(structure), "alpha", p, d, plan)
+    return _moment(model, _System(model, "alpha", structure), p, _require_d(d), plan)
 
 
 def system_moment_approx_beta(
@@ -436,9 +441,7 @@ def system_moment_approx_beta(
     beta coefficients and 2^n - 1, so its truncation index is typically
     larger than the alpha form's.
     """
-    _check_system(model, structure, p)
-    _check_bound(d)
-    return _expansion_moment(model, beta_coefficients(structure), "beta", p, d, plan)
+    return _moment(model, _System(model, "beta", structure), p, _require_d(d), plan)
 
 
 def _prefix_coefficients(signature: Sequence) -> dict[frozenset[int], float]:
@@ -548,18 +551,9 @@ def exchangeable_system_moment(
         raise ValidationError("model is not declared exchangeable")
     if len(signature) != model.n:
         raise ValidationError(f"signature has length {len(signature)}, expected {model.n}")
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
-    if form not in ("alpha", "beta"):
-        raise ValidationError(f"form must be alpha or beta, not {form!r}")
     total = sum(signature)
     off = abs(total - 1) > 1e-12 if isinstance(total, float) else total != 1
     if off:
         raise ValidationError(f"signature sums to {total}, not 1")
-    coeffs = _prefix_coefficients(signature)
-    if model.support_max() is not None:
-        return _expansion_moment(model, coeffs, form, p)
-    if d is None:
-        raise ValidationError("infinite support needs an error bound d")
-    _check_bound(d)
-    return _expansion_moment(model, coeffs, form, p, d)
+    d = None if model.support_max() is not None else _require_d(d)
+    return _moment(model, _System(model, form, coeffs=_prefix_coefficients(signature)), p, d)

@@ -27,7 +27,7 @@ from lifemoments import (
     plan_poisson,
     system_moment_mvg,
 )
-from lifemoments import cli, systems
+from lifemoments import cli, orderstats, systems
 from lifemoments.cli import main
 
 
@@ -303,7 +303,8 @@ def test_mvg_closed_forms_computed_once_per_rank_or_structure(tmp_path, capsys, 
         return wrapper
 
     monkeypatch.setattr(systems, "_collection_coefficients", counted(transforms, systems._collection_coefficients))
-    monkeypatch.setattr(cli, "mvg_orderstat_factorial_moment", counted(factorials, cli.mvg_orderstat_factorial_moment))
+    monkeypatch.setattr(orderstats, "mvg_orderstat_factorial_moment",
+                        counted(factorials, orderstats.mvg_orderstat_factorial_moment))
     model = {"kind": "mvg", "n": 5, "theta": {"1": 0.9, "3": 0.8, "1,4,5": 0.99, "2,3,5": 0.99}}
     params = cli.build_mvg_params(model)
     runs = [
@@ -434,6 +435,29 @@ def test_exit_3_capacity(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["signature", "--config", write_cfg(tmp_path, cfg)])
     assert code == 3
     assert "capacity error" in err
+
+
+REQUEST_CHECK_MODELS = {
+    "mvg": {"kind": "mvg", "n": 3, "levels": [0.9, 0.95, 0.99]},
+    "finite": {"kind": "finite", "points": [[0, 0, 0], [1, 1, 1], [0, 1, 2]], "probs": [0.3, 0.3, 0.4]},
+    "poisson": {"kind": "independent", "marginal": {"dist": "poisson", "lam": 1.0}, "count": 3},
+}
+
+
+@pytest.mark.parametrize("kind", list(REQUEST_CHECK_MODELS))
+@pytest.mark.parametrize("command", ["orderstat", "system"])
+@pytest.mark.parametrize("request_, message", [
+    pytest.param({"moments": [1], "d": -1}, "error bound d=-1.0 must be positive", id="d_negative"),
+    pytest.param({"moments": [0], "d": 1e-3}, "moment order p=0 must be >= 1", id="p_zero"),
+])
+def test_exit_2_bad_request_on_every_model_kind(tmp_path, capsys, kind, command, request_, message):
+    # the checks run before the route is chosen: closed form, exact or truncated
+    cfg = {"model": REQUEST_CHECK_MODELS[kind], "requests": request_}
+    if command == "system":
+        cfg["structure"] = {"n": 3, "path_sets": [[1, 2], [2, 3]]}
+    code, out, err = run_cli(capsys, [command, "--config", write_cfg(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_exit_4_numeric(tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""Every module-level import in the package is used, and every module-level
-private name is referenced somewhere in it (no linter is a dependency)."""
+"""Every module-level import in the package is used, every module-level
+private name is referenced somewhere in it, and the front ends do not branch
+on the kind of a statistic or a model (no linter is a dependency)."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from lifemoments import JointModel
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lifemoments"
 
@@ -111,3 +114,49 @@ def test_checker_flags_unreferenced_private_names():
         "c.py": "def _attr_only():\n    pass\n",
     }
     assert unreferenced_private_names(sources) == ["a.py: _DEAD (line 2)", "a.py: _dead (line 6)"]
+
+
+def type_test_targets(source: str) -> set[str]:
+    """Class names that ``isinstance`` or ``issubclass`` calls test against,
+    tuples unpacked; a dotted name counts by its last part."""
+    targets = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+            continue
+        classes = node.args[1]
+        for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+            if isinstance(cls, ast.Name):
+                targets.add(cls.id)
+            elif isinstance(cls, ast.Attribute):
+                targets.add(cls.attr)
+    return targets
+
+
+def model_kinds() -> set[str]:
+    kinds, todo = set(), [JointModel]
+    while todo:
+        cls = todo.pop()
+        kinds.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return kinds
+
+
+def test_front_ends_do_not_branch_on_statistic_or_model_kind():
+    # the statistic answers for itself whether it is a rank or a system, and
+    # the model kind supplies its own closed forms
+    assert type_test_targets((PACKAGE / "cli.py").read_text()) & (model_kinds() | {"SystemStructure"}) == set()
+    assert type_test_targets((PACKAGE / "oracle.py").read_text()) & {"SystemStructure"} == set()
+
+
+def test_checker_finds_type_test_targets():
+    source = (
+        "import lifemoments.systems as s\n"
+        "isinstance(x, MvgModel)\n"
+        "if isinstance(y, (dict, s.SystemStructure)):\n"
+        "    issubclass(type(y), JointModel)\n"
+        "isinstance(x)\n"
+        "callable(x, list)\n"
+    )
+    assert type_test_targets(source) == {"MvgModel", "dict", "SystemStructure", "JointModel"}
+    assert {"JointModel", "ExplicitFinitePMF", "MultinomialModel", "IndependentMarginals", "MvgModel"} <= model_kinds()

@@ -23,6 +23,7 @@ from lifemoments import (
     approx_moment,
     enumerate_moment,
     exact_moment_finite,
+    mc_moment,
     multinomial_pmf,
     plan_generic,
     plan_negbin,
@@ -197,6 +198,21 @@ def test_rearrangement_identity():
             )
             coords = float(np.dot(model.probs, (model.points.astype(float) ** p).sum(axis=1)))
             assert ranks == pytest.approx(coords, abs=1e-9)
+
+
+def test_ranks_must_be_integers():
+    bits = IndependentMarginals([FinitePMF([0.5, 0.5])] * 3)
+    entries = [
+        lambda r: survival_orderstat(bits, r, 3, 0),
+        lambda r: exact_moment_finite(bits, MomentRequest(r=r, n=3, p=1)),
+        lambda r: approx_moment(bits, MomentRequest(r=r, n=3, p=1, d=1e-3)),
+        lambda r: enumerate_moment(bits, r, 1),
+        lambda r: mc_moment(bits, r, 1, n_samples=1000, seed=0),
+    ]
+    for entry in entries:
+        with pytest.raises(ValidationError, match="not an integer"):
+            entry(1.5)
+        assert entry(np.int64(2)) == entry(2)
 
 
 def test_exact_moment_rejects_infinite_support():

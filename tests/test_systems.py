@@ -3,7 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -44,9 +44,11 @@ from lifemoments import (
     system_moment_from_max_moments,
     system_moment_from_min_moments,
     system_moment_mvg,
+    survival_orderstat,
     system_survival,
 )
 from lifemoments import distributions, systems
+from lifemoments.systems import _statistic
 from conftest import (
     BRIDGE_CUTS,
     BRIDGE_MINIMAL_SIGNATURE,
@@ -467,6 +469,10 @@ def test_approx_validation(bridge):
         system_moment_approx(model, bridge, 0, 0.1)
     with pytest.raises(ValidationError):
         system_moment_approx(IndependentMarginals([Poisson(1.0)] * 4), bridge, 1, 0.1)
+    for approx in (system_moment_approx, system_moment_approx_beta):
+        for without_bound in (model, fair_bits(5)):
+            with pytest.raises(ValidationError):
+                approx(without_bound, bridge, 1, None)
 
 
 def test_approx_routes_negbin_and_finite(bridge):
@@ -673,3 +679,61 @@ def test_exchangeable_validation(bridge):
     infinite = IndependentMarginals([Poisson(1.0)] * 5, exchangeable=True)
     with pytest.raises(ValidationError):
         exchangeable_system_moment(infinite, BRIDGE_MINIMAL_SIGNATURE, 1)  # d missing
+
+
+def test_exchangeable_fraction_int_and_float_signatures_agree():
+    # 2-of-3:G, and its mixture with the parallel system in equal parts
+    sigs = [
+        [(0, 3, -2), (Fraction(0), Fraction(3), Fraction(-2)), (0, Fraction(3), -2), (0.0, 3.0, -2.0)],
+        [(Fraction(3, 2), 0, Fraction(-1, 2)), (1.5, 0.0, -0.5)],
+    ]
+    models = [(fair_bits(3, exchangeable=True), None),
+              (IndependentMarginals([Poisson(1.5)] * 3, exchangeable=True), 1e-6)]
+    for model, d in models:
+        for form in ("alpha", "beta"):
+            for group in sigs:
+                results = {exchangeable_system_moment(model, sig, 2, d=d, form=form) for sig in group}
+                assert len(results) == 1, (form, group)
+            two_of_three, parallel = (exchangeable_system_moment(model, sig, 2, d=d, form=form).value
+                                      for sig in ((0, 3, -2), (3, -3, 1)))
+            mixture = exchangeable_system_moment(model, sigs[1][0], 2, d=d, form=form).value
+            # truncated runs each certify [0, d], each with its own cutoff
+            assert mixture == pytest.approx((two_of_three + parallel) / 2, abs=d or 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# order statistics are k-out-of-n systems
+# ---------------------------------------------------------------------------
+
+def kofn_models():
+    rng = np.random.default_rng(61)
+    theta = {(1,): 0.8, (2,): 0.7, (3,): 0.85, (4,): 0.9, (1, 2): 0.95, (2, 3, 4): 0.97, (1, 2, 3, 4): 0.99}
+    return {
+        "explicit": random_explicit(rng, 4),
+        "multinomial": multinomial_pmf(6, [0.1, 0.2, 0.3, 0.4]),
+        "independent_finite": random_independent(rng, 4),
+        "independent_poisson": IndependentMarginals([Poisson(lam) for lam in (0.8, 1.5, 2.0, 3.1)]),
+        "mvg": MvgModel(MvgParams(4, theta=theta)),
+        "mvg_exchangeable": MvgModel(MvgParams(4, exchangeable_levels=[0.8, 0.9, 0.95, 0.99])),
+    }
+
+
+@pytest.mark.parametrize("kind", list(kofn_models()))
+def test_order_statistics_are_k_out_of_n_systems(kind):
+    model = kofn_models()[kind]
+    n = 4
+    points = np.array(list(product(range(4), repeat=n)))
+    for r in range(1, n + 1):
+        systems_of_r = [k_out_of_n_structure(n, n - r + 1), k_out_of_n_structure(n, r, "F")]
+        for structure in systems_of_r:
+            for form in ("alpha", "beta"):
+                for m in range(12):
+                    want = survival_orderstat(model, r, n, m)
+                    assert system_survival(model, structure, m, form) == pytest.approx(want, abs=1e-12)
+            assert np.array_equal(_statistic(model, structure).values(points), _statistic(model, r).values(points))
+            factorials = model.factorial_moments(_statistic(model, r), 3)
+            if kind.startswith("mvg"):
+                want = [system_moment_mvg(model.params, structure, q) for q in (1, 2, 3)]
+                assert factorials == pytest.approx(want, rel=1e-12)
+            else:
+                assert factorials is None
