@@ -78,7 +78,7 @@ from .distributions import (
     Poisson,
     multinomial_pmf,
 )
-from .errors import CapacityError, LifemomentsError, NumericError, ValidationError
+from .errors import CapacityError, LifemomentsError, NumericError, ValidationError, _as_int
 from .mvg import MvgParams, factorial_to_raw
 from .oracle import enumerate_moment, mc_moment
 from .orderstats import _check_request, _moment
@@ -146,7 +146,7 @@ def _parse_subset_key(key) -> frozenset[int]:
 
 
 def build_mvg_params(spec) -> MvgParams:
-    n = int(_require(spec, "n", "mvg model spec"))
+    n = _require(spec, "n", "mvg model spec")
     has_theta = "theta" in spec
     has_levels = "levels" in spec
     if has_theta == has_levels:
@@ -161,7 +161,7 @@ def build_model(spec) -> JointModel:
     kind = _require(spec, "kind", "model spec")
     if kind == "independent":
         if "count" in spec:
-            count = int(spec["count"])
+            count = _as_int(spec["count"], "count")
             if count < 1:
                 raise ValidationError(f"count={count} must be >= 1")
             base = _require(spec, "marginal", "model spec with count")
@@ -177,7 +177,7 @@ def build_model(spec) -> JointModel:
         )
     if kind == "multinomial":
         return multinomial_pmf(
-            int(_require(spec, "trials", "multinomial spec")),
+            _require(spec, "trials", "multinomial spec"),
             [float(x) for x in _require(spec, "probs", "multinomial spec")],
         )
     if kind == "mvg":
@@ -187,7 +187,7 @@ def build_model(spec) -> JointModel:
 
 def build_structure(spec) -> SystemStructure:
     return SystemStructure(
-        int(_require(spec, "n", "structure spec")),
+        _require(spec, "n", "structure spec"),
         path_sets=spec.get("path_sets"),
         cut_sets=spec.get("cut_sets"),
     )
@@ -199,19 +199,18 @@ def _expand_requests(cfg: dict, n: int, flag_d, with_ranks: bool) -> list[tuple[
     out: list[tuple[int | None, int, float | None]] = []
     if isinstance(raw, list):
         for item in raw:
-            r = int(_require(item, "r", "request")) if with_ranks else None
-            p = int(_require(item, "p", "request"))
+            r = _require(item, "r", "request") if with_ranks else None
+            p = _as_int(_require(item, "p", "request"), "p")
             d = flag_d if flag_d is not None else item.get("d")
             out.append((r, p, None if d is None else float(d)))
         return out
     if not isinstance(raw, dict):
         raise ValidationError("requests must be a list or a mapping")
-    moments = [int(p) for p in raw.get("moments", [1, 2])]
+    moments = [_as_int(p, "moment") for p in raw.get("moments", [1, 2])]
     d = flag_d if flag_d is not None else raw.get("d")
     d = None if d is None else float(d)
     if with_ranks:
-        ranks = [int(r) for r in raw.get("ranks", range(1, n + 1))]
-        return [(r, p, d) for r in ranks for p in moments]
+        return [(r, p, d) for r in raw.get("ranks", range(1, n + 1)) for p in moments]
     return [(None, p, d) for p in moments]
 
 
@@ -383,10 +382,10 @@ def cmd_validate(cfg: dict, args) -> int:
         statistic = build_structure(cfg["structure"])
         label = "system"
     else:
-        statistic = int(spec.get("rank", 1))
+        statistic = spec.get("rank", 1)
         label = f"rank {statistic}"
-    p = int(spec.get("p", 1))
-    samples = int(spec.get("samples", 200_000))
+    p = _as_int(spec.get("p", 1), "p")
+    samples = _as_int(spec.get("samples", 200_000), "samples")
     d = args.d if args.d is not None else float(spec.get("d", 1e-6))
     seed = args.seed if args.seed is not None else 0
 

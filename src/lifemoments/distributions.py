@@ -1,15 +1,14 @@
 """Discrete marginals and joint models of dependent integer random vectors.
 
-Every moment formula in this package reads a joint model through one query:
-the probability that each coordinate in one index set is <= m while each
-coordinate in another is > m, for every m up to a cutoff (``rect_series``).
-Four model kinds implement it: an explicit finite pmf, the multinomial
-count vector (an explicit pmf that never lists its support), a product of
+Every moment formula in this package reads a joint model through one query
+over marked coordinates, for every m up to a cutoff (``counts``): "low" ones
+are <= m, "up" ones > m, and exactly s "count" ones <= m.  The rectangle
+series and the class counts are two reads of it.  Four model kinds each
+implement it with one kernel: an explicit finite pmf, the multinomial count
+vector (an explicit pmf that never lists its support), a product of
 independent marginals, and the common-shock geometric model of module
-``mvg``.  Class counts and order-statistic survival have defaults on
-``JointModel`` built on that query, which a kind overrides where it has a
-faster or closed form; a kind with closed-form moments of a statistic
-returns them from ``factorial_moments``.
+``mvg``.  A kind with a closed-form order-statistic survival or closed-form
+moments of a statistic overrides those reads of the class counts.
 
 Marginal pmf work is done in log space, one array per family on 0..m
 (``logpmf_array``), so that large rates and far tail indices neither
@@ -19,9 +18,9 @@ sums log((R+k-1)/k), avoiding the cancellation in lgamma(x+R) - lgamma(x+1).
 
 Three tables are kept per object, each grow-only and read as read-only
 prefixes (``_PrefixCache``): a marginal's log pmf, which ``pmf_array``,
-``cdf_array``, ``quantile`` and ``tail_moment`` read; and, in
-``IndependentMarginals``, each coordinate's cdf column and the class-count
-table.  Row x of each depends on rows 0..x alone, so a prefix of a longer
+``cdf_array``, ``quantile`` and ``tail_moment`` read; every model's
+class-count table; and, in ``IndependentMarginals``, each coordinate's cdf
+column.  Row x of each depends on rows 0..x alone, so a prefix of a longer
 build equals a shorter build bit for bit.  The caches assume that marginals
 and models are never mutated after construction.
 """
@@ -32,7 +31,7 @@ import math
 from functools import cached_property
 from itertools import combinations
 from math import exp, lgamma, log
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import (
     ConvergenceError,
     UnsupportedModelError,
     ValidationError,
+    _as_int,
 )
 from .mvg import LATTICE_N_CAP, MvgParams, mvg_min_param, mvg_orderstat_survival
 
@@ -380,12 +380,13 @@ class FinitePMF(MarginalDist):
     def quantile(self, q: float) -> int:
         if not 0.0 < q < 1.0:
             raise ValidationError(f"quantile level q={q} outside (0, 1)")
-        return int(np.searchsorted(self._cdf, q, side="left"))
+        # the probabilities may sum to 1 - 1e-12, leaving the cdf below q
+        return min(int(np.searchsorted(self._cdf, q, side="left")), self.support_max())
 
     def tail_moment(self, p: int, m: int) -> float:
         if p < 1:
             raise ValidationError("p must be a positive integer")
-        lo = m + 2
+        lo = max(m + 2, 1)
         if lo >= self.probs.size:
             return 0.0
         xs = np.arange(lo, self.probs.size, dtype=float)
@@ -402,10 +403,11 @@ class FinitePMF(MarginalDist):
 class JointModel:
     """A distribution on non-negative-integer vectors of fixed length n.
 
-    Each model kind answers one query, the rectangle series ``rect_series``;
-    the class counts and the order-statistic survival have defaults built on
-    it, which a kind overrides where it has a faster or closed form.  Index
-    sets are frozensets of 1-based coordinates, already validated, and
+    Each model kind answers one query, ``counts``, whose ``marks`` map
+    1-based coordinates to "low", "up" or "count" (unmarked ones are free).
+    The rectangle series is its column 0 for low and up marks, and the class
+    counts are an all-count query, kept in one grow-only table per model.
+    Index sets are frozensets of 1-based coordinates, already validated, and
     series run over the thresholds m = 0..m_hi.
     """
 
@@ -418,33 +420,26 @@ class JointModel:
     def support_max(self) -> int | None:
         return None
 
-    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
-        """P(X_i <= m for i in low, X_j > m for j in up) for m = 0..m_hi."""
+    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+        """(m_hi+1, c+1) matrix for c count marks: row m, column s holds P(every
+        low coordinate <= m, every up one > m, exactly s counted ones <= m)."""
         raise UnsupportedModelError(f"unknown model kind {type(self).__name__}")
 
-    def class_counts(self, m_max: int) -> np.ndarray:
-        """(m_max+1, n+1) matrix: row m holds P(exactly s coordinates <= m), s = 0..n.
+    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
+        """P(X_i <= m for i in low, X_j > m for j in up) for m = 0..m_hi."""
+        # a fixed mark order keeps each kernel's products in one order
+        marks = dict.fromkeys(sorted(low), "low") | dict.fromkeys(sorted(up), "up")
+        return self.counts(marks, m_hi)[:, 0]
 
-        Each class is split over its index sets, one rectangle series each;
-        under exchangeability one set per class stands for all C(n, s).
-        """
-        n = self.n
-        if not self.exchangeable and n > LATTICE_N_CAP:
-            raise CapacityError(
-                f"subset enumeration needs C({n}, s) rectangle queries; "
-                f"n exceeds the cap {LATTICE_N_CAP}"
-            )
-        idx = frozenset(range(1, n + 1))
-        out = np.empty((m_max + 1, n + 1))
-        for s in range(n + 1):
-            if self.exchangeable:
-                low = frozenset(range(1, s + 1))
-                out[:, s] = math.comb(n, s) * self.rect_series(low, idx - low, m_max)
-            else:
-                parts = [self.rect_series(frozenset(S), idx.difference(S), m_max)
-                         for S in combinations(range(1, n + 1), s)]
-                out[:, s] = [math.fsum(col) for col in np.transpose(parts)]
-        return out
+    def class_counts(self, m_max: int) -> np.ndarray:
+        """(m_max+1, n+1) matrix: row m holds P(exactly s coordinates <= m),
+        s = 0..n; a read-only prefix of the model's cached table."""
+        every = dict.fromkeys(range(1, self.n + 1), "count")
+        return self._class_counts.read(m_max, lambda m: self.counts(every, m))
+
+    @cached_property
+    def _class_counts(self) -> _PrefixCache:
+        return _PrefixCache()
 
     def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
         """P(X_{r:n} > m) for m = 0..m_max, read from the class counts.
@@ -508,7 +503,6 @@ class ExplicitFinitePMF(JointModel):
         self.probs = w
         self.n = int(pts.shape[1])
         self.exchangeable = bool(exchangeable)
-        self._counts_table: np.ndarray | None = None
 
     def support_max(self) -> int:
         return int(self.points.max())
@@ -517,37 +511,13 @@ class ExplicitFinitePMF(JointModel):
         """Number of support points."""
         return int(self.probs.shape[0])
 
-    def counts_table(self) -> np.ndarray:
-        """(m_max+2, n+1) table of P(exactly s coordinates <= m), m = -1..m_max.
-
-        Built once and cached; every order-statistic quantity for every rank
-        is then read from this table.  Row 0 is m = -1 (all mass at s = 0).
-        """
-        if self._counts_table is None:
-            self._counts_table = self._build_counts_table()
-        return self._counts_table
-
-    def _build_counts_table(self) -> np.ndarray:
-        """One pass over the support per threshold m."""
-        m_max = self.support_max()
-        table = np.zeros((m_max + 2, self.n + 1))
-        table[0, 0] = 1.0
-        counts = np.zeros(self.points.shape[0], dtype=np.int64)
-        for m in range(m_max + 1):
-            counts += (self.points == m).sum(axis=1)
-            table[m + 1] = np.bincount(counts, weights=self.probs, minlength=self.n + 1)
-        return table
-
-    def class_counts(self, m_max: int) -> np.ndarray:
-        table = self.counts_table()  # rows m = -1..support_max; later rows repeat the last
-        return table[np.minimum(np.arange(m_max + 1), table.shape[0] - 2) + 1]
-
-    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
-        # a point lies in the rectangle exactly for lo <= m < hi, with lo its
-        # largest coordinate over low and hi its smallest over up; one-sided
-        # queries (all the system expansions make) need one extreme only
-        def extreme(K, reduce):  # widened: multinomial points are int8/int16
-            return reduce(self.points[:, sorted(i - 1 for i in K)], axis=1).astype(np.intp)
+    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+        # a point meets the marks with s counted coordinates <= m for a_s <= m
+        # < b_s: a_s the larger of its largest low and its s-th smallest
+        # counted coordinate, b_s the smaller of its smallest up and its
+        # (s+1)-th smallest counted one.  An open end's tail is never summed.
+        def coords(rule):  # widened: multinomial points are int8/int16
+            return self.points[:, [i - 1 for i, r in marks.items() if r == rule]].astype(np.intp, copy=False)
 
         def pmf(x, w):
             return np.bincount(x, weights=w, minlength=m_hi + 2)
@@ -555,14 +525,26 @@ class ExplicitFinitePMF(JointModel):
         def tail(x, w):  # P(x > m), summed backward so small tails keep their digits
             return np.cumsum(pmf(x, w)[::-1])[::-1][1 : m_hi + 2]
 
-        if not up:
-            return np.cumsum(pmf(extreme(low, np.max), self.probs))[: m_hi + 1]
-        hi = extreme(up, np.min)
-        if not low:
-            return tail(hi, self.probs)
-        lo = extreme(low, np.max)
-        w = np.where(lo < hi, self.probs, 0.0)  # lo >= hi: never inside
-        return tail(hi, w) - tail(lo, w)
+        def column(a, b):  # P(a <= m < b), None an open end
+            if b is None:
+                return np.cumsum(pmf(a, self.probs))[: m_hi + 1]
+            if a is None:
+                return tail(b, self.probs)
+            w = np.where(a < b, self.probs, 0.0)  # a >= b: never inside
+            return tail(b, w) - tail(a, w)
+
+        def meet(f, x, y):
+            return y if x is None else x if y is None else f(x, y)
+
+        low, up = coords("low"), coords("up")
+        a = low.max(axis=1) if low.shape[1] else None
+        b = up.min(axis=1) if up.shape[1] else None
+        ranked = np.sort(coords("count"), axis=1)
+        ends = [None, *ranked.T, None]  # ends[s]: the s-th smallest counted coordinate
+        return np.column_stack([
+            column(meet(np.maximum, a, ends[s]), meet(np.minimum, b, ends[s + 1]))
+            for s in range(ranked.shape[1] + 1)
+        ])
 
 
 class IndependentMarginals(JointModel):
@@ -579,7 +561,6 @@ class IndependentMarginals(JointModel):
         self.n = len(ms)
         self.exchangeable = bool(exchangeable)
         self._cdfs = [_PrefixCache() for _ in ms]
-        self._counts = _PrefixCache()
 
     def support_max(self) -> int | None:
         sizes = [d.support_max() for d in self.marginals]
@@ -592,34 +573,24 @@ class IndependentMarginals(JointModel):
         a cumsum's prefix is the cumsum of the prefix."""
         return self._cdfs[j - 1].read(m_max, self.marginals[j - 1].cdf_array)
 
-    def cdf_matrix(self, m_max: int) -> np.ndarray:
-        """(m_max+1, n) matrix of F_j(m), from the cached columns."""
-        return np.column_stack([self._cdf(j, m_max) for j in range(1, self.n + 1)])
-
-    def class_counts(self, m_max: int) -> np.ndarray:
-        """Poisson-binomial class counts, a read-only prefix of the cached table."""
-        return self._counts.read(m_max, self._class_count_table)
-
-    def _class_count_table(self, m_max: int) -> np.ndarray:
-        """Poisson-binomial recursion over the coordinates, every threshold at once.
-
-        Coordinate j moves a class up by one with probability F_j(m); every
-        step mixes probabilities with non-negative weights, so nothing cancels
-        (Hong 2013, Comput. Stat. Data Anal. 59:41-51).  Row m reads F_j(m)
-        alone.
-        """
-        cdfs = self.cdf_matrix(m_max)
-        counts = np.zeros((m_max + 1, self.n + 1))
-        counts[:, 0] = 1.0
-        for j in range(self.n):
-            q = cdfs[:, j : j + 1]
-            counts[:, 1:] = counts[:, 1:] * (1.0 - q) + counts[:, :-1] * q
-            counts[:, :1] *= 1.0 - q
-        return counts
-
-    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
-        cols = [self._cdf(i, m_hi) for i in sorted(low)] + [1.0 - self._cdf(j, m_hi) for j in sorted(up)]
-        return np.column_stack(cols).prod(axis=1)
+    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+        """One recursion over the marked coordinates, every threshold at once:
+        a low j multiplies by F_j(m), an up one by 1 - F_j(m), and a counted
+        one moves a class up with probability F_j(m).  Nothing cancels (Hong
+        2013, Comput. Stat. Data Anal. 59:41-51); row m reads F_j(m) alone,
+        and only the marked coordinates' columns are built."""
+        out = np.zeros((m_hi + 1, 1 + sum(rule == "count" for rule in marks.values())))
+        out[:, 0] = 1.0
+        for j, rule in marks.items():
+            q = self._cdf(j, m_hi)[:, None]
+            if rule == "low":
+                out *= q
+            elif rule == "up":
+                out *= 1.0 - q
+            else:
+                out[:, 1:] = out[:, 1:] * (1.0 - q) + out[:, :-1] * q
+                out[:, :1] *= 1.0 - q
+        return out
 
 
 class MvgModel(JointModel):
@@ -627,7 +598,7 @@ class MvgModel(JointModel):
 
     Every subset minimum is geometric, P(min over K > m) = theta(K)^(m+1),
     so rectangle series expand over subset minima and the order-statistic
-    survival has a closed form; the class counts keep the rectangle default.
+    survival has a closed form.
     """
 
     def __init__(self, params: MvgParams):
@@ -642,7 +613,28 @@ class MvgModel(JointModel):
         """X_i ~ ge(1 - theta_i) with theta_i the minimum parameter of {i}."""
         return tuple(Geometric(1.0 - mvg_min_param(self.params, (i,))) for i in range(1, self.n + 1))
 
-    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
+    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+        """Each class split over its index sets, one rectangle each; under
+        exchangeability one set per class stands for all C(c, s)."""
+        low = frozenset(i for i, rule in marks.items() if rule == "low")
+        up = frozenset(j for j, rule in marks.items() if rule == "up")
+        counted = [i for i, rule in marks.items() if rule == "count"]
+        c = len(counted)
+        if not self.exchangeable and c > LATTICE_N_CAP:
+            raise CapacityError(f"subset enumeration needs C({c}, s) rectangle queries; "
+                                f"{c} counted coordinates exceed the cap {LATTICE_N_CAP}")
+        out = np.empty((m_hi + 1, c + 1))
+        for s in range(c + 1):
+            if self.exchangeable:
+                rect = self._rect(low.union(counted[:s]), up.union(counted[s:]), m_hi)
+                out[:, s] = math.comb(c, s) * rect
+            else:
+                parts = [self._rect(low.union(S), up.union(set(counted) - set(S)), m_hi)
+                         for S in combinations(counted, s)]
+                out[:, s] = parts[0] if len(parts) == 1 else [math.fsum(col) for col in np.transpose(parts)]
+        return out
+
+    def _rect(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
         # expand the <= m conditions by inclusion-exclusion over subsets of
         # low; each term is the survival series of a subset minimum
         exps = np.arange(1.0, m_hi + 2.0)
@@ -678,8 +670,8 @@ class MvgModel(JointModel):
 
 def _check_index_sets(model: JointModel, low: Iterable[int], up: Iterable[int]):
     try:
-        L = frozenset(int(i) for i in low)
-        U = frozenset(int(i) for i in up)
+        L = frozenset(_as_int(i, "index") for i in low)
+        U = frozenset(_as_int(i, "index") for i in up)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"index sets must contain integers: {e}") from None
     if L & U:
@@ -753,14 +745,15 @@ def _compositions(total: int, parts: int, dtype) -> np.ndarray:
 class MultinomialModel(ExplicitFinitePMF):
     """The count vector of ``trials`` balls dropped into cells with ``cell_probs``.
 
-    Both queries, the class-count table and ``rect_series``, come from one
-    dynamic program over the cells (``_conditioned_poisson``) that reads the
-    parameters alone; ``points`` and ``probs`` are enumerated only when a
-    consumer first reads them (the oracles do).
+    The query ``counts`` is one dynamic program over the cells
+    (``_conditioned_poisson``) that reads the parameters alone; ``points``
+    and ``probs`` are enumerated only when a consumer first reads them (the
+    oracles do).
     """
 
     def __init__(self, trials: int, cell_probs: Sequence[float], exchangeable: bool | None = None):
         ps = np.asarray(cell_probs, dtype=float)
+        trials = _as_int(trials, "trials")
         if trials < 1:
             raise ValidationError("trials must be at least 1")
         if ps.ndim != 1 or ps.size < 1:
@@ -771,11 +764,10 @@ class MultinomialModel(ExplicitFinitePMF):
             raise ValidationError(f"cell probabilities sum to {ps.sum()!r}, not 1")
         if exchangeable is None:
             exchangeable = bool(np.all(ps == ps[0]))
-        self.trials = int(trials)
+        self.trials = trials
         self.cell_probs = ps
         self.n = int(ps.size)
         self.exchangeable = bool(exchangeable)
-        self._counts_table: np.ndarray | None = None
         self._support: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -810,22 +802,14 @@ class MultinomialModel(ExplicitFinitePMF):
     def support_size(self) -> int:
         return math.comb(self.trials + self.n - 1, self.n - 1)
 
-    def _build_counts_table(self) -> np.ndarray:
-        """Class counts from the conditioned-Poisson DP, every cell counted."""
-        N = self.trials
-        table = np.zeros((N + 2, self.n + 1))
-        table[0, 0] = 1.0
-        table[1:] = self._conditioned_poisson([(N * p, "count") for p in self.cell_probs], N)
-        return table
-
-    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
+    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
         N, rates = self.trials, self.trials * self.cell_probs
-        cells = [(rates[i - 1], "low") for i in sorted(low)] + [(rates[j - 1], "up") for j in sorted(up)]
-        free = [rates[i - 1] for i in range(1, self.n + 1) if i not in low and i not in up]
+        cells = [(rates[i - 1], rule) for i, rule in marks.items()]
+        free = [rates[i - 1] for i in range(1, self.n + 1) if i not in marks]
         if free:  # a sum of independent Poisson cells is one Poisson cell
             cells.append((math.fsum(free), "free"))
-        series = self._conditioned_poisson(cells, min(m_hi, N))[:, 0]
-        return series[np.minimum(np.arange(m_hi + 1), N)]  # constant past the support
+        table = self._conditioned_poisson(cells, min(m_hi, N))
+        return table[np.minimum(np.arange(m_hi + 1), N)]  # constant past the support
 
     def _conditioned_poisson(self, cells: list[tuple[float, str]], m_top: int) -> np.ndarray:
         """Row m, column s: P(every cell meets its rule at threshold m and

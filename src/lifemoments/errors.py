@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the integer rule.
 
 The CLI maps these onto its exit-code contract: validation problems exit
 with 2, capacity limits with 3, numeric failures with 4.
 """
+
+import operator
 
 
 class LifemomentsError(Exception):
@@ -32,3 +34,12 @@ class NumericError(LifemomentsError):
 
 class ConvergenceError(NumericError):
     """An iterative search did not converge within its iteration cap."""
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int if it is an integer (``operator.index``); a float
+    such as 1.5 or 2.0 is refused, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what}={value!r} is not an integer") from None

@@ -31,9 +31,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ValidationError
+from .errors import CapacityError, NumericError, ValidationError, _as_int
 
-# Tables over all 2^n component subsets (the general MVG sums here, default
+# Tables over all 2^n component subsets (the general MVG sums here, general MVG
 # class counts, signature lattices) are refused above this n.
 LATTICE_N_CAP = 20
 
@@ -45,7 +45,7 @@ _HUGE_EXPONENT = 1 << 60
 
 def _as_subset(I: Iterable[int], n: int) -> frozenset[int]:
     try:
-        s = frozenset(int(i) for i in I)
+        s = frozenset(_as_int(i, "subset index") for i in I)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"subsets must contain integers: {e}") from None
     if not s:
@@ -78,9 +78,10 @@ class MvgParams:
         theta: Mapping[Iterable[int], float] | None = None,
         exchangeable_levels: Sequence[float] | None = None,
     ):
+        n = _as_int(n, "n")
         if n < 1:
             raise ValidationError("n must be at least 1")
-        self.n = int(n)
+        self.n = n
         self._minima: dict[int, np.ndarray] = {}  # filled by _subset_minima
         if (theta is None) == (exchangeable_levels is None):
             raise ValidationError("give exactly one of theta or exchangeable_levels")

@@ -23,7 +23,6 @@ tail oracle.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +34,7 @@ from .errors import (
     NumericError,
     UnsupportedModelError,
     ValidationError,
+    _as_int,
 )
 from .mvg import MvgParams, mvg_orderstat_factorial_moment
 
@@ -104,10 +104,7 @@ class _OrderStat:
     def __init__(self, model: JointModel, r, n: int, form: str = "auto"):
         if n != model.n:
             raise ValidationError(f"n={n} does not match model.n={model.n}")
-        try:
-            r = operator.index(r)
-        except TypeError:
-            raise ValidationError(f"rank r={r!r} is not an integer") from None
+        r = _as_int(r, "rank r")
         if not 1 <= r <= n:
             raise ValidationError(f"rank r={r} outside 1..{n}")
         if form not in ("auto", "low", "high"):

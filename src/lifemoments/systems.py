@@ -35,6 +35,7 @@ from .errors import (
     NumericError,
     UnsupportedModelError,
     ValidationError,
+    _as_int,
 )
 from .mvg import LATTICE_N_CAP, MvgParams, _subset_minima, geometric_factorial_moment, mvg_min_param
 from .orderstats import MomentResult, TruncationPlan, _moment, _OrderStat, _require_d, _survival
@@ -71,7 +72,7 @@ COLLECTION_CAP = 25  # path/cut sets per family; kept while the benchmark pins 3
 def _normalize_family(sets: Iterable[Iterable[int]], n: int, label: str) -> tuple[frozenset[int], ...]:
     fam = []
     for S in sets:
-        fs = frozenset(int(i) for i in S)
+        fs = frozenset(_as_int(i, f"{label} set index") for i in S)
         if not fs:
             raise ValidationError(f"empty {label} set")
         if not all(1 <= i <= n for i in fs):
@@ -113,7 +114,7 @@ class SystemStructure:
         path_sets: Iterable[Iterable[int]] | None = None,
         cut_sets: Iterable[Iterable[int]] | None = None,
     ):
-        n = int(n)
+        n = _as_int(n, "n")
         if n < 1:
             raise ValidationError(f"n={n} must be >= 1")
         if path_sets is None and cut_sets is None:
@@ -148,6 +149,7 @@ def k_out_of_n_structure(n: int, k: int, kind: str = "G") -> SystemStructure:
 
     T equals the order statistic X_{n-k+1:n} for :G and X_{k:n} for :F.
     """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} outside 1..{n}")
     if kind == "G":

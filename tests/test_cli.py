@@ -460,6 +460,32 @@ def test_exit_2_bad_request_on_every_model_kind(tmp_path, capsys, kind, command,
     assert message in err
 
 
+POISSON3 = REQUEST_CHECK_MODELS["poisson"]
+FINITE3 = REQUEST_CHECK_MODELS["finite"]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("orderstat", {"model": POISSON3, "requests": {"ranks": [1.5], "d": 1e-3}}, id="ranks"),
+    pytest.param("orderstat", {"model": POISSON3, "requests": {"moments": [1.7], "d": 1e-3}}, id="moments"),
+    pytest.param("orderstat", {"model": POISSON3, "requests": [{"r": 2.9, "p": 1, "d": 1e-3}]}, id="r"),
+    pytest.param("orderstat", {"model": POISSON3, "requests": [{"r": 1, "p": 2.0, "d": 1e-3}]}, id="p"),
+    pytest.param("orderstat", {"model": {**POISSON3, "count": 3.0}, "requests": {"d": 1e-3}}, id="count"),
+    pytest.param("orderstat", {"model": {"kind": "multinomial", "trials": 4.5, "probs": [0.5, 0.5]}},
+                 id="trials"),
+    pytest.param("orderstat", {"model": {"kind": "mvg", "n": 3.0, "levels": [0.9, 0.95, 0.99]}}, id="mvg_n"),
+    pytest.param("system", {"model": FINITE3, "structure": {"n": 3.0, "path_sets": [[1, 2], [2, 3]]}},
+                 id="structure_n"),
+    pytest.param("validate", {"model": FINITE3, "validate": {"rank": 1.5}}, id="validate_rank"),
+    pytest.param("validate", {"model": FINITE3, "validate": {"p": 1.0}}, id="validate_p"),
+    pytest.param("validate", {"model": FINITE3, "validate": {"samples": 1000.5}}, id="validate_samples"),
+])
+def test_exit_2_non_integer_field(tmp_path, capsys, command, cfg):
+    # each of these ran at a truncated value and exited 0
+    code, out, err = run_cli(capsys, [command, "--config", write_cfg(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    assert "is not an integer" in err
+
+
 def test_exit_4_numeric(tmp_path, capsys):
     cfg = {
         "model": {"kind": "independent", "marginal": {"dist": "poisson", "lam": 1.0}, "count": 5},

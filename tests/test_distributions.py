@@ -215,6 +215,21 @@ def test_finite_pmf_basics():
     assert f.tail_moment(2, 2) == 0.0
 
 
+def test_finite_pmf_quantile_stays_within_the_support():
+    # the probabilities may sum to 1 - 1e-12, leaving the cdf below q
+    f = FinitePMF([0.5, 0.5 - 1e-13])
+    assert f.quantile(1 - 1e-14) == f.support_max() == 1
+    assert FinitePMF([0.5, 0.5 - 1e-13, 0.0]).quantile(1 - 1e-14) == 1
+
+
+def test_finite_pmf_tail_moment_below_minus_one_is_the_moment():
+    # as for every marginal: any m <= -2 leaves the whole sum over x >= 1
+    f = FinitePMF([0.2, 0.0, 0.5, 0.3])
+    for m in (-2, -3, -50):
+        assert f.tail_moment(1, m) == f.tail_moment(1, -1) == pytest.approx(f.mean())
+        assert Poisson(2.0).tail_moment(1, m) == Poisson(2.0).tail_moment(1, -1)
+
+
 @pytest.mark.parametrize(
     "bad",
     [lambda: Poisson(0.0), lambda: Poisson(-1), lambda: NegBin(0, 0.5),
@@ -327,17 +342,22 @@ def _masked_rect(points, probs, low, up, m):
     return math.fsum(probs[mask])
 
 
-def _rect_reference(model, low, up, m_max):
-    """P(X_low <= m, X_up > m), m = 0..m_max, by a route other than rect_series."""
+def _listed(model, m_max):
+    """Support points and weights of an explicit, multinomial or independent
+    model.  Each independent marginal lumps its mass above m_max at m_max + 1,
+    which keeps every event at thresholds <= m_max; then the product law is
+    listed."""
     if isinstance(model, IndependentMarginals):
-        # each marginal lumps its mass above m_max at m_max + 1, which keeps
-        # every event at thresholds <= m_max; then list the product law
         lumped = IndependentMarginals(
             [FinitePMF(np.append(d.pmf_array(m_max), d.survival(m_max))) for d in model.marginals]
         )
-        flat = product_explicit(lumped)
-        points, probs = flat.points, flat.probs
-    elif isinstance(model, MvgModel):
+        model = product_explicit(lumped)
+    return model.points, model.probs
+
+
+def _rect_reference(model, low, up, m_max):
+    """P(X_low <= m, X_up > m), m = 0..m_max, by a route other than rect_series."""
+    if isinstance(model, MvgModel):
         # inclusion-exclusion of the <= side over the joint survival function
         def joint(K, m):
             return mvg_joint_survival(model.params, [m if i in K else -1 for i in range(1, model.n + 1)])
@@ -350,9 +370,25 @@ def _rect_reference(model, low, up, m_max):
             )
             for m in range(m_max + 1)
         ])
-    else:
-        points, probs = model.points, model.probs
+    points, probs = _listed(model, m_max)
     return np.array([_masked_rect(points, probs, low, up, m) for m in range(m_max + 1)])
+
+
+def _class_counts_from_rects(model, m_max):
+    """P(exactly s coordinates <= m), m = 0..m_max, each class split over its
+    index sets, one rectangle series each; under exchangeability one set per
+    class stands for all C(n, s)."""
+    n, idx = model.n, frozenset(range(1, model.n + 1))
+    out = np.empty((m_max + 1, n + 1))
+    for s in range(n + 1):
+        if model.exchangeable:
+            low = frozenset(range(1, s + 1))
+            out[:, s] = math.comb(n, s) * model.rect_series(low, idx - low, m_max)
+        else:
+            parts = [model.rect_series(frozenset(S), idx.difference(S), m_max)
+                     for S in combinations(range(1, n + 1), s)]
+            out[:, s] = [math.fsum(col) for col in np.transpose(parts)]
+    return out
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
@@ -362,7 +398,7 @@ def test_kernels_match_rectangle_defaults(kind):
     idx = range(1, n + 1)
     subsets = [frozenset(K) for k in range(1, n + 1) for K in combinations(idx, k)]
     np.testing.assert_allclose(
-        model.class_counts(m_max), JointModel.class_counts(model, m_max), rtol=0.0, atol=1e-12
+        model.class_counts(m_max), _class_counts_from_rects(model, m_max), rtol=0.0, atol=1e-12
     )
     for r in idx:
         np.testing.assert_allclose(
@@ -406,6 +442,53 @@ def test_kernels_match_rectangle_defaults(kind):
             for low, up in pairs:
                 want = _masked_rect(model.points, model.probs, low, up, m)
                 assert rect_prob(model, low, up, m) == pytest.approx(want, abs=1e-12)
+
+
+MIXED_MARK_MODELS = {
+    "explicit": lambda: random_explicit(np.random.default_rng(41), 4, m_max=4),
+    "multinomial": lambda: multinomial_pmf(7, [0.1, 0.2, 0.3, 0.4]),
+    "multinomial_exchangeable": lambda: multinomial_pmf(5, [0.25] * 4),
+    "independent": lambda: IndependentMarginals(
+        [Poisson(1.5), NegBin(2, 0.4), Geometric(0.3), FinitePMF([0.2, 0.5, 0.3])]
+    ),
+    "independent_exchangeable": lambda: IndependentMarginals([Poisson(2.0)] * 4, exchangeable=True),
+    "mvg": lambda: MvgModel(
+        MvgParams(4, theta={(1,): 0.6, (2,): 0.7, (3,): 0.5, (4,): 0.8, (1, 2): 0.95, (2, 3, 4): 0.9})
+    ),
+    "mvg_exchangeable": lambda: MvgModel(MvgParams(4, exchangeable_levels=[0.8, 0.95, 1.0, 0.97])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MIXED_MARK_MODELS))
+def test_counts_with_mixed_marks(kind):
+    """P(X_1 <= m, X_4 > m, exactly s of X_2, X_3 <= m) on every kind; the
+    marks come in no particular coordinate order."""
+    model = MIXED_MARK_MODELS[kind]()
+    marks = {4: "up", 2: "count", 1: "low", 3: "count"}
+    low, up = frozenset({1}), frozenset({4})
+    m_max = 6
+    got = model.counts(marks, m_max)
+    assert got.shape == (m_max + 1, 3)
+    if isinstance(model, MvgModel):
+        want = np.column_stack([
+            sum(model.rect_series(low.union(S), up.union({2, 3}.difference(S)), m_max)
+                for S in combinations((2, 3), s))
+            for s in range(3)
+        ])
+    else:
+        points, probs = _listed(model, m_max)
+        want = np.zeros((m_max + 1, 3))
+        for m in range(m_max + 1):
+            inside = (points[:, 0] <= m) & (points[:, 3] > m)
+            below = (points[:, [1, 2]] <= m).sum(axis=1)
+            want[m] = [math.fsum(probs[inside & (below == s)]) for s in range(3)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got.sum(axis=1), model.rect_series(low, up, m_max), rtol=0.0, atol=1e-12)
+    if model.support_max() is not None:  # rows past a finite support repeat its end
+        end = model.support_max()
+        past = model.counts(marks, end + 5)
+        assert np.array_equal(past[: m_max + 1], got)
+        assert np.all(past[end:] == past[end])
 
 
 def test_mvg_class_counts_query_each_subset_once(monkeypatch):
@@ -469,6 +552,8 @@ CACHE_MODELS = {
     "mixed": lambda: IndependentMarginals(
         [Poisson(4.0), NegBin(1.5, 0.3), Geometric(0.2), Geometric(1.0), FinitePMF([0.2, 0.5, 0.3])]
     ),
+    "explicit": lambda: random_explicit(np.random.default_rng(5), 4, m_max=6),
+    "multinomial": lambda: multinomial_pmf(9, [0.1, 0.2, 0.3, 0.4]),
 }
 
 READ_ORDERS = {
@@ -486,12 +571,15 @@ def test_prefix_caches_read_like_fresh_builds(kind, order):
     for m in READ_ORDERS[order]:
         fresh = CACHE_MODELS[kind]()
         assert np.array_equal(model.class_counts(m), fresh.class_counts(m))
-        fresh = CACHE_MODELS[kind]()
-        assert np.array_equal(model.cdf_matrix(m), fresh.cdf_matrix(m))
         for r in (1, model.n):
             for form in ("low", "high"):
                 want = CACHE_MODELS[kind]().orderstat_survival_series(r, m, form)
                 assert np.array_equal(model.orderstat_survival_series(r, m, form), want)
+        if model.marginals is None:
+            continue
+        fresh = CACHE_MODELS[kind]()
+        for j in range(1, model.n + 1):
+            assert np.array_equal(model._cdf(j, m), fresh._cdf(j, m))
         for d, f in zip(model.marginals, CACHE_MODELS[kind]().marginals):
             assert np.array_equal(d.pmf_array(m), f.pmf_array(m))
         for d, f in zip(model.marginals, CACHE_MODELS[kind]().marginals):
@@ -508,7 +596,8 @@ def test_cached_tables_are_read_only():
             arr[0] = 0.5
     assert np.array_equal(model.class_counts(30), IndependentMarginals(model.marginals).class_counts(30))
     # arrays built from the tables are the caller's own
-    for arr in (model.cdf_matrix(30), model.marginals[0].pmf_array(30), model.marginals[0].cdf_array(30)):
+    for arr in (model.rect_series(frozenset({1}), frozenset({2}), 30), model.marginals[0].pmf_array(30),
+                model.marginals[0].cdf_array(30)):
         assert arr.flags.writeable
 
 
@@ -529,7 +618,7 @@ def test_prefix_caches_stay_within_twice_the_largest_request(monkeypatch):
     model = CACHE_MODELS["mixed"]()
     for m in range(1000):  # rising one at a time: a rebuild per doubling
         model.class_counts(m)
-    assert builds[model._counts] <= 1 + math.ceil(math.log2(1000))
+    assert builds[model._class_counts] <= 1 + math.ceil(math.log2(1000))
     rng = np.random.default_rng(3)
     for m in rng.integers(0, 5000, 40).tolist():
         model.class_counts(m)
@@ -545,8 +634,14 @@ def test_class_count_recursion_runs_once_per_table(monkeypatch):
     model's class counts: the recursion reruns only when M0 doubles, and not
     at all once the table holds the largest M0."""
     builds = []
-    cdf_matrix = IndependentMarginals.cdf_matrix
-    monkeypatch.setattr(IndependentMarginals, "cdf_matrix", lambda model, m: builds.append(m) or cdf_matrix(model, m))
+    counts = IndependentMarginals.counts
+
+    def recorded(model, marks, m):
+        if set(marks.values()) == {"count"}:
+            builds.append(m)
+        return counts(model, marks, m)
+
+    monkeypatch.setattr(IndependentMarginals, "counts", recorded)
     model = IndependentMarginals([Poisson(0.5 * j) for j in range(1, 11)])
     cells = [MomentRequest(r=r, n=10, p=p, d=5e-4) for p in (1, 2) for r in range(1, 11)]
     first = [approx_moment(model, req) for req in cells]
@@ -617,10 +712,8 @@ def test_multinomial_exchangeability_detection():
 
 def test_multinomial_counts_table_rows_sum_to_one():
     model = multinomial_pmf(5, [0.1, 0.4, 0.5])
-    table = model.counts_table()
+    table = model.class_counts(model.trials)
     np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
-    # m = -1 row: no coordinate can be <= -1
-    assert table[0, 0] == 1.0
     # last row: every coordinate is <= support_max
     assert table[-1, -1] == pytest.approx(1.0, abs=1e-12)
 
@@ -636,8 +729,8 @@ def test_multinomial_counts_table_rows_sum_to_one():
 )
 def test_multinomial_counts_table_matches_enumeration(trials, probs):
     model = multinomial_pmf(trials, probs)
-    table = model.counts_table()
-    reference = ExplicitFinitePMF(model.points, model.probs).counts_table()
+    table = model.class_counts(trials)
+    reference = ExplicitFinitePMF(model.points, model.probs).class_counts(trials)
     assert model.support_max() == trials
     np.testing.assert_allclose(table, reference, rtol=0.0, atol=1e-12)
 
@@ -703,7 +796,7 @@ def test_multinomial_kernel_matches_exact_fractions(trials, probs):
     for x, w in support:
         for m in range(trials + 1):
             counts[m][sum(xi <= m for xi in x)] += w
-    _assert_close_to_exact(model.counts_table()[1:], [c for row in counts for c in row], den)
+    _assert_close_to_exact(model.class_counts(trials), [c for row in counts for c in row], den)
     for low, up in [({1}, {n}), ({n}, {1, 2}), ({1, 2}, set()), (set(), {2, n})]:
         exact = [
             sum(w for x, w in support if all(x[i - 1] <= m for i in low) and all(x[j - 1] > m for j in up))
@@ -728,10 +821,10 @@ def test_multinomial_library_calls_never_list_the_support(monkeypatch):
     for m in (0, 2, 5, 40):
         assert system_survival(big, series, m) == pytest.approx(survival_orderstat(big, 1, 12, m), rel=1e-12)
     # under exchangeability a class count is C(n, s) copies of one rectangle
-    counts = big.counts_table()
+    counts = big.class_counts(big.trials)
     for m, s in [(1, 4), (3, 9), (2, 12)]:
         rect = rect_prob(big, range(1, s + 1), range(s + 1, 13), m)
-        assert math.comb(12, s) * rect == pytest.approx(counts[m + 1, s], rel=1e-12)
+        assert math.comb(12, s) * rect == pytest.approx(counts[m, s], rel=1e-12)
     # X_{2:12} from the minimal signature of 11-of-12:G, X_{12:12} from the
     # maximal signature of the parallel system
     second = exact_moment_finite(big, MomentRequest(r=2, n=12, p=1)).value

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used, every module-level
-private name is referenced somewhere in it, and the front ends do not branch
-on the kind of a statistic or a model (no linter is a dependency)."""
+private name is referenced somewhere in it, the front ends do not branch on
+the kind of a statistic or a model, and each model kind has one kernel (no
+linter is a dependency)."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,60 @@ def test_checker_finds_type_test_targets():
     )
     assert type_test_targets(source) == {"MvgModel", "dict", "SystemStructure", "JointModel"}
     assert {"JointModel", "ExplicitFinitePMF", "MultinomialModel", "IndependentMarginals", "MvgModel"} <= model_kinds()
+
+
+def kernel_breaches(source: str, base: str = "JointModel") -> list[str]:
+    """Subclasses of ``base`` in ``source``, direct or through another class
+    of it, that define no ``counts``, or that define ``rect_series``,
+    ``class_counts`` or any other method or ``self`` attribute whose name
+    mentions a count: a kind has one kernel, and ``base`` alone keeps the
+    class-count table."""
+    classes = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+
+    def parents(cls: ast.ClassDef) -> list[str]:
+        return [b.id for b in cls.bases if isinstance(b, ast.Name)]
+
+    def is_kind(name: str) -> bool:
+        return any(p == base or p in classes and is_kind(p) for p in parents(classes[name]))
+
+    breaches = []
+    for name, cls in classes.items():
+        if not is_kind(name):
+            continue
+        methods = [n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        if "counts" not in methods:
+            breaches.append(f"{name}: no counts")
+        breaches += [f"{name}.{m}" for m in methods if m == "rect_series" or "count" in m and m != "counts"]
+        breaches += [
+            f"{name}: self.{node.attr}"
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self" and "count" in node.attr
+        ]
+    return breaches
+
+
+def test_every_model_kind_has_one_kernel():
+    assert kernel_breaches((PACKAGE / "distributions.py").read_text()) == []
+
+
+def test_checker_flags_second_kernels():
+    source = (
+        "class JointModel:\n"
+        "    def class_counts(self): pass\n"
+        "class A(JointModel):\n"
+        "    def counts(self): pass\n"
+        "class B(A):\n"
+        "    def counts(self): pass\n"
+        "    def rect_series(self): pass\n"
+        "    def _class_count_table(self): pass\n"
+        "class C(JointModel):\n"
+        "    def __init__(self):\n"
+        "        self._counts_table = None\n"
+        "        self.n = 2\n"
+        "class D:\n"
+        "    def rect_series(self): pass\n"
+    )
+    assert kernel_breaches(source) == [
+        "B.rect_series", "B._class_count_table", "C: no counts", "C: self._counts_table",
+    ]

@@ -34,6 +34,7 @@ from lifemoments import (
     minimal_signature,
     multinomial_pmf,
     mvg_min_param,
+    rect_prob,
     signature_from_samaniego,
     signature_set,
     system_factorial_moments_mvg,
@@ -112,6 +113,26 @@ def test_structure_validation():
         SystemStructure(2, path_sets=[[1, 2, 3]])
     with pytest.raises(ValidationError):
         SystemStructure(0, path_sets=[[1]])
+
+
+def test_integer_arguments_are_refused_not_truncated():
+    # int() made these n = 2, 6 trials and a raw TypeError from combinations
+    refused = [
+        lambda: SystemStructure(2.5, path_sets=[[1, 2]]),
+        lambda: SystemStructure(2, path_sets=[[1, 2.0]]),
+        lambda: k_out_of_n_structure(4, 2.0),
+        lambda: k_out_of_n_structure(4.0, 2),
+        lambda: multinomial_pmf(6.5, [0.5, 0.5]),
+        lambda: MvgParams(2.0, exchangeable_levels=[0.5, 0.9]),
+        lambda: MvgParams(2, theta={(1, 2.0): 0.5}),
+        lambda: rect_prob(multinomial_pmf(3, [0.5, 0.5]), [1.0], [], 1),
+    ]
+    for make in refused:
+        with pytest.raises(ValidationError, match="not an integer"):
+            make()
+    assert SystemStructure(np.int64(2), path_sets=[[np.int64(1), 2]]) == SystemStructure(2, path_sets=[[1, 2]])
+    assert k_out_of_n_structure(np.int64(4), np.int64(2)) == k_out_of_n_structure(4, 2)
+    assert multinomial_pmf(np.int64(6), [0.5, 0.5]).trials == 6
 
 
 def test_structure_rejects_contradictory_families():
