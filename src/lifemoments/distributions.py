@@ -471,6 +471,18 @@ class JointModel:
         return None
 
 
+def _has_duplicate_rows(pts: np.ndarray) -> bool:
+    """Whether two rows of a non-negative integer array are equal: one
+    integer key per row, sorted, neighbours compared; rows whose key range
+    overflows int64 are sorted whole."""
+    dims = [int(v) + 1 for v in pts.max(axis=0)]
+    if not dims or math.prod(dims) > np.iinfo(np.int64).max:
+        return np.unique(pts, axis=0).shape[0] != pts.shape[0]
+    keys = np.ravel_multi_index(pts.T, dims)
+    keys.sort()
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
 class ExplicitFinitePMF(JointModel):
     """Finite support listed point by point.
 
@@ -497,15 +509,16 @@ class ExplicitFinitePMF(JointModel):
             raise ValidationError("probabilities must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {w.sum()!r}, not 1")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        if _has_duplicate_rows(pts):
             raise ValidationError("duplicate support points")
         self.points = pts
         self.probs = w
         self.n = int(pts.shape[1])
         self.exchangeable = bool(exchangeable)
+        self._support_max = int(pts.max(initial=0))
 
     def support_max(self) -> int:
-        return int(self.points.max())
+        return self._support_max
 
     def support_size(self) -> int:
         """Number of support points."""
@@ -690,6 +703,7 @@ def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) 
     then impossible, every "> m" condition certain).
     """
     L, U = _check_index_sets(model, low, up)
+    m = _as_int(m, "threshold m")
     if m < -1:
         raise ValidationError(f"m={m} must be >= -1")
     if m == -1 or not L and not U:
@@ -708,7 +722,7 @@ def marginal_survival(model: JointModel, j: int, m: int) -> float:
     """P(X_j > m); equals rect_prob(model, {}, {j}, m)."""
     if not 1 <= j <= model.n:
         raise ValidationError(f"index {j} outside 1..{model.n}")
-    if m < 0:
+    if _as_int(m, "threshold m") < 0:
         return 1.0
     return rect_prob(model, (), (j,), m)
 

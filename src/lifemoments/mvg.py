@@ -209,7 +209,7 @@ def mvg_joint_survival(params: MvgParams, k: Sequence[int]) -> float:
     """P(X_1 > k_1, ..., X_n > k_n) for integer thresholds k_i >= -1."""
     if len(k) != params.n:
         raise ValidationError(f"need {params.n} thresholds, got {len(k)}")
-    ks = [int(v) for v in k]
+    ks = [_as_int(v, "threshold") for v in k]
     if any(v < -1 for v in ks):
         raise ValidationError("thresholds must be >= -1")
     if params.exchangeable:
@@ -368,7 +368,7 @@ def mvg_orderstat_survival(
     (an array of survival probabilities is returned); thresholds below 0
     give 1.
     """
-    exps = [max(int(v) + 1, 0) for v in np.atleast_1d(m)]
+    exps = [max(_as_int(v, "threshold m") + 1, 0) for v in np.atleast_1d(m)]
 
     def fsums(thetas: np.ndarray) -> list[float]:
         ts = thetas.tolist()

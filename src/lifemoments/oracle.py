@@ -6,13 +6,18 @@ formulas against these.  The oracles share only the statistic's definition
 with the analytic side, its value at each point (``values``); nothing here
 reuses the survival-series machinery, and each model kind keeps its own
 enumerator and sampler.
+
+Points travel coordinate-major: every enumerator and sampler hands
+``values`` an (n, N) array, one contiguous row per coordinate, so that the
+minima and maxima of a statistic run along rows.  The layout must not change
+a draw: ``tests/test_oracle.py`` pins the seeded stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -63,12 +68,13 @@ class McEstimate:
 
 
 def _full_support(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
+    """(points, probs): points (n, N), one row per coordinate."""
     if isinstance(model, ExplicitFinitePMF):
         # checked before reading points: a multinomial lists them on first read
         size = model.support_size()
         if size > ENUMERATION_CAP:
             raise CapacityError(f"{size} support points exceed the cap {ENUMERATION_CAP}")
-        return model.points, model.probs
+        return model.points.T, model.probs
     if isinstance(model, IndependentMarginals):
         sizes = []
         for j, dist in enumerate(model.marginals, start=1):
@@ -80,7 +86,7 @@ def _full_support(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
         if total > ENUMERATION_CAP:
             raise CapacityError(f"{total} support points exceed the cap {ENUMERATION_CAP}")
         grids = np.meshgrid(*(np.arange(s) for s in sizes), indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=1)
+        points = np.stack([g.ravel() for g in grids])
         pmfs = [d.pmf_array(s - 1) for d, s in zip(model.marginals, sizes)]
         probs = reduce(np.multiply.outer, pmfs).ravel()
         return points, probs
@@ -101,9 +107,10 @@ def enumerate_moment(model: JointModel, statistic, p: int) -> float:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _shock_sets(params: MvgParams) -> list[tuple[list[int], float]]:
-    """(column indices, theta) per stored shock set; exchangeable parameters
-    materialize every subset of each level."""
+@lru_cache(maxsize=1)  # one mc_moment reads the same sets for its width and every chunk
+def _shock_sets(params: MvgParams) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """(coordinate indices, theta) per stored shock set; exchangeable
+    parameters materialize every subset of each level."""
     if params.exchangeable:
         n = params.n
         if (1 << n) - 1 > SHOCK_SET_CAP:
@@ -116,11 +123,11 @@ def _shock_sets(params: MvgParams) -> list[tuple[list[int], float]]:
             if theta >= 1.0:
                 continue
             for I in combinations(range(n), s):
-                sets.append((list(I), theta))
-        return sets
-    return [(sorted(i - 1 for i in I), th) for I, th in sorted(
+                sets.append((I, theta))
+        return tuple(sets)
+    return tuple((tuple(sorted(i - 1 for i in I)), th) for I, th in sorted(
         params.theta.items(), key=lambda kv: sorted(kv[0])
-    )]
+    ))
 
 
 def sample_mvg(params: MvgParams, n_samples: int, seed=None, method: str = "min") -> np.ndarray:
@@ -139,15 +146,17 @@ def sample_mvg(params: MvgParams, n_samples: int, seed=None, method: str = "min"
     sets = _shock_sets(params)
     n = params.n
     if method == "min":
-        out = np.full((n_samples, n), np.iinfo(np.int64).max, dtype=np.int64)
+        # filled coordinate-major, one contiguous row per component; the
+        # transpose is the (n_samples, n) view, and its .T the buffer itself
+        out = np.full((n, n_samples), np.iinfo(np.int64).max, dtype=np.int64)
         for cols, theta in sets:
             m = rng.geometric(1.0 - theta, size=n_samples) - 1
             for c in cols:
-                np.minimum(out[:, c], m, out=out[:, c])
+                np.minimum(out[c], m, out=out[c])
         # non-defectiveness puts at least one finite-theta set on each component
         if out.max() == np.iinfo(np.int64).max:
             raise ConvergenceError("a component received no shock set")
-        return out
+        return out.T
     # cycle simulation: every set with survivors fires each cycle w.p. 1-theta
     x = np.zeros((n_samples, n), dtype=np.int64)
     alive = np.ones((n_samples, n), dtype=bool)
@@ -180,15 +189,16 @@ def _sample_marginal(dist, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_model(model: JointModel, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws as an (n, size) array, one row per coordinate."""
     if isinstance(model, MultinomialModel) and model.support_size() > ENUMERATION_CAP:
-        return rng.multinomial(model.trials, model.cell_probs / model.cell_probs.sum(), size)
+        return rng.multinomial(model.trials, model.cell_probs / model.cell_probs.sum(), size).T
     if isinstance(model, ExplicitFinitePMF):
         idx = rng.choice(model.points.shape[0], size=size, p=model.probs)
-        return model.points[idx]
+        return model.points.T.take(idx, axis=1)
     if isinstance(model, IndependentMarginals):
-        return np.column_stack([_sample_marginal(d, size, rng) for d in model.marginals])
+        return np.stack([_sample_marginal(d, size, rng) for d in model.marginals])
     if isinstance(model, MvgModel):
-        return sample_mvg(model.params, size, rng)
+        return sample_mvg(model.params, size, rng).T
     raise UnsupportedModelError(f"no sampler for {type(model).__name__}")
 
 

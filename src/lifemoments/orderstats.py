@@ -121,12 +121,14 @@ class _OrderStat:
     def at(self, model: JointModel, m: int) -> float:
         return model.orderstat_survival(self.r, m, self.form)
 
-    def values(self, points: np.ndarray) -> np.ndarray:
+    def values(self, cols: np.ndarray) -> np.ndarray:
+        """T at each of N points given coordinate-major, ``cols`` (n, N)."""
         if self.r == 1:
-            return points.min(axis=1)
+            return cols.min(axis=0)
         if self.r == self.n:
-            return points.max(axis=1)
-        return np.partition(points, self.r - 1, axis=1)[:, self.r - 1]
+            return cols.max(axis=0)
+        # partitioning each point's n values beats partitioning along axis 0
+        return np.partition(cols.T, self.r - 1, axis=1)[:, self.r - 1]
 
     def mvg_factorial_moments(self, params: MvgParams, p: int) -> list[float]:
         return [mvg_orderstat_factorial_moment(params, self.r, self.n, q) for q in range(1, p + 1)]
@@ -141,6 +143,7 @@ def _check_request(p: int, d: float | None):
 
 def _survival(model: JointModel, stat, m: int) -> float:
     """P(T > m): 1 below zero, else the statistic at the clamped threshold."""
+    m = _as_int(m, "threshold m")
     if m < 0:
         return 1.0
     return stat.at(model, _support_clamp(model, m))

@@ -382,12 +382,14 @@ class _System:
     def at(self, model: JointModel, m: int) -> float:
         return float(self.series(model, m)[m])
 
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Max over path sets of the in-set minimum, else min over cut sets of the maximum."""
+    def values(self, cols: np.ndarray) -> np.ndarray:
+        """T at each of N points given coordinate-major, ``cols`` (n, N): the
+        max over path sets of the in-set minimum, else the min over cut sets
+        of the in-set maximum, reduced over whole coordinate rows."""
         s = self.structure
         if s.path_sets is not None:
-            return reduce(np.maximum, [points[:, sorted(i - 1 for i in P)].min(axis=1) for P in s.path_sets])
-        return reduce(np.minimum, [points[:, sorted(i - 1 for i in C)].max(axis=1) for C in s.cut_sets])
+            return reduce(np.maximum, [reduce(np.minimum, [cols[i - 1] for i in sorted(P)]) for P in s.path_sets])
+        return reduce(np.minimum, [reduce(np.maximum, [cols[i - 1] for i in sorted(C)]) for C in s.cut_sets])
 
     def mvg_factorial_moments(self, params: MvgParams, p: int) -> tuple[float, ...]:
         return system_factorial_moments_mvg(params, self.structure, p)

@@ -35,6 +35,7 @@ from lifemoments import (
     multinomial_pmf,
     mvg_joint_survival,
     mvg_min_param,
+    mvg_orderstat_survival,
     plan_negbin,
     rect_prob,
     survival_orderstat,
@@ -259,6 +260,68 @@ def test_explicit_pmf_validation():
         IndependentMarginals([])
     with pytest.raises(ValidationError):
         IndependentMarginals([Poisson(1.0), "not a dist"])
+
+
+def test_explicit_pmf_refuses_duplicates_by_row_key():
+    # rows that differ only in their last coordinate are distinct points
+    ok = ExplicitFinitePMF([[2, 5, 0], [2, 5, 1], [0, 0, 3]], [0.2, 0.3, 0.5])
+    assert ok.support_max() == 5
+    big = 2**40  # three such columns overflow the int64 key range
+    for dtype, hi in ((np.int64, 9), (np.int8, 100), (np.int64, big)):
+        rows = np.array([[hi, 0, 1], [0, hi, 1], [hi, 0, 0], [hi, hi, hi]], dtype=dtype)
+        model = ExplicitFinitePMF(rows, [0.25] * 4)
+        assert model.support_max() == hi
+        with pytest.raises(ValidationError, match="duplicate"):
+            ExplicitFinitePMF(np.vstack([rows, rows[2]]), [0.2] * 5)
+    # a point repeated far apart in a larger random support
+    rng = np.random.default_rng(3)
+    pts = np.unique(rng.integers(0, 50, size=(4000, 6)), axis=0)
+    pts = np.vstack([pts, pts[len(pts) // 3]])
+    with pytest.raises(ValidationError, match="duplicate"):
+        ExplicitFinitePMF(pts, np.full(len(pts), 1.0 / len(pts)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: survival_orderstat(m, 1, 3, 1.5),
+        lambda m: survival_orderstat(m, 2, 3, 2.0),
+        lambda m: system_survival(m, k_out_of_n_structure(3, 2), 1.5),
+        lambda m: rect_prob(m, [1], [], 1.5),
+        lambda m: rect_prob(m, [1], [], -0.5),
+        lambda m: marginal_survival(m, 1, 1.7),
+        lambda m: marginal_survival(m, 1, -0.5),
+    ],
+    ids=["orderstat", "orderstat_float_int", "system", "rect", "rect_negative", "marginal", "marginal_negative"],
+)
+def test_thresholds_are_refused_not_truncated(call):
+    # these raised numpy's TypeError, or returned 1.0 for a negative float
+    with pytest.raises(ValidationError, match="not an integer"):
+        call(IndependentMarginals([Poisson(1.0)] * 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: mvg_joint_survival(p, [1.5, 0]),
+        lambda p: mvg_joint_survival(p, [1, 0.0]),
+        lambda p: mvg_orderstat_survival(p, 1, 2, 1.5),
+        lambda p: mvg_orderstat_survival(p, 1, 2, [0, 2.5]),
+    ],
+    ids=["joint", "joint_float_int", "orderstat", "orderstat_list"],
+)
+def test_mvg_thresholds_are_refused_not_truncated(call):
+    # int() read 1.5 as 1 and 2.5 as 2
+    with pytest.raises(ValidationError, match="not an integer"):
+        call(MvgParams(2, theta={(1,): 0.5, (2,): 0.6, (1, 2): 0.9}))
+
+
+def test_integer_thresholds_of_any_integer_type_are_read():
+    model = IndependentMarginals([Poisson(1.0)] * 3)
+    assert survival_orderstat(model, 1, 3, np.int64(2)) == survival_orderstat(model, 1, 3, 2)
+    assert rect_prob(model, [1], [2], np.int32(1)) == rect_prob(model, [1], [2], 1)
+    params = MvgParams(2, theta={(1,): 0.5, (2,): 0.6, (1, 2): 0.9})
+    assert mvg_joint_survival(params, np.array([1, 0])) == mvg_joint_survival(params, [1, 0])
 
 
 def test_rect_prob_matches_enumeration():

@@ -1,14 +1,16 @@
 """Every module-level import in the package is used, every module-level
 private name is referenced somewhere in it, the front ends do not branch on
-the kind of a statistic or a model, and each model kind has one kernel (no
-linter is a dependency)."""
+the kind of a statistic or a model, each model kind has one kernel, and the
+oracle imports nothing of the analytic pipeline (no linter is a
+dependency)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-from lifemoments import JointModel
+from lifemoments import JointModel, LifemomentsError, MarginalDist
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lifemoments"
 
@@ -217,4 +219,60 @@ def test_checker_flags_second_kernels():
     )
     assert kernel_breaches(source) == [
         "B.rect_series", "B._class_count_table", "C: no counts", "C: self._counts_table",
+    ]
+
+
+# what the oracle may import from the package: the statistic's definition,
+# the model and marginal classes it samples, the parameter set of an MVG and
+# the error classes; any other package name is analytic machinery
+ORACLE_IMPORTS = {("systems", "_statistic"), ("mvg", "MvgParams")}
+ORACLE_IMPORT_KINDS = {"distributions": (JointModel, MarginalDist), "errors": (LifemomentsError,)}
+
+
+def oracle_import_breaches(source: str) -> list[str]:
+    """Package names that ``source`` imports, relatively or as
+    ``lifemoments.*``, beyond ``ORACLE_IMPORTS`` and the classes of
+    ``ORACLE_IMPORT_KINDS``; each as ``module.name``."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            breaches += [a.name for a in node.names if a.name.split(".")[0] == "lifemoments"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "lifemoments"):
+            module = (node.module or "").removeprefix("lifemoments").lstrip(".")
+            breaches += [f"{module}.{a.name}" for a in node.names if not oracle_may_import(module, a.name)]
+    return breaches
+
+
+def oracle_may_import(module: str, name: str) -> bool:
+    if (module, name) in ORACLE_IMPORTS:
+        return True
+    if module not in ORACLE_IMPORT_KINDS:
+        return False
+    value = getattr(importlib.import_module(f"lifemoments.{module}"), name, None)
+    return isinstance(value, type) and issubclass(value, ORACLE_IMPORT_KINDS[module])
+
+
+def test_oracle_reuses_no_analytic_machinery():
+    assert oracle_import_breaches((PACKAGE / "oracle.py").read_text()) == []
+
+
+def test_checker_flags_oracle_imports():
+    source = (
+        "import numpy as np\n"
+        "from itertools import combinations\n"
+        "from .distributions import Poisson, MvgModel, rect_prob, _support_clamp\n"
+        "from .errors import CapacityError, _as_int\n"
+        "from .systems import _statistic, alpha_coefficients\n"
+        "from .mvg import MvgParams, mvg_min_param\n"
+        "from .orderstats import _moment\n"
+        "from . import cli\n"
+        "from lifemoments.distributions import FinitePMF, _PrefixCache\n"
+        "import lifemoments.orderstats\n"
+        "def f():\n"
+        "    from .mvg import sample_nothing\n"
+    )
+    assert oracle_import_breaches(source) == [
+        "distributions.rect_prob", "distributions._support_clamp", "errors._as_int",
+        "systems.alpha_coefficients", "mvg.mvg_min_param", "orderstats._moment", ".cli",
+        "distributions._PrefixCache", "lifemoments.orderstats", "mvg.sample_nothing",
     ]

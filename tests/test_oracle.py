@@ -1,25 +1,33 @@
 """Enumeration and Monte Carlo reference calculators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from lifemoments import (
     CapacityError,
     FinitePMF,
+    Geometric,
     IndependentMarginals,
     McEstimate,
     MomentRequest,
+    MvgModel,
     MvgParams,
+    NegBin,
+    Poisson,
     SystemStructure,
     ValidationError,
     enumerate_moment,
     exact_moment_finite,
+    k_out_of_n_structure,
     mc_moment,
     multinomial_pmf,
     sample_mvg,
 )
 from lifemoments import distributions
-from conftest import random_explicit
+from lifemoments.systems import _statistic
+from conftest import BRIDGE_CUTS, BRIDGE_PATHS, random_explicit
 
 
 def test_enumerate_parallel_fair_bits():
@@ -130,3 +138,110 @@ def test_estimate_record_validation():
         McEstimate(mean=1.0, stderr=0.1, samples=0)
     ok = McEstimate(mean=1.0, stderr=0.0, samples=1)
     assert ok.stderr == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the pinned Monte Carlo stream
+# ---------------------------------------------------------------------------
+
+_PATH = SystemStructure(5, path_sets=BRIDGE_PATHS)
+_CUT = SystemStructure(5, cut_sets=BRIDGE_CUTS)
+_GENERAL = MvgParams(5, theta={
+    (1,): 0.6, (2,): 0.7, (3,): 0.5, (4,): 0.8, (5,): 0.65, (1, 2): 0.9, (2, 3, 4): 0.85, (1, 2, 3, 4, 5): 0.95,
+})
+
+
+def _pinned_models():
+    return {
+        "mixed": IndependentMarginals(
+            [Poisson(1.3), NegBin(3, 0.6), Geometric(0.4), FinitePMF([0.2, 0.5, 0.3]), Poisson(2.0)]
+        ),
+        "general": MvgModel(_GENERAL),
+        "exchangeable": MvgModel(MvgParams(4, exchangeable_levels=[0.7, 0.9, 1.0, 0.95])),
+        "explicit": random_explicit(np.random.default_rng(17), 3, m_max=3),
+        "multinomial": multinomial_pmf(6, [0.2, 0.3, 0.1, 0.25, 0.15]),
+        "over_cap": multinomial_pmf(30, [1 / 12] * 12),  # sampled without listing its support
+    }
+
+
+# (model, statistic, p, samples) -> float.hex of the mean and the stderr at
+# seed 2024, recorded from the row-major oracle that the coordinate-major one
+# replaced; a change to any draw stream or reduction order shows here
+PINNED_STREAM = [
+    ("mixed", _PATH, 1, 20_000, "0x1.419ce075f6fd2p+0", "0x1.71427f779bc72p-8"),
+    ("mixed", _CUT, 2, 20_000, "0x1.1b4a2339c0ebfp+1", "0x1.25e46f66c1e16p-6"),
+    ("mixed", 3, 1, 20_000, "0x1.53afb7e90ff97p+0", "0x1.50041114ce4e2p-8"),
+    ("mixed", 1, 1, 20_000, "0x1.f126e978d4fdfp-3", "0x1.a6523d14642e3p-9"),
+    ("mixed", 5, 2, 20_000, "0x1.e5df3b645a1cbp+3", "0x1.0343a8230e1bep-3"),
+    ("general", _PATH, 1, 20_000, "0x1.c886594af4f0ep-1", "0x1.da30531ad16ecp-8"),
+    ("general", 2, 2, 20_000, "0x1.0d97f62b6ae7dp-1", "0x1.304ccd1d31a5ep-7"),
+    ("exchangeable", 2, 1, 20_000, "0x1.b6a161e4f7660p-2", "0x1.439f103041fc2p-8"),
+    ("exchangeable", 4, 1, 20_000, "0x1.17dbf487fcb92p+1", "0x1.93fa6c3920911p-7"),
+    ("explicit", 2, 1, 20_000, "0x1.74189374bc6a8p+0", "0x1.ab230e74d827dp-8"),
+    ("multinomial", 3, 2, 20_000, "0x1.1e1e4f765fd8bp+0", "0x1.6c757db260620p-8"),
+    ("multinomial", _CUT, 1, 20_000, "0x1.18068db8bac71p+0", "0x1.fdcc79a6036aep-9"),
+    ("over_cap", 1, 1, 2000, "0x1.7be76c8b43958p-2", "0x1.65d0cd8dd729cp-7"),
+    ("over_cap", 6, 1, 2000, "0x1.11fbe76c8b439p+1", "0x1.26c4561bf4a6dp-7"),
+]
+
+# sha256 of sample_mvg(_GENERAL, 1000, seed=3) as C-ordered int64 bytes
+PINNED_MVG_DRAWS = "7b6271b93846f591ac80a1aabe9bb64ce206591d731bc8dbb6d9b2c569fc2107"
+
+
+def test_monte_carlo_stream_is_pinned():
+    models = _pinned_models()
+    got = [
+        (name, stat, p, samples, est.mean.hex(), est.stderr.hex())
+        for name, stat, p, samples, *_ in PINNED_STREAM
+        for est in [mc_moment(models[name], stat, p, n_samples=samples, seed=2024)]
+    ]
+    assert got == PINNED_STREAM
+    draws = sample_mvg(_GENERAL, 1000, seed=3)
+    assert draws.shape == (1000, 5)
+    assert hashlib.sha256(np.ascontiguousarray(draws, dtype=np.int64).tobytes()).hexdigest() == PINNED_MVG_DRAWS
+
+
+def test_enumeration_is_pinned():
+    models = _pinned_models()
+    independent = IndependentMarginals([FinitePMF([0.2, 0.5, 0.3])] * 5)
+    got = [
+        enumerate_moment(models["explicit"], 2, 2).hex(),
+        enumerate_moment(models["multinomial"], _CUT, 2).hex(),
+        enumerate_moment(independent, _PATH, 2).hex(),
+    ]
+    assert got == ["0x1.781a5ffc56827p+1", "0x1.7f386e3b46fdfp+0", "0x1.81a60d4562e0ap+0"]
+
+
+# ---------------------------------------------------------------------------
+# statistic values on coordinate-major points
+# ---------------------------------------------------------------------------
+
+def _max_of_mins(point, sets) -> int:
+    return max(min(point[i - 1] for i in S) for S in sets)
+
+
+def _min_of_maxes(point, sets) -> int:
+    return min(max(point[i - 1] for i in S) for S in sets)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_values_match_a_per_point_reference(dtype):
+    n, N = 5, 2000
+    rng = np.random.default_rng(29)
+    cols = rng.integers(0, 100, size=(n, N)).astype(dtype)
+    points = cols.T.tolist()  # one plain list per point
+    model = IndependentMarginals([FinitePMF([0.5, 0.5])] * n)  # fixes n only
+    for r in range(1, n + 1):
+        want = [sorted(x)[r - 1] for x in points]
+        assert _statistic(model, r).values(cols).tolist() == want
+        # the same rank as the (n-r+1)-out-of-n:G system, in path and in cut form
+        k_of_n = k_out_of_n_structure(n, n - r + 1)
+        path = SystemStructure(n, path_sets=k_of_n.path_sets)
+        cut = SystemStructure(n, cut_sets=k_of_n.cut_sets)
+        assert [_max_of_mins(x, k_of_n.path_sets) for x in points] == want
+        assert [_min_of_maxes(x, k_of_n.cut_sets) for x in points] == want
+        assert _statistic(model, path).values(cols).tolist() == want
+        assert _statistic(model, cut).values(cols).tolist() == want
+    assert _statistic(model, _PATH).values(cols).tolist() == [_max_of_mins(x, BRIDGE_PATHS) for x in points]
+    assert _statistic(model, _CUT).values(cols).tolist() == [_min_of_maxes(x, BRIDGE_CUTS) for x in points]
+

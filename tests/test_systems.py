@@ -751,7 +751,7 @@ def test_order_statistics_are_k_out_of_n_systems(kind):
                 for m in range(12):
                     want = survival_orderstat(model, r, n, m)
                     assert system_survival(model, structure, m, form) == pytest.approx(want, abs=1e-12)
-            assert np.array_equal(_statistic(model, structure).values(points), _statistic(model, r).values(points))
+            assert np.array_equal(_statistic(model, structure).values(points.T), _statistic(model, r).values(points.T))
             factorials = model.factorial_moments(_statistic(model, r), 3)
             if kind.startswith("mvg"):
                 want = [system_moment_mvg(model.params, structure, q) for q in (1, 2, 3)]
