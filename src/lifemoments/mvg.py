@@ -20,6 +20,15 @@ table per parameter set: one value standing for all C(n, k) subsets under
 exchangeable parameters, filled size by size, or the size-k slice of a
 table over all 2^n subsets for general ones (n <= LATTICE_N_CAP).  The
 order statistics run one weighted sum over the sizes n-j, j < r.
+
+Each size's sum is array work and one exact ``math.fsum``: the terms
+g(theta(K))^p, or 1 - theta(K)^(m+1) once per threshold, come from one
+``np.float_power`` over the size's slice.  ``np.float_power`` calls the C
+library's pow, as Python's float ``**`` does, so the sums are the
+per-subset ones to the last bit; numpy's ``**`` may use a SIMD pow that
+differs from it in the last place.  The ``fsums`` callback of
+``_size_sums`` is the one place the terms are summed, and where an
+exact-arithmetic (``decimal``) kernel for the alternating sums would plug in.
 """
 
 from __future__ import annotations
@@ -177,31 +186,43 @@ def mvg_min_param(params: MvgParams, subset: Iterable[int]) -> float:
 def _subset_minima(params: MvgParams, k: int) -> tuple[np.ndarray, int]:
     """theta(K) of the size-k subsets K, and how many subsets each value stands for.
 
-    One table per parameter set, kept on it (it never changes after
-    construction).  Exchangeable parameters store one value per size, for
-    all C(n, k) subsets, on first request of that size.  General ones store
-    the size-k slices of a table over all 2^n subsets, entry K the product
-    of the stored theta_I with I meeting K, built on first use by one
-    vectorised product per stored shock (a theta_I of 0 needs no special case).
+    One read-only table per parameter set, kept on it (it never changes
+    after construction).  Exchangeable parameters store one value per size,
+    for all C(n, k) subsets, on first request of that size.  General ones
+    store the size-k slices of a table over all 2^n subsets, entry K the
+    product of the stored theta_I with I meeting K, built on first use shock
+    by shock in stored order (the order of ``mvg_min_param``): the K meeting
+    I split into one strided block per member i of I, K holding i and no
+    larger member, and each block is multiplied by theta_I once (a theta_I
+    of 0 needs no special case).  A slice lists its subsets in increasing
+    bit-mask order.
     """
     n, minima = params.n, params._minima
     if k not in minima:
         if params.exchangeable:
             minima[k] = np.array([mvg_min_param(params, range(1, k + 1))])
+            minima[k].flags.writeable = False
         else:
             if n > LATTICE_N_CAP:
                 raise CapacityError(
                     f"general MVG sums read all 2^n subsets; n={n} exceeds the cap "
                     f"{LATTICE_N_CAP} (use exchangeable_levels for larger n)"
                 )
-            masks = np.arange(1 << n)
             table = np.ones(1 << n)
+            cube = table.reshape((2,) * n)  # axis n - i tells whether component i is in K
             for I, t in params.theta.items():
-                table[(masks & sum(1 << (i - 1) for i in I)) != 0] *= t
+                block = [slice(None)] * n
+                for i in sorted(I, reverse=True):
+                    block[n - i] = 1
+                    cube[tuple(block)] *= t
+                    block[n - i] = 0
             sizes = np.zeros(1 << n, dtype=np.int8)
             for b in range(n):
                 sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
-            minima.update((s, table[sizes == s]) for s in range(n + 1))
+            table = table[np.argsort(sizes, kind="stable")]  # by size, then by mask
+            table.flags.writeable = False
+            starts = np.cumsum([0] + [math.comb(n, s) for s in range(n + 1)]).tolist()
+            minima.update((s, table[starts[s] : starts[s + 1]]) for s in range(n + 1))
     return minima[k], math.comb(n, k) if params.exchangeable else 1
 
 
@@ -276,13 +297,17 @@ class FactorialMomentTerms:
 
     The moment is an alternating combination of the S_j; ``cancellation_ratio``
     reports how much the intermediate terms exceed the final value, a direct
-    measure of how many digits the alternation destroys.
+    measure of how many digits the alternation destroys.  ``bracket`` is an
+    a-priori upper bound on the moment: p! sum_i g(theta({i}))^p with
+    g = theta/(1-theta), the sum of the marginal factorial moments, which
+    bounds that of every order statistic.
     """
 
     r: int
     n: int
     p: int
     S: tuple[float, ...]
+    bracket: float = math.inf
 
     def signed_terms(self) -> tuple[float, ...]:
         return tuple(_orderstat_weight(self.r, self.n, j) * s for j, s in enumerate(self.S))
@@ -291,12 +316,14 @@ class FactorialMomentTerms:
         return math.factorial(self.p) * math.fsum(self.signed_terms())
 
     def cancellation_ratio(self) -> float:
-        value = self.value()
+        # a value beyond the bracket is itself cancellation debris: measured
+        # against it, a wrong value could not pass for a well-conditioned one
+        value = min(abs(self.value()), self.bracket)
         peak = max((abs(t) for t in self.signed_terms()), default=0.0)
         peak *= math.factorial(self.p)
         if value == 0.0:
             return math.inf if peak > 0.0 else 1.0
-        return peak / abs(value)
+        return peak / value
 
 
 def _orderstat_weight(r: int, n: int, j: int) -> int:
@@ -340,8 +367,10 @@ def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> Factori
         raise ValidationError("p must be a positive integer")
     # the term of a kept subset K is g(theta(K))^p with g = theta/(1-theta),
     # which sidesteps 0/0 in the theta_all ratio form
-    fsums = lambda thetas: [math.fsum([g**p for g in (thetas / (1.0 - thetas)).tolist()])]
-    return FactorialMomentTerms(r=r, n=n, p=p, S=tuple(sums[0] for _, sums in _size_sums(params, r, n, fsums)))
+    fsums = lambda thetas: [math.fsum(np.float_power(thetas / (1.0 - thetas), p).tolist())]
+    S = tuple(sums[0] for _, sums in _size_sums(params, r, n, fsums))
+    singles, mult = _subset_minima(params, 1)
+    return FactorialMomentTerms(r=r, n=n, p=p, S=S, bracket=math.factorial(p) * (mult * fsums(singles)[0]))
 
 
 def mvg_orderstat_factorial_moment(params: MvgParams, r: int, n: int, p: int) -> float:
@@ -371,8 +400,7 @@ def mvg_orderstat_survival(
     exps = [max(_as_int(v, "threshold m") + 1, 0) for v in np.atleast_1d(m)]
 
     def fsums(thetas: np.ndarray) -> list[float]:
-        ts = thetas.tolist()
-        return [math.fsum([1.0 - t**e for t in ts]) for e in exps]
+        return [math.fsum((1.0 - np.float_power(thetas, e)).tolist()) for e in exps]
 
     sizes = _size_sums(params, r, n, fsums)
     surv = [min(1.0, max(0.0, 1.0 - math.fsum([w * sums[i] for w, sums in sizes]))) for i in range(len(exps))]

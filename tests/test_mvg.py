@@ -124,6 +124,17 @@ def test_min_param_equals_the_subset_table_bit_for_bit():
         assert _subset_minima(params, k)[0] is table  # kept, not rebuilt
 
 
+def test_subset_tables_are_read_only():
+    # the slices are the cache itself: a write through one would corrupt
+    # every later sum on the parameter set
+    general = sparse_general_params(np.random.default_rng(3), 5)
+    exch = MvgParams(3, exchangeable_levels=[0.8, 0.9, 1.0])
+    tables = [_subset_minima(general, k)[0] for k in range(6)] + [_subset_minima(exch, k)[0] for k in (1, 2, 3)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[:] = 0.5
+
+
 @pytest.mark.parametrize("n,seed", [(2, 1), (4, 2), (6, 3), (8, 4)])
 def test_exchangeable_table_matches_the_equivalent_general_table(n, seed):
     rng = np.random.default_rng(seed)
@@ -304,6 +315,71 @@ def test_factorial_terms_match_per_subset_sums(n, seed, zero_shock):
             thetas = [mvg_min_param(params, K) for K in combinations(range(1, n + 1), n - j)]
             want = math.fsum((t / (1.0 - t)) ** p for t in thetas)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (p, j)
+
+
+def _minima_by_size(params: MvgParams) -> list[tuple[list[float], int]]:
+    """theta(K) of the size-(n-j) subsets K, j = 0..n-1, one mvg_min_param per
+    subset (one per size under exchangeable parameters), and how many subsets
+    each value stands for."""
+    n = params.n
+    if params.exchangeable:
+        return [([mvg_min_param(params, range(1, k + 1))], math.comb(n, k)) for k in range(n, 0, -1)]
+    return [([mvg_min_param(params, K) for K in combinations(range(1, n + 1), k)], 1) for k in range(n, 0, -1)]
+
+
+def _per_subset_sums(minima, term) -> list[float]:
+    """The sum of ``term(theta(K))`` per size: one Python expression per subset,
+    summed by math.fsum (the sums as written before the array kernels)."""
+    return [float(mult) * math.fsum([term(t) for t in thetas]) for thetas, mult in minima]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: sparse_general_params(np.random.default_rng(100 + n), n) for n in (4, 8, 12, 16)),
+    lambda: sparse_general_params(np.random.default_rng(108), 8, zero_shock=True),
+    lambda: MvgParams(9, exchangeable_levels=[0.85, 0.97, 1.0, 0.995, 0.0, 1.0, 0.999, 0.9, 1.0]),
+], ids=["n4", "n8", "n12", "n16", "n8_zero_shock", "exchangeable"])
+def test_subset_sum_kernels_match_the_per_subset_formulas_bit_for_bit(make):
+    """S_{j,p} and the survival expansion equal, to the last bit, the per-subset
+    formulas g(theta)^p and 1 - theta^(m+1) summed by fsum."""
+    params = make()
+    n, minima = params.n, _minima_by_size(params)
+    hexes = lambda xs: [float(x).hex() for x in xs]
+    for p in (1, 2, 3):
+        want = _per_subset_sums(minima, lambda t: (t / (1.0 - t)) ** p)
+        for r in range(1, n + 1):
+            assert hexes(factorial_moment_terms(params, r, n, p).S) == hexes(want[:r]), (p, r)
+    ms = list(range(-1, 41))
+    sums = [_per_subset_sums(minima, lambda t, e=max(m + 1, 0): 1.0 - t**e) for m in ms]
+    for r in (1, 2, n // 2, n - 1, n) if n > 12 else range(1, n + 1):
+        weights = [float((-1) ** (r - 1 - j) * math.comb(n - j - 1, n - r)) for j in range(r)]
+        want = [min(1.0, max(0.0, 1.0 - math.fsum([w * s for w, s in zip(weights, row)]))) for row in sums]
+        assert hexes(mvg_orderstat_survival(params, r, n, ms)) == hexes(want), r
+
+
+@pytest.mark.parametrize("n,r", [(1100, 300), (200, 100)])
+def test_cancellation_ratio_is_not_fooled_by_a_value_beyond_the_bracket(n, r):
+    # IID geometric, theta = 0.7: the alternating sum leaves a value far above
+    # every moment, which alone would make the cancellation look mild
+    params = MvgParams(n, exchangeable_levels=[0.7] + [1.0] * (n - 1))
+    for p in (1, 2):
+        terms = factorial_moment_terms(params, r, n, p)
+        assert terms.bracket == pytest.approx(math.factorial(p) * n * (0.7 / 0.3) ** p, rel=1e-14)
+        assert abs(terms.value()) > terms.bracket  # returned as computed
+        assert terms.cancellation_ratio() > 1e16
+
+
+def test_cancellation_ratio_of_values_within_the_bracket_is_unchanged():
+    from test_acceptance import MVG_EXCH_ROWS, _levels_vector, _mvg_general_rows
+
+    rows = [MvgParams(10, theta=theta) for theta in _mvg_general_rows()]
+    rows += [MvgParams(10, exchangeable_levels=_levels_vector(levels)) for levels in MVG_EXCH_ROWS]
+    for params in rows:
+        for r in range(1, 11):
+            for p in (1, 2):
+                terms = factorial_moment_terms(params, r, 10, p)
+                assert abs(terms.value()) <= terms.bracket
+                peak = max(abs(t) for t in terms.signed_terms()) * math.factorial(p)
+                assert terms.cancellation_ratio() == peak / abs(terms.value())
 
 
 def test_factorial_terms_exchangeable_matches_general():
