@@ -161,9 +161,7 @@ def build_model(spec) -> JointModel:
     kind = _require(spec, "kind", "model spec")
     if kind == "independent":
         if "count" in spec:
-            count = _as_int(spec["count"], "count")
-            if count < 1:
-                raise ValidationError(f"count={count} must be >= 1")
+            count = _as_int(spec["count"], "count", 1)
             base = _require(spec, "marginal", "model spec with count")
             margs = [build_marginal(base) for _ in range(count)]
             return IndependentMarginals(margs, exchangeable=True)

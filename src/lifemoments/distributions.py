@@ -7,8 +7,9 @@ series and the class counts are two reads of it.  Four model kinds each
 implement it with one kernel: an explicit finite pmf, the multinomial count
 vector (an explicit pmf that never lists its support), a product of
 independent marginals, and the common-shock geometric model of module
-``mvg``.  A kind with a closed-form order-statistic survival or closed-form
-moments of a statistic overrides those reads of the class counts.
+``mvg``, which reads that module's lattice of theta(K).  A kind with a
+closed-form order-statistic survival or closed-form moments of a statistic
+overrides those reads of the class counts.
 
 Marginal pmf work is done in log space, one array per family on 0..m
 (``logpmf_array``), so that large rates and far tail indices neither
@@ -29,20 +30,19 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import combinations
 from math import exp, lgamma, log
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
-    CapacityError,
     ConvergenceError,
     UnsupportedModelError,
     ValidationError,
     _as_int,
+    _as_order,
 )
-from .mvg import LATTICE_N_CAP, MvgParams, mvg_min_param, mvg_orderstat_survival
+from .mvg import MvgParams, _lattice, mvg_min_param, mvg_orderstat_survival
 
 __all__ = [
     "MarginalDist",
@@ -65,6 +65,7 @@ __all__ = [
 # quantity being compared.
 _TAIL_SLACK = 1e-8
 _DOUBLING_CAP = 200
+_LATTICE_BLOCK = 1 << 20  # theta powers per block of rows in MvgModel.counts
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,7 @@ class MarginalDist:
         the leading tail term; the rest bound itself is added back, so the
         result never underestimates the representable tail.
         """
-        if p < 1:
-            raise ValidationError("p must be a positive integer")
+        p = _as_order(p)
         lo = max(m + 2, 1)
         first = exp(self.logpmf(lo) + p * log(lo))
         x_hi, rho = self._tail_cutoff(max(first, 1e-300) * _TAIL_SLACK, p)
@@ -384,8 +384,7 @@ class FinitePMF(MarginalDist):
         return min(int(np.searchsorted(self._cdf, q, side="left")), self.support_max())
 
     def tail_moment(self, p: int, m: int) -> float:
-        if p < 1:
-            raise ValidationError("p must be a positive integer")
+        p = _as_order(p)
         lo = max(m + 2, 1)
         if lo >= self.probs.size:
             return 0.0
@@ -610,8 +609,9 @@ class MvgModel(JointModel):
     """Joint model wrapper around MVG common-shock parameters.
 
     Every subset minimum is geometric, P(min over K > m) = theta(K)^(m+1),
-    so rectangle series expand over subset minima and the order-statistic
-    survival has a closed form.
+    so a query over marked coordinates is one signed sum over the subsets of
+    its low and counted coordinates, general and exchangeable parameters
+    alike, and the order-statistic survival has a closed form.
     """
 
     def __init__(self, params: MvgParams):
@@ -627,38 +627,31 @@ class MvgModel(JointModel):
         return tuple(Geometric(1.0 - mvg_min_param(self.params, (i,))) for i in range(1, self.n + 1))
 
     def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
-        """Each class split over its index sets, one rectangle each; under
-        exchangeability one set per class stands for all C(c, s)."""
-        low = frozenset(i for i, rule in marks.items() if rule == "low")
-        up = frozenset(j for j, rule in marks.items() if rule == "up")
-        counted = [i for i, rule in marks.items() if rule == "count"]
-        c = len(counted)
-        if not self.exchangeable and c > LATTICE_N_CAP:
-            raise CapacityError(f"subset enumeration needs C({c}, s) rectangle queries; "
-                                f"{c} counted coordinates exceed the cap {LATTICE_N_CAP}")
-        out = np.empty((m_hi + 1, c + 1))
-        for s in range(c + 1):
-            if self.exchangeable:
-                rect = self._rect(low.union(counted[:s]), up.union(counted[s:]), m_hi)
-                out[:, s] = math.comb(c, s) * rect
-            else:
-                parts = [self._rect(low.union(S), up.union(set(counted) - set(S)), m_hi)
-                         for S in combinations(counted, s)]
-                out[:, s] = parts[0] if len(parts) == 1 else [math.fsum(col) for col in np.transpose(parts)]
-        return out
-
-    def _rect(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
-        # expand the <= m conditions by inclusion-exclusion over subsets of
-        # low; each term is the survival series of a subset minimum
-        exps = np.arange(1.0, m_hi + 2.0)
-        total = np.zeros(m_hi + 1)
-        low_list = sorted(low)
-        for mask in range(1 << len(low_list)):
-            B = {low_list[b] for b in range(len(low_list)) if mask >> b & 1}
-            K = up | B
-            sign = -1.0 if len(B) % 2 else 1.0
-            total += sign * (mvg_min_param(self.params, K) ** exps if K else 1.0)
-        return np.clip(total, 0.0, 1.0)
+        """One signed sum over the subsets S of the low and counted
+        coordinates, counts[m, s] = sum_S (-1)^(a+t) C(b, t) theta(up | S)^(m+1)
+        with a = |S & low|, b = |S & counted|, t = s - (c - b) in 0..b and
+        theta of the empty set 1.  It is taken one coordinate at a time over
+        a block of rows of powers of the lattice: a low j turns P(..) and
+        P(X_j > m, ..) into their difference P(X_j <= m, ..), and a counted j
+        adds that difference one class up, as `IndependentMarginals.counts`
+        does.  Every intermediate is a probability, so only rounding cancels."""
+        low, up, counted = ([i for i, rule in marks.items() if rule == r] for r in ("low", "up", "count"))
+        thetas = _lattice(self.params, low + counted, up)  # refuses a lattice above the cap
+        exps = np.arange(1.0, m_hi + 2.0)[:, None]
+        out = np.empty((m_hi + 1, len(counted) + 1))
+        step = max(1, _LATTICE_BLOCK // len(thetas))
+        for lo in range(0, m_hi + 1, step):
+            # rows, one axis per marked coordinate (the lowest bit last), classes
+            x = (thetas ** exps[lo : lo + step]).reshape(-1, *(2,) * (len(low) + len(counted)), 1)
+            for _ in low:
+                x = x[..., 0, :] - x[..., 1, :]
+            for _ in counted:
+                classes = np.zeros(x.shape[:-2] + (x.shape[-1] + 1,))
+                classes[..., :-1] = x[..., 1, :]
+                classes[..., 1:] += x[..., 0, :] - x[..., 1, :]
+                x = classes
+            out[lo : lo + step] = x
+        return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
     def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
         """The subset-minima closed form; a forced form reads the class counts."""
@@ -703,9 +696,7 @@ def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) 
     then impossible, every "> m" condition certain).
     """
     L, U = _check_index_sets(model, low, up)
-    m = _as_int(m, "threshold m")
-    if m < -1:
-        raise ValidationError(f"m={m} must be >= -1")
+    m = _as_int(m, "threshold m", -1)
     if m == -1 or not L and not U:
         return 0.0 if L else 1.0
     m = _support_clamp(model, m)
@@ -767,9 +758,7 @@ class MultinomialModel(ExplicitFinitePMF):
 
     def __init__(self, trials: int, cell_probs: Sequence[float], exchangeable: bool | None = None):
         ps = np.asarray(cell_probs, dtype=float)
-        trials = _as_int(trials, "trials")
-        if trials < 1:
-            raise ValidationError("trials must be at least 1")
+        trials = _as_int(trials, "trials", 1)
         if ps.ndim != 1 or ps.size < 1:
             raise ValidationError("probs must be a non-empty vector")
         if np.any(ps <= 0.0):

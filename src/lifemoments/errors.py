@@ -36,10 +36,19 @@ class ConvergenceError(NumericError):
     """An iterative search did not converge within its iteration cap."""
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as an int if it is an integer (``operator.index``); a float
-    such as 1.5 or 2.0 is refused, never truncated."""
+def _as_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int if it is an integer (``operator.index``), and at
+    least ``minimum`` when one is given; a float such as 1.5 or 2.0 is
+    refused, never truncated."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what}={value!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{what}={value} must be >= {minimum}")
+    return value
+
+
+def _as_order(p) -> int:
+    """A moment order: an integer of at least 1."""
+    return _as_int(p, "moment order p", 1)

@@ -14,12 +14,12 @@ with the factorial-to-raw moment conversion.
 Exchangeable parameters enter every formula through one log-space product
 of their levels, prod_s theta_s^(e_s), each caller supplying its exponents.
 The closed forms sum over subsets K of the components, and each term reads
-the subset-minimum parameter theta(K).  ``mvg_min_param`` is the definition
-for one subset.  The sums read every theta(K) of one size at once from one
-table per parameter set: one value standing for all C(n, k) subsets under
-exchangeable parameters, filled size by size, or the size-k slice of a
-table over all 2^n subsets for general ones (n <= LATTICE_N_CAP).  The
-order statistics run one weighted sum over the sizes n-j, j < r.
+the subset-minimum parameter theta(K), defined for one subset by
+``mvg_min_param``.  Every sum reads theta(K) from one table builder,
+``_lattice``, of theta(forced | S) over the subsets S of some coordinates:
+the system closed form over all n components, ``MvgModel.counts`` over a
+query's low and counted ones.  The order statistics run one weighted sum
+over the sizes n-j, j < r, each read at once from ``_subset_minima``.
 
 Each size's sum is array work and one exact ``math.fsum``: the terms
 g(theta(K))^p, or 1 - theta(K)^(m+1) once per threshold, come from one
@@ -27,8 +27,9 @@ g(theta(K))^p, or 1 - theta(K)^(m+1) once per threshold, come from one
 library's pow, as Python's float ``**`` does, so the sums are the
 per-subset ones to the last bit; numpy's ``**`` may use a SIMD pow that
 differs from it in the last place.  The ``fsums`` callback of
-``_size_sums`` is the one place the terms are summed, and where an
-exact-arithmetic (``decimal``) kernel for the alternating sums would plug in.
+``_size_sums`` is the one place the order-statistic terms are summed, and
+where an exact-arithmetic (``decimal``) kernel for their alternating sums
+would plug in.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ValidationError, _as_int
+from .errors import CapacityError, NumericError, ValidationError, _as_int, _as_order
 
-# Tables over all 2^n component subsets (the general MVG sums here, general MVG
-# class counts, signature lattices) are refused above this n.
+# Tables over all 2^n subsets of n coordinates (the general MVG sums here, MVG
+# queries over marked coordinates, signature lattices) are refused above this n.
 LATTICE_N_CAP = 20
 
 # Exponents like C(n,s) - C(j,s) overflow float arithmetic long before the
@@ -87,9 +88,7 @@ class MvgParams:
         theta: Mapping[Iterable[int], float] | None = None,
         exchangeable_levels: Sequence[float] | None = None,
     ):
-        n = _as_int(n, "n")
-        if n < 1:
-            raise ValidationError("n must be at least 1")
+        n = _as_int(n, "n", 1)
         self.n = n
         self._minima: dict[int, np.ndarray] = {}  # filled by _subset_minima
         if (theta is None) == (exchangeable_levels is None):
@@ -183,43 +182,67 @@ def mvg_min_param(params: MvgParams, subset: Iterable[int]) -> float:
     return math.prod(t for I, t in params.theta.items() if I & S)
 
 
+def _popcounts(k: int) -> np.ndarray:
+    """The number of members of every subset of k coordinates, in bit-mask order."""
+    sizes = np.zeros(1 << k, dtype=np.int8)
+    for b in range(k):
+        sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
+    return sizes
+
+
+def _lattice(params: MvgParams, coords: Sequence[int], forced: Iterable[int] = ()) -> np.ndarray:
+    """theta(forced | S) for every subset S of ``coords``, entry S at the bit
+    mask with bit b for coords[b]; theta of the empty set is 1.  More than
+    LATTICE_N_CAP coordinates are refused before any work.
+
+    Exchangeable parameters read the level of size |forced| + |S|.  For
+    general ones every entry starts at the product of the theta_I meeting
+    ``forced``; each other theta_I, in stored order (that of
+    ``mvg_min_param``), then multiplies the S meeting I, one strided block
+    per member coords[b] of I, S holding it and no member at a higher bit
+    (a theta_I of 0 needs no special case).  With nothing forced, entry S
+    is ``mvg_min_param`` of S bit for bit."""
+    k = len(coords)
+    if k > LATTICE_N_CAP:
+        raise CapacityError(f"a subset lattice over {k} coordinates exceeds the cap {LATTICE_N_CAP}")
+    forced = frozenset(forced)
+    if params.exchangeable:
+        f = len(forced)
+        levels = np.array([_subset_minima(params, s)[0][0] if s else 1.0 for s in range(f + k + 1)])
+        return levels[f + _popcounts(k)]
+    start, blocks, bit = 1.0, [], {i: b for b, i in enumerate(coords)}
+    for I, t in params.theta.items():
+        if not I.isdisjoint(forced):
+            start *= t
+        elif hit := [bit[i] for i in I if i in bit]:
+            blocks.append((sorted(hit, reverse=True), t))
+    table = np.empty(1 << k)
+    table.fill(start)
+    cube = table.reshape((2,) * k)  # axis k-1-b tells whether coords[b] is in S
+    for hit, t in blocks:
+        block = [slice(None)] * k
+        for b in hit:
+            block[k - 1 - b] = 1
+            cube[tuple(block)] *= t
+            block[k - 1 - b] = 0
+    return table
+
+
 def _subset_minima(params: MvgParams, k: int) -> tuple[np.ndarray, int]:
     """theta(K) of the size-k subsets K, and how many subsets each value stands for.
 
     One read-only table per parameter set, kept on it (it never changes
-    after construction).  Exchangeable parameters store one value per size,
-    for all C(n, k) subsets, on first request of that size.  General ones
-    store the size-k slices of a table over all 2^n subsets, entry K the
-    product of the stored theta_I with I meeting K, built on first use shock
-    by shock in stored order (the order of ``mvg_min_param``): the K meeting
-    I split into one strided block per member i of I, K holding i and no
-    larger member, and each block is multiplied by theta_I once (a theta_I
-    of 0 needs no special case).  A slice lists its subsets in increasing
-    bit-mask order.
-    """
+    after construction): for exchangeable parameters one value per size,
+    for all C(n, k) subsets, on first request of that size; for general
+    ones the size-k slices, each in bit-mask order, of the all-free
+    ``_lattice``, built on first use."""
     n, minima = params.n, params._minima
     if k not in minima:
         if params.exchangeable:
             minima[k] = np.array([mvg_min_param(params, range(1, k + 1))])
             minima[k].flags.writeable = False
         else:
-            if n > LATTICE_N_CAP:
-                raise CapacityError(
-                    f"general MVG sums read all 2^n subsets; n={n} exceeds the cap "
-                    f"{LATTICE_N_CAP} (use exchangeable_levels for larger n)"
-                )
-            table = np.ones(1 << n)
-            cube = table.reshape((2,) * n)  # axis n - i tells whether component i is in K
-            for I, t in params.theta.items():
-                block = [slice(None)] * n
-                for i in sorted(I, reverse=True):
-                    block[n - i] = 1
-                    cube[tuple(block)] *= t
-                    block[n - i] = 0
-            sizes = np.zeros(1 << n, dtype=np.int8)
-            for b in range(n):
-                sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
-            table = table[np.argsort(sizes, kind="stable")]  # by size, then by mask
+            table = _lattice(params, range(1, n + 1))[np.argsort(_popcounts(n), kind="stable")]
             table.flags.writeable = False
             starts = np.cumsum([0] + [math.comb(n, s) for s in range(n + 1)]).tolist()
             minima.update((s, table[starts[s] : starts[s + 1]]) for s in range(n + 1))
@@ -284,8 +307,7 @@ def mvg_marginal(params: MvgParams, subset: Iterable[int]) -> MvgParams:
 
 def geometric_factorial_moment(theta: float, p: int) -> float:
     """E[X(X-1)...(X-p+1)] = p! (theta/(1-theta))^p for X ~ ge(1-theta)."""
-    if p < 1:
-        raise ValidationError("p must be a positive integer")
+    p = _as_order(p)
     if not 0.0 <= theta < 1.0:
         raise ValidationError(f"theta={theta} is defective (needs 0 <= theta < 1)")
     return math.factorial(p) * (theta / (1.0 - theta)) ** p
@@ -363,8 +385,7 @@ def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> Factori
     p-th geometric factorial moment kernel of the minimum over the remaining
     n-j components.
     """
-    if p < 1:
-        raise ValidationError("p must be a positive integer")
+    p = _as_order(p)
     # the term of a kept subset K is g(theta(K))^p with g = theta/(1-theta),
     # which sidesteps 0/0 in the theta_all ratio form
     fsums = lambda thetas: [math.fsum(np.float_power(thetas / (1.0 - thetas), p).tolist())]

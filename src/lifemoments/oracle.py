@@ -33,7 +33,7 @@ from .distributions import (
     NegBin,
     Poisson,
 )
-from .errors import CapacityError, ConvergenceError, UnsupportedModelError, ValidationError
+from .errors import CapacityError, ConvergenceError, UnsupportedModelError, ValidationError, _as_order
 from .mvg import MvgParams
 from .systems import _statistic
 
@@ -95,8 +95,7 @@ def _full_support(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
 
 def enumerate_moment(model: JointModel, statistic, p: int) -> float:
     """E statistic(X)^p by summing over every support point."""
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
+    p = _as_order(p)
     stat = _statistic(model, statistic)
     points, probs = _full_support(model)
     vals = stat.values(points).astype(float)
@@ -215,8 +214,7 @@ def mc_moment(model: JointModel, statistic, p: int, n_samples: int, seed) -> McE
     Deterministic for a fixed seed: the chunking policy depends only on the
     model, so the draw stream is reproducible bit for bit.
     """
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
+    p = _as_order(p)
     if n_samples < _MC_MIN_SAMPLES:
         raise ValidationError(f"n_samples={n_samples} below the minimum {_MC_MIN_SAMPLES}")
     stat = _statistic(model, statistic)

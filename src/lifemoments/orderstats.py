@@ -35,6 +35,7 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
     _as_int,
+    _as_order,
 )
 from .mvg import MvgParams, mvg_orderstat_factorial_moment
 
@@ -61,12 +62,12 @@ class MomentRequest:
     d: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _as_int(self.r, "rank r"))
+        object.__setattr__(self, "n", _as_int(self.n, "n"))
+        object.__setattr__(self, "p", _as_order(self.p))
         if not 1 <= self.r <= self.n:
             raise ValidationError(f"rank r={self.r} outside 1..{self.n}")
-        if self.p < 1:
-            raise ValidationError(f"moment order p={self.p} must be >= 1")
-        if self.d is not None and not self.d > 0.0:
-            raise ValidationError(f"error bound d={self.d} must be positive")
+        _check_request(self.p, self.d)
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,7 @@ class _OrderStat:
 
 
 def _check_request(p: int, d: float | None):
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
+    _as_order(p)
     if d is not None and not d > 0.0:
         raise ValidationError(f"error bound d={d} must be positive")
 

@@ -36,8 +36,9 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
     _as_int,
+    _as_order,
 )
-from .mvg import LATTICE_N_CAP, MvgParams, _subset_minima, geometric_factorial_moment, mvg_min_param
+from .mvg import LATTICE_N_CAP, MvgParams, _lattice
 from .orderstats import MomentResult, TruncationPlan, _moment, _OrderStat, _require_d, _survival
 # not used here; bench/test_bench.py checks that the tracer also wraps this
 # second binding of a traced function
@@ -114,9 +115,7 @@ class SystemStructure:
         path_sets: Iterable[Iterable[int]] | None = None,
         cut_sets: Iterable[Iterable[int]] | None = None,
     ):
-        n = _as_int(n, "n")
-        if n < 1:
-            raise ValidationError(f"n={n} must be >= 1")
+        n = _as_int(n, "n", 1)
         if path_sets is None and cut_sets is None:
             raise ValidationError("need path sets, cut sets, or both")
         self.n = n
@@ -167,21 +166,11 @@ def k_out_of_n_structure(n: int, k: int, kind: str = "G") -> SystemStructure:
 
 
 def _mask(S: frozenset[int]) -> int:
-    m = 0
-    for i in S:
-        m |= 1 << (i - 1)
-    return m
+    return sum(1 << (i - 1) for i in S)
 
 
 def _unmask(mask: int) -> frozenset[int]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _up_closure(family: Sequence[frozenset[int]], n: int) -> np.ndarray:
@@ -197,36 +186,42 @@ def _up_closure(family: Sequence[frozenset[int]], n: int) -> np.ndarray:
     return up
 
 
-def _collection_coefficients(family: Sequence[frozenset[int]], n: int) -> dict[frozenset[int], int]:
-    """Inclusion-exclusion weights: coeff[U] = sum over non-empty collections
-    with union U of (-1)^(collection size + 1).
+def _collection_coefficients(structure: SystemStructure, form: str) -> np.ndarray:
+    """Inclusion-exclusion weights of the path sets ("alpha") or the cut sets
+    ("beta") over the 2^n component subsets (bit i-1 for component i):
+    coeff[U] = sum over non-empty collections with union U of
+    (-1)^(collection size + 1).
 
     These are the coefficients of the unique multilinear form of the
     family's indicator "U contains a set of the family", so they are its
     Mobius transform on the 2^n subset lattice (exact integer arithmetic).
     """
-    s = len(family)
-    if s > COLLECTION_CAP:
-        raise CapacityError(f"{s} sets exceed the cap of {COLLECTION_CAP} per family")
-    coeff = _up_closure(family, n).astype(np.int64)
-    for b in range(n):
+    family = structure.path_sets if form == "alpha" else structure.cut_sets
+    if family is None:
+        raise ValidationError(f"structure has no {'path' if form == 'alpha' else 'cut'} sets")
+    if len(family) > COLLECTION_CAP:
+        raise CapacityError(f"{len(family)} sets exceed the cap of {COLLECTION_CAP} per family")
+    coeff = _up_closure(family, structure.n).astype(np.int64)
+    for b in range(structure.n):
         halves = coeff.reshape(-1, 2, 1 << b)
         halves[:, 1] -= halves[:, 0]
-    return {_unmask(int(u)): int(coeff[u]) for u in np.flatnonzero(coeff)}
+    return coeff
+
+
+def _subset_coefficients(structure: SystemStructure, form: str) -> dict[frozenset[int], int]:
+    coeff = _collection_coefficients(structure, form)
+    nonzero = np.flatnonzero(coeff)
+    return dict(zip(map(_unmask, nonzero.tolist()), coeff[nonzero].tolist()))
 
 
 def alpha_coefficients(structure: SystemStructure) -> dict[frozenset[int], int]:
     """Subset weights of the survival expansion over minima of path-set unions."""
-    if structure.path_sets is None:
-        raise ValidationError("structure has no path sets")
-    return _collection_coefficients(structure.path_sets, structure.n)
+    return _subset_coefficients(structure, "alpha")
 
 
 def beta_coefficients(structure: SystemStructure) -> dict[frozenset[int], int]:
     """Subset weights of the failure expansion over maxima of cut-set unions."""
-    if structure.cut_sets is None:
-        raise ValidationError("structure has no cut sets")
-    return _collection_coefficients(structure.cut_sets, structure.n)
+    return _subset_coefficients(structure, "beta")
 
 
 def _aggregate_by_size(coeffs: Mapping[frozenset[int], int], n: int) -> tuple[int, ...]:
@@ -448,42 +443,27 @@ def system_moment_approx_beta(
     return _moment(model, _System(model, "beta", structure), p, _require_d(d), plan)
 
 
-def _prefix_coefficients(signature: Sequence) -> dict[frozenset[int], float]:
-    """Signature entry i on the prefix {1..i}: under exchangeability every
-    subset of size i has the law of the prefix."""
-    return {frozenset(range(1, i + 1)): a for i, a in enumerate(signature, start=1) if a != 0}
-
-
 def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, p: int) -> tuple[float, ...]:
     """Closed-form factorial moments (E(T)_1, ..., E(T)_p) for multivariate
     geometric components.
 
-    Each subset minimum is geometric with parameter theta(K), so the alpha
-    expansion turns into a finite signed sum of geometric factorial moments;
-    every order reads one coefficient table.  Exchangeable parameters need
-    only the minimal signature: theta(K) depends on K through its size alone
-    and is read by size from the subset-minima table.
+    Each subset minimum is geometric, so the alpha expansion is a signed sum
+    of q! g(theta(K))^q, g = theta/(1-theta), over the subsets K with a
+    non-zero coefficient, theta(K) read from the lattice of the parameters.
     """
     if params.n != structure.n:
         raise ValidationError(f"params.n={params.n} does not match structure.n={structure.n}")
-    if p < 1:
-        raise ValidationError(f"moment order p={p} must be >= 1")
-    if params.exchangeable:
-        coeffs = _prefix_coefficients(minimal_signature(structure))
-        theta_of = lambda K: _subset_minima(params, len(K))[0].item()
-    else:
-        coeffs = alpha_coefficients(structure)
-        theta_of = lambda K: mvg_min_param(params, K)
-    terms = []
-    for K, c in coeffs.items():
-        theta = theta_of(K)
-        if theta >= 1.0:
-            raise ValidationError(f"defective minimum over {sorted(K)}: theta={theta}")
-        terms.append((c, theta))
-    return tuple(
-        float(math.fsum([c * geometric_factorial_moment(theta, q) for c, theta in terms]))
-        for q in range(1, p + 1)
-    )
+    p = _as_order(p)
+    coeff = _collection_coefficients(structure, "alpha")
+    masks = np.flatnonzero(coeff)
+    thetas = _lattice(params, range(1, params.n + 1))[masks]
+    if (defective := np.flatnonzero(thetas >= 1.0)).size:
+        K, theta = _unmask(int(masks[defective[0]])), thetas[defective[0]]
+        raise ValidationError(f"defective minimum over {sorted(K)}: theta={theta}")
+    coeff, g = coeff[masks], thetas / (1.0 - thetas)
+    # np.float_power calls the C library's pow, as a float ** does
+    return tuple(math.fsum((coeff * (math.factorial(q) * np.float_power(g, q))).tolist())
+                 for q in range(1, p + 1))
 
 
 def system_moment_mvg(params: MvgParams, structure: SystemStructure, p: int) -> float:
@@ -560,4 +540,6 @@ def exchangeable_system_moment(
     if off:
         raise ValidationError(f"signature sums to {total}, not 1")
     d = None if model.support_max() is not None else _require_d(d)
-    return _moment(model, _System(model, form, coeffs=_prefix_coefficients(signature)), p, d)
+    # every subset of size i has the law of the prefix {1..i}
+    prefixes = {frozenset(range(1, i + 1)): a for i, a in enumerate(signature, start=1) if a != 0}
+    return _moment(model, _System(model, form, coeffs=prefixes), p, d)

@@ -1,6 +1,7 @@
 """Marginal and joint distribution layer, cross-checked against scipy."""
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -34,7 +35,6 @@ from lifemoments import (
     minimal_signature,
     multinomial_pmf,
     mvg_joint_survival,
-    mvg_min_param,
     mvg_orderstat_survival,
     plan_negbin,
     rect_prob,
@@ -42,7 +42,7 @@ from lifemoments import (
     system_moment_exact,
     system_survival,
 )
-from lifemoments import distributions
+from lifemoments import distributions, mvg
 from conftest import product_explicit, random_explicit, random_independent, random_probs
 
 
@@ -554,25 +554,118 @@ def test_counts_with_mixed_marks(kind):
         assert np.all(past[end:] == past[end])
 
 
-def test_mvg_class_counts_query_each_subset_once(monkeypatch):
-    """A general MVG's class counts read each theta(K) once per index set,
-    whatever the number of thresholds."""
+def test_mvg_class_counts_read_one_lattice(monkeypatch):
+    """A general MVG's class counts build the theta(K) lattice once per
+    query, whatever the number of thresholds and of row blocks, and never
+    ask for one subset's parameter."""
     model = KERNEL_MODELS["mvg"]()
-    calls = []
+    builds = []
+    lattice = distributions._lattice
+    monkeypatch.setattr(distributions, "_lattice", lambda *a: builds.append(a) or lattice(*a))
 
-    def counted(params, subset):
-        calls.append(subset)
-        return mvg_min_param(params, subset)
+    def refuse(params, subset):
+        raise AssertionError(f"mvg_min_param called for {sorted(subset)}")
 
-    monkeypatch.setattr(distributions, "mvg_min_param", counted)
-    per_m_max = {}
-    for m_max in (0, 5, 40):
-        calls.clear()
-        model.class_counts(m_max)
-        per_m_max[m_max] = len(calls)
-    # one call per non-empty K = up | B over all (low, up, B subset of low):
-    # each coordinate is in up, in B, or in low only, less the empty K
-    assert per_m_max == {0: 3**3 - 1, 5: 3**3 - 1, 40: 3**3 - 1}
+    monkeypatch.setattr(distributions, "mvg_min_param", refuse)
+    monkeypatch.setattr(mvg, "mvg_min_param", refuse)
+    every = dict.fromkeys(range(1, model.n + 1), "count")
+    for m_max in (0, 5, 40, 3 * (distributions._LATTICE_BLOCK >> model.n)):
+        builds.clear()
+        got = model.counts(every, m_max)
+        assert len(builds) == 1
+        assert got.shape == (m_max + 1, model.n + 1)
+    assert np.array_equal(got[:41], model.counts(every, 40))
+
+
+def _random_general_mvg(rng: np.random.Generator, n: int) -> MvgParams:
+    """Singleton shocks, n random larger ones and one shock with theta 0."""
+    theta = {frozenset([i]): float(rng.uniform(0.6, 0.95)) for i in range(1, n + 1)}
+    for _ in range(n):
+        shock = rng.choice(np.arange(1, n + 1), size=int(rng.integers(2, n + 1)), replace=False)
+        theta[frozenset(int(i) for i in shock)] = float(rng.uniform(0.85, 0.99))
+    theta[frozenset([2, n])] = 0.0
+    return MvgParams(n, theta=theta)
+
+
+def _marked_reference(params: MvgParams, marks: dict, m: int) -> list[float]:
+    """Row m of ``counts`` by inclusion-exclusion over ``mvg_joint_survival``:
+    class s sums over which s counted coordinates are low, and each "<= m"
+    side expands over the subsets of it that lie above m."""
+    low, up, counted = ([i for i, rule in marks.items() if rule == r] for r in ("low", "up", "count"))
+
+    def above(S):
+        return mvg_joint_survival(params, [m if i in S else -1 for i in range(1, params.n + 1)])
+
+    row = []
+    for s in range(len(counted) + 1):
+        terms = []
+        for J in combinations(counted, s):
+            below, high = low + list(J), set(up) | (set(counted) - set(J))
+            terms += [(-1) ** k * above(high | set(T))
+                      for k in range(len(below) + 1) for T in combinations(below, k)]
+        row.append(math.fsum(terms))
+    return row
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mvg_counts_match_joint_survival_inclusion_exclusion(seed):
+    """Random marks in random order on a general model with a zero shock and
+    an exchangeable one with levels of 1."""
+    rng = np.random.default_rng(seed)
+    n = 4 + seed % 3
+    levels = rng.uniform(0.8, 1.0, n)
+    levels[rng.choice(n, size=2, replace=False)] = 1.0
+    for params in (_random_general_mvg(rng, n), MvgParams(n, exchangeable_levels=levels)):
+        model = MvgModel(params)
+        for _ in range(4):
+            rules = rng.choice(["low", "up", "count", "free"], size=n)
+            marks = {int(i): str(rules[i - 1]) for i in rng.permutation(n) + 1 if rules[i - 1] != "free"}
+            m_max = 5
+            want = [_marked_reference(params, marks, m) for m in range(m_max + 1)]
+            np.testing.assert_allclose(model.counts(marks, m_max), want, rtol=0.0, atol=1e-12)
+
+
+def test_mvg_ring_class_counts_are_fast_and_match_the_closed_form():
+    n, m_max = 12, 40
+    theta = {frozenset([i]): 0.8 + 0.01 * i for i in range(1, n + 1)}
+    theta.update({frozenset([i, i % n + 1]): 0.96 for i in range(1, n + 1)})
+    model = MvgModel(MvgParams(n, theta=theta))
+    start = time.perf_counter()
+    model.class_counts(m_max)
+    assert time.perf_counter() - start < 0.5
+    for r in range(1, n + 1):
+        want = mvg_orderstat_survival(model.params, r, n, np.arange(m_max + 1))
+        for form in ("low", "high"):
+            got = model.orderstat_survival_series(r, m_max, form)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_mvg_rect_prob_reads_only_the_marked_lattice():
+    # n = 25 is above the cap of a lattice over every component; a query
+    # naming three of them reads a lattice over its two "<= m" coordinates
+    n = 25
+    general = {frozenset([i]): 0.9 for i in range(1, n + 1)}
+    general.update({frozenset([3, 7, 20]): 0.8, frozenset([1, 25]): 0.95, frozenset(range(1, n + 1)): 0.99})
+    for params in (MvgParams(n, theta=general), MvgParams(n, exchangeable_levels=[0.9, 0.99] + [1.0] * (n - 2))):
+        model = MvgModel(params)
+        for m in (0, 4, 30):
+            want = _marked_reference(params, {3: "low", 20: "low", 7: "up"}, m)[0]
+            assert rect_prob(model, (3, 20), (7,), m) == pytest.approx(want, abs=1e-12)
+
+
+def test_mvg_marked_lattice_cap_is_checked_before_any_work():
+    n = 25
+    for params in (MvgParams(n, theta={(i,): 0.9 for i in range(1, n + 1)}),
+                   MvgParams(n, exchangeable_levels=[0.9] + [1.0] * (n - 1))):
+        model = MvgModel(params)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            rect_prob(model, range(1, 22), (), 3)
+        with pytest.raises(CapacityError):
+            model.counts(dict.fromkeys(range(1, 12), "low") | dict.fromkeys(range(12, 22), "count"), 30)
+        with pytest.raises(CapacityError):
+            model.class_counts(5)
+        assert time.perf_counter() - start < 1.0
 
 
 FINITE_MODELS = {

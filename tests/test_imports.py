@@ -1,7 +1,8 @@
 """Every module-level import in the package is used, every module-level
 private name is referenced somewhere in it, the front ends do not branch on
-the kind of a statistic or a model, each model kind has one kernel, and the
-oracle imports nothing of the analytic pipeline (no linter is a
+the kind of a statistic or a model, each model kind has one kernel, the
+oracle imports nothing of the analytic pipeline, and the MVG sums read
+theta(K) from one lattice, not subset by subset (no linter is a
 dependency)."""
 
 import ast
@@ -223,9 +224,10 @@ def test_checker_flags_second_kernels():
 
 
 # what the oracle may import from the package: the statistic's definition,
-# the model and marginal classes it samples, the parameter set of an MVG and
-# the error classes; any other package name is analytic machinery
-ORACLE_IMPORTS = {("systems", "_statistic"), ("mvg", "MvgParams")}
+# the model and marginal classes it samples, the parameter set of an MVG,
+# the error classes and the moment-order rule; any other package name is
+# analytic machinery
+ORACLE_IMPORTS = {("systems", "_statistic"), ("mvg", "MvgParams"), ("errors", "_as_order")}
 ORACLE_IMPORT_KINDS = {"distributions": (JointModel, MarginalDist), "errors": (LifemomentsError,)}
 
 
@@ -276,3 +278,52 @@ def test_checker_flags_oracle_imports():
         "systems.alpha_coefficients", "mvg.mvg_min_param", "orderstats._moment", ".cli",
         "distributions._PrefixCache", "lifemoments.orderstats", "mvg.sample_nothing",
     ]
+
+
+def callers(source: str, name: str) -> list[str]:
+    """Where ``source`` uses ``name``: "import" for a module-level import
+    binding it, and the enclosing ``Class.method`` or function of each call
+    (``<module>`` outside any), in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and node is tree:
+                found.extend("import" for a in child.names if (a.asname or a.name) == name)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+                found.append(scope or "<module>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    tree = ast.parse(source)
+    visit(tree, "")
+    return found
+
+
+def test_subset_sums_read_the_lattice_not_one_subset_at_a_time():
+    # the closed forms and the MVG class counts read theta(K) from the subset
+    # lattice of module mvg; one subset's parameter is asked for only by the
+    # marginal laws
+    assert callers((PACKAGE / "systems.py").read_text(), "mvg_min_param") == []
+    assert callers((PACKAGE / "distributions.py").read_text(), "mvg_min_param") == ["import", "MvgModel.marginals"]
+
+
+def test_checker_finds_callers():
+    source = (
+        "from .mvg import mvg_min_param, other\n"
+        "import mvg_min_param as renamed\n"
+        "mvg_min_param(1)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return [mvg_min_param(k) for k in ()]\n"
+        "    def g(self):\n"
+        "        def inner():\n"
+        "            return mvg_min_param\n"
+        "        return self.mvg_min_param(2)\n"
+        "def h():\n"
+        "    from .mvg import mvg_min_param\n"
+        "    return other(mvg_min_param(3))\n"
+    )
+    assert callers(source, "mvg_min_param") == ["import", "<module>", "A.f", "h"]

@@ -31,7 +31,7 @@ from lifemoments import (
     survival_orderstat,
     theta_all,
 )
-from lifemoments.mvg import _level_product, _subset_minima
+from lifemoments.mvg import _lattice, _level_product, _subset_minima
 
 
 def all_pairs_params(n: int, single: float, pair: float) -> MvgParams:
@@ -122,6 +122,29 @@ def test_min_param_equals_the_subset_table_bit_for_bit():
         K = rng.choice(np.arange(1, 7), size=k, replace=False).tolist()
         assert table.tolist() == [mvg_min_param(params, K)]
         assert _subset_minima(params, k)[0] is table  # kept, not rebuilt
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_with_forced_coordinates_reads_min_param(seed):
+    """theta(forced | S) over the subsets S of coordinates in any order: bit
+    for bit the single-subset definition when nothing is forced (products
+    in stored-shock order either way), and to rounding otherwise."""
+    rng = np.random.default_rng(seed)
+    general = sparse_general_params(rng, 6, zero_shock=True)
+    exch = MvgParams(6, exchangeable_levels=[0.8, 1.0, 0.95, 0.0, 1.0, 0.999])
+    for params in (general, exch):
+        for forced_size in (0, 1, 2):
+            perm = (rng.permutation(6) + 1).tolist()
+            forced, coords = perm[:forced_size], perm[forced_size : forced_size + int(rng.integers(0, 5))]
+            table = _lattice(params, coords, forced)
+            assert table.shape == (1 << len(coords),)
+            for mask, got in enumerate(table.tolist()):
+                K = set(forced) | {c for b, c in enumerate(coords) if mask >> b & 1}
+                want = mvg_min_param(params, K) if K else 1.0
+                if forced or params.exchangeable:
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+                else:
+                    assert got == want
 
 
 def test_subset_tables_are_read_only():

@@ -18,17 +18,27 @@ from lifemoments import (
     NegBin,
     NumericError,
     Poisson,
+    SystemStructure,
     TruncationPlan,
     ValidationError,
     approx_moment,
     enumerate_moment,
     exact_moment_finite,
+    exchangeable_system_moment,
+    factorial_moment_terms,
+    geometric_factorial_moment,
     mc_moment,
     multinomial_pmf,
+    mvg_orderstat_factorial_moment,
     plan_generic,
     plan_negbin,
     plan_poisson,
     survival_orderstat,
+    system_factorial_moments_mvg,
+    system_moment_approx,
+    system_moment_approx_beta,
+    system_moment_exact,
+    system_moment_mvg,
 )
 from lifemoments import distributions
 from lifemoments.orderstats import binomial_head, plan_for
@@ -213,6 +223,47 @@ def test_ranks_must_be_integers():
         with pytest.raises(ValidationError, match="not an integer"):
             entry(1.5)
         assert entry(np.int64(2)) == entry(2)
+
+
+SERIES = SystemStructure(2, path_sets=[[1, 2]], cut_sets=[[1], [2]])
+BITS = IndependentMarginals([FinitePMF([0.5, 0.5])] * 2)
+POISSONS = IndependentMarginals([Poisson(1.0), Poisson(2.0)])
+MVG = MvgParams(2, theta={(1,): 0.6, (2,): 0.7, (1, 2): 0.9})
+MOMENT_ENTRIES = {
+    "exact_moment_finite": lambda p: exact_moment_finite(BITS, MomentRequest(r=1, n=2, p=p)),
+    "approx_moment": lambda p: approx_moment(POISSONS, MomentRequest(r=2, n=2, p=p, d=1e-3)),
+    "system_moment_exact": lambda p: system_moment_exact(BITS, SERIES, p),
+    "system_moment_approx": lambda p: system_moment_approx(POISSONS, SERIES, p, 1e-3),
+    "system_moment_approx_beta": lambda p: system_moment_approx_beta(BITS, SERIES, p, 1e-3),
+    "exchangeable_system_moment": lambda p: exchangeable_system_moment(
+        IndependentMarginals([Poisson(1.0)] * 2, exchangeable=True), [0, 1], p, 1e-3),
+    "system_factorial_moments_mvg": lambda p: system_factorial_moments_mvg(MVG, SERIES, p),
+    "system_moment_mvg": lambda p: system_moment_mvg(MVG, SERIES, p),
+    "mvg_orderstat_factorial_moment": lambda p: mvg_orderstat_factorial_moment(MVG, 1, 2, p),
+    "factorial_moment_terms": lambda p: factorial_moment_terms(MVG, 2, 2, p),
+    "geometric_factorial_moment": lambda p: geometric_factorial_moment(0.5, p),
+    "enumerate_moment": lambda p: enumerate_moment(BITS, 1, p),
+    "mc_moment": lambda p: mc_moment(BITS, 1, p, n_samples=1000, seed=0),
+    "Poisson.tail_moment": lambda p: Poisson(2.0).tail_moment(p, 3),
+    "FinitePMF.tail_moment": lambda p: FinitePMF([0.2, 0.3, 0.5]).tail_moment(p, 0),
+}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("entry", MOMENT_ENTRIES.values(), ids=MOMENT_ENTRIES.keys())
+def test_moment_orders_must_be_integers(entry, p):
+    # a float order is refused, never truncated or taken as a fractional moment
+    with pytest.raises(ValidationError, match="moment order p=.* is not an integer"):
+        entry(p)
+    assert entry(np.int64(2)) == entry(2)
+
+
+def test_request_fields_are_ints():
+    req = MomentRequest(r=np.int64(2), n=np.int32(3), p=np.int8(2))
+    assert (req.r, req.n, req.p) == (2, 3, 2) and all(type(v) is int for v in (req.r, req.n, req.p))
+    for bad in ({"r": 1.0}, {"n": 3.0}, {"p": 2.0}):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            MomentRequest(**{"r": 1, "n": 3, "p": 1} | bad)
 
 
 def test_exact_moment_rejects_infinite_support():
