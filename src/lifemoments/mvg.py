@@ -193,7 +193,8 @@ def _popcounts(k: int) -> np.ndarray:
 def _lattice(params: MvgParams, coords: Sequence[int], forced: Iterable[int] = ()) -> np.ndarray:
     """theta(forced | S) for every subset S of ``coords``, entry S at the bit
     mask with bit b for coords[b]; theta of the empty set is 1.  More than
-    LATTICE_N_CAP coordinates are refused before any work.
+    LATTICE_N_CAP coordinates are refused before any work; ``forced`` is
+    disjoint from ``coords``.
 
     Exchangeable parameters read the level of size |forced| + |S|.  For
     general ones every entry starts at the product of the theta_I meeting
@@ -208,8 +209,8 @@ def _lattice(params: MvgParams, coords: Sequence[int], forced: Iterable[int] = (
     forced = frozenset(forced)
     if params.exchangeable:
         f = len(forced)
-        levels = np.array([_subset_minima(params, s)[0][0] if s else 1.0 for s in range(f + k + 1)])
-        return levels[f + _popcounts(k)]
+        levels = np.array([_subset_minima(params, s)[0][0] if s else 1.0 for s in range(f, f + k + 1)])
+        return levels[_popcounts(k)]
     start, blocks, bit = 1.0, [], {i: b for b, i in enumerate(coords)}
     for I, t in params.theta.items():
         if not I.isdisjoint(forced):
@@ -253,9 +254,7 @@ def mvg_joint_survival(params: MvgParams, k: Sequence[int]) -> float:
     """P(X_1 > k_1, ..., X_n > k_n) for integer thresholds k_i >= -1."""
     if len(k) != params.n:
         raise ValidationError(f"need {params.n} thresholds, got {len(k)}")
-    ks = [_as_int(v, "threshold") for v in k]
-    if any(v < -1 for v in ks):
-        raise ValidationError("thresholds must be >= -1")
+    ks = [_as_int(v, "threshold", -1) for v in k]
     if params.exchangeable:
         n = params.n
         # Sorted descending, the i-th largest threshold is the max over

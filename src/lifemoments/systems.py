@@ -166,11 +166,21 @@ def k_out_of_n_structure(n: int, k: int, kind: str = "G") -> SystemStructure:
 
 
 def _mask(S: frozenset[int]) -> int:
-    return sum(1 << (i - 1) for i in S)
+    m = 0
+    for i in S:
+        m |= 1 << (i - 1)
+    return m
 
 
 def _unmask(mask: int) -> frozenset[int]:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return frozenset(out)
 
 
 def _up_closure(family: Sequence[frozenset[int]], n: int) -> np.ndarray:

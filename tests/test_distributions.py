@@ -653,6 +653,31 @@ def test_mvg_rect_prob_reads_only_the_marked_lattice():
             assert rect_prob(model, (3, 20), (7,), m) == pytest.approx(want, abs=1e-12)
 
 
+def test_exchangeable_mvg_reads_levels_past_127_forced_coordinates():
+    """The level of |up| + |S| for more than 127 "> m" coordinates, on their
+    own and with a few "<= m" ones, against ``mvg_joint_survival``."""
+    n = 200
+    params = MvgParams(n, exchangeable_levels=[0.999, 0.99999] + [1.0] * (n - 2))
+    model = MvgModel(params)
+    for f, low in [(150, (160, 170, 190, 200)), (125, (130, 140, 150, 160, 170))]:
+        up = range(1, f + 1)
+        for m in (0, 3, 20):
+            want = _marked_reference(params, dict.fromkeys(low, "low") | dict.fromkeys(up, "up"), m)[0]
+            # both sides are signed sums of terms up to 1, so they agree to
+            # about 1e-15; every rectangle here is at least 2e-12
+            assert rect_prob(model, low, up, m) == pytest.approx(want, rel=0.0, abs=1e-13)
+            assert rect_prob(model, (), up, m) == pytest.approx(
+                mvg_joint_survival(params, [m] * f + [-1] * (n - f)), rel=1e-12)
+    # T is the minimum over the first 130 or over all 200 coordinates, each
+    # geometric with E T = theta / (1 - theta), theta = P(min > 0)
+    signature = [0.0] * n
+    signature[129] = signature[199] = 0.5
+    thetas = [mvg_joint_survival(params, [0] * i + [-1] * (n - i)) for i in (130, 200)]
+    want = math.fsum(0.5 * t / (1.0 - t) for t in thetas)
+    got = exchangeable_system_moment(model, signature, 1, d=1e-10)
+    assert got.value == pytest.approx(want, abs=2e-10)
+
+
 def test_mvg_marked_lattice_cap_is_checked_before_any_work():
     n = 25
     for params in (MvgParams(n, theta={(i,): 0.9 for i in range(1, n + 1)}),
