@@ -268,21 +268,27 @@ def _emit(header: list[str], rows: list[list], fmt: str, full: bool):
         print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
 
 
-def _moment_row(cells: dict[int, dict], moments: list[int]) -> tuple[list[str], list]:
-    """Columns p<q> (+ M0_p<q> when truncated) for each moment, then var."""
-    header, row = [], []
-    any_m0 = any(cells[p]["M0"] is not None for p in moments)
+def _moment_table(table: list[dict[int, dict]], moments: list[int]) -> tuple[list[str], list[list]]:
+    """Columns p<q> (+ M0_p<q> when any cell is truncated) for every requested
+    moment, then var when moments 1 and 2 are both requested; one row per
+    statistic's cells, blank where that statistic did not request a moment."""
+    any_m0 = any(cell["M0"] is not None for cells in table for cell in cells.values())
+    with_var = 1 in moments and 2 in moments
+    header = []
     for p in moments:
-        header.append(f"p{p}")
-        row.append(cells[p]["value"])
-        if any_m0:
-            header.append(f"M0_p{p}")
-            row.append(cells[p]["M0"])
-    if 1 in cells and 2 in cells:
-        header.append("var")
-        m1, m2 = cells[1]["value"], cells[2]["value"]
-        row.append(m2 - m1 * m1)
-    return header, row
+        header += [f"p{p}", f"M0_p{p}"] if any_m0 else [f"p{p}"]
+    header += ["var"] if with_var else []
+    rows = []
+    for cells in table:
+        row = []
+        for p in moments:
+            cell = cells.get(p, {"value": None, "M0": None})
+            row += [cell["value"], cell["M0"]] if any_m0 else [cell["value"]]
+        if with_var:
+            has_both = 1 in cells and 2 in cells
+            row.append(cells[2]["value"] - cells[1]["value"] * cells[1]["value"] if has_both else None)
+        rows.append(row)
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +303,10 @@ def cmd_orderstat(cfg: dict, args) -> int:
         return 0
     ranks = list(dict.fromkeys(r for r, _, _ in triples))
     moments = list(dict.fromkeys(p for _, p, _ in triples))
-    cells = {r: _cells(model, r, [(p, d) for rr, p, d in triples if rr == r]) for r in ranks}
-    header, rows = None, []
-    for r in ranks:
-        h, row = _moment_row(cells[r], [p for p in moments if p in cells[r]])
-        if header is None:
-            header = ["r"] + h
-        rows.append([r] + row)
+    table = [_cells(model, r, [(p, d) for rr, p, d in triples if rr == r]) for r in ranks]
+    header, rows = _moment_table(table, moments)
     _note(f"model n={model.n}; ranks={ranks}; moments={moments}")
-    _emit(header, rows, args.format, args.precision == "full")
+    _emit(["r"] + header, [[r] + row for r, row in zip(ranks, rows)], args.format, args.precision == "full")
     return 0
 
 
@@ -318,9 +319,9 @@ def cmd_system(cfg: dict, args) -> int:
         return 0
     cells = _cells(model, structure, [(p, d) for _, p, d in triples])
     moments = list(dict.fromkeys(p for _, p, _ in triples))
-    header, row = _moment_row(cells, moments)
+    header, rows = _moment_table([cells], moments)
     _note(f"system n={structure.n}; moments={moments}")
-    _emit(header, [row], args.format, args.precision == "full")
+    _emit(header, rows, args.format, args.precision == "full")
     return 0
 
 

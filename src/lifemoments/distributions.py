@@ -1,9 +1,9 @@
 """Discrete marginals and joint models of dependent integer random vectors.
 
 Every moment formula in this package reads a joint model through one query
-over marked coordinates, for every m up to a cutoff (``counts``): "low" ones
-are <= m, "up" ones > m, and exactly s "count" ones <= m.  The rectangle
-series and the class counts are two reads of it.  Four model kinds each
+over marked coordinates, for every m in a threshold range (``counts``):
+"low" ones are <= m, "up" ones > m, and exactly s "count" ones <= m.  The
+rectangle series and the class counts are two reads of it.  Four model kinds each
 implement it with one kernel: an explicit finite pmf, the multinomial count
 vector (an explicit pmf that never lists its support), a product of
 independent marginals, and the common-shock geometric model of module
@@ -407,7 +407,8 @@ class JointModel:
     The rectangle series is its column 0 for low and up marks, and the class
     counts are an all-count query, kept in one grow-only table per model.
     Index sets are frozensets of 1-based coordinates, already validated, and
-    series run over the thresholds m = 0..m_hi.
+    series run over the thresholds m = m_lo..m_hi: from 0 for a moment
+    series, the one threshold m_lo = m_hi for a single-threshold read.
     """
 
     n: int
@@ -419,16 +420,17 @@ class JointModel:
     def support_max(self) -> int | None:
         return None
 
-    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
-        """(m_hi+1, c+1) matrix for c count marks: row m, column s holds P(every
-        low coordinate <= m, every up one > m, exactly s counted ones <= m)."""
+    def counts(self, marks: Mapping[int, str], m_hi: int, m_lo: int = 0) -> np.ndarray:
+        """(m_hi-m_lo+1, c+1) matrix for c count marks: row m - m_lo, column s
+        holds P(every low coordinate <= m, every up one > m, exactly s counted
+        ones <= m), m = m_lo..m_hi."""
         raise UnsupportedModelError(f"unknown model kind {type(self).__name__}")
 
-    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int) -> np.ndarray:
-        """P(X_i <= m for i in low, X_j > m for j in up) for m = 0..m_hi."""
+    def rect_series(self, low: frozenset[int], up: frozenset[int], m_hi: int, m_lo: int = 0) -> np.ndarray:
+        """P(X_i <= m for i in low, X_j > m for j in up) for m = m_lo..m_hi."""
         # a fixed mark order keeps each kernel's products in one order
         marks = dict.fromkeys(sorted(low), "low") | dict.fromkeys(sorted(up), "up")
-        return self.counts(marks, m_hi)[:, 0]
+        return self.counts(marks, m_hi, m_lo)[:, 0]
 
     def class_counts(self, m_max: int) -> np.ndarray:
         """(m_max+1, n+1) matrix: row m holds P(exactly s coordinates <= m),
@@ -440,8 +442,8 @@ class JointModel:
     def _class_counts(self) -> _PrefixCache:
         return _PrefixCache()
 
-    def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
-        """P(X_{r:n} > m) for m = 0..m_max, read from the class counts.
+    def orderstat_survival_series(self, r: int, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
+        """P(X_{r:n} > m) for m = m_lo..m_hi, read from the class counts.
 
         The event splits over how many coordinates fall at or below m: either
         sum the classes with fewer than r low coordinates ("low"), or
@@ -452,17 +454,13 @@ class JointModel:
             form = "low" if r <= (self.n + 1) / 2 else "high"
         if form not in ("low", "high"):
             raise ValidationError(f"form must be auto, low, or high, not {form!r}")
-        counts = self.class_counts(m_max)
+        counts = self.class_counts(m_hi)[m_lo:]
         if form == "low":
             series = _compensated_row_sums(counts[:, :r])
         else:
             series = 1.0 - _compensated_row_sums(counts[:, r:])
         # rows of class counts may sum to 1 plus a few ulps
         return np.clip(series, 0.0, 1.0)
-
-    def orderstat_survival(self, r: int, m: int, form: str = "auto") -> float:
-        """P(X_{r:n} > m) at the one threshold m >= 0: the series' entry m."""
-        return float(self.orderstat_survival_series(r, m, form)[m])
 
     def factorial_moments(self, stat, p: int) -> Sequence[float] | None:
         """Closed-form factorial moments E(T)_1..E(T)_p of a statistic T, or
@@ -523,7 +521,7 @@ class ExplicitFinitePMF(JointModel):
         """Number of support points."""
         return int(self.probs.shape[0])
 
-    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+    def counts(self, marks: Mapping[int, str], m_hi: int, m_lo: int = 0) -> np.ndarray:
         # a point meets the marks with s counted coordinates <= m for a_s <= m
         # < b_s: a_s the larger of its largest low and its s-th smallest
         # counted coordinate, b_s the smaller of its smallest up and its
@@ -556,7 +554,7 @@ class ExplicitFinitePMF(JointModel):
         return np.column_stack([
             column(meet(np.maximum, a, ends[s]), meet(np.minimum, b, ends[s + 1]))
             for s in range(ranked.shape[1] + 1)
-        ])
+        ])[m_lo:]
 
 
 class IndependentMarginals(JointModel):
@@ -585,16 +583,16 @@ class IndependentMarginals(JointModel):
         a cumsum's prefix is the cumsum of the prefix."""
         return self._cdfs[j - 1].read(m_max, self.marginals[j - 1].cdf_array)
 
-    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+    def counts(self, marks: Mapping[int, str], m_hi: int, m_lo: int = 0) -> np.ndarray:
         """One recursion over the marked coordinates, every threshold at once:
         a low j multiplies by F_j(m), an up one by 1 - F_j(m), and a counted
         one moves a class up with probability F_j(m).  Nothing cancels (Hong
         2013, Comput. Stat. Data Anal. 59:41-51); row m reads F_j(m) alone,
         and only the marked coordinates' columns are built."""
-        out = np.zeros((m_hi + 1, 1 + sum(rule == "count" for rule in marks.values())))
+        out = np.zeros((m_hi - m_lo + 1, 1 + sum(rule == "count" for rule in marks.values())))
         out[:, 0] = 1.0
         for j, rule in marks.items():
-            q = self._cdf(j, m_hi)[:, None]
+            q = self._cdf(j, m_hi)[m_lo:, None]
             if rule == "low":
                 out *= q
             elif rule == "up":
@@ -626,21 +624,23 @@ class MvgModel(JointModel):
         """X_i ~ ge(1 - theta_i) with theta_i the minimum parameter of {i}."""
         return tuple(Geometric(1.0 - mvg_min_param(self.params, (i,))) for i in range(1, self.n + 1))
 
-    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+    def counts(self, marks: Mapping[int, str], m_hi: int, m_lo: int = 0) -> np.ndarray:
         """One signed sum over the subsets S of the low and counted
-        coordinates, counts[m, s] = sum_S (-1)^(a+t) C(b, t) theta(up | S)^(m+1)
-        with a = |S & low|, b = |S & counted|, t = s - (c - b) in 0..b and
-        theta of the empty set 1.  It is taken one coordinate at a time over
-        a block of rows of powers of the lattice: a low j turns P(..) and
-        P(X_j > m, ..) into their difference P(X_j <= m, ..), and a counted j
-        adds that difference one class up, as `IndependentMarginals.counts`
-        does.  Every intermediate is a probability, so only rounding cancels."""
+        coordinates, row m - m_lo, column s = sum_S (-1)^(a+t) C(b, t)
+        theta(up | S)^(m+1) with a = |S & low|, b = |S & counted|,
+        t = s - (c - b) in 0..b and theta of the empty set 1.  It is taken
+        one coordinate at a time over a block of rows of powers of the
+        lattice: a low j turns P(..) and P(X_j > m, ..) into their difference
+        P(X_j <= m, ..), and a counted j adds that difference one class up,
+        as `IndependentMarginals.counts` does.  Every intermediate is a
+        probability, so only rounding cancels, and each row reads its own
+        threshold alone."""
         low, up, counted = ([i for i, rule in marks.items() if rule == r] for r in ("low", "up", "count"))
         thetas = _lattice(self.params, low + counted, up)  # refuses a lattice above the cap
-        exps = np.arange(1.0, m_hi + 2.0)[:, None]
-        out = np.empty((m_hi + 1, len(counted) + 1))
+        exps = np.arange(m_lo + 1.0, m_hi + 2.0)[:, None]
+        out = np.empty((len(exps), len(counted) + 1))
         step = max(1, _LATTICE_BLOCK // len(thetas))
-        for lo in range(0, m_hi + 1, step):
+        for lo in range(0, len(exps), step):
             # rows, one axis per marked coordinate (the lowest bit last), classes
             x = (thetas ** exps[lo : lo + step]).reshape(-1, *(2,) * (len(low) + len(counted)), 1)
             for _ in low:
@@ -653,17 +653,11 @@ class MvgModel(JointModel):
             out[lo : lo + step] = x
         return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
-    def orderstat_survival_series(self, r: int, m_max: int, form: str = "auto") -> np.ndarray:
+    def orderstat_survival_series(self, r: int, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
         """The subset-minima closed form; a forced form reads the class counts."""
         if form != "auto":
-            return super().orderstat_survival_series(r, m_max, form)
-        return mvg_orderstat_survival(self.params, r, self.n, np.arange(m_max + 1))
-
-    def orderstat_survival(self, r: int, m: int, form: str = "auto") -> float:
-        """The closed form at the one threshold m; a forced form reads the class counts."""
-        if form != "auto":
-            return super().orderstat_survival(r, m, form)
-        return mvg_orderstat_survival(self.params, r, self.n, m)
+            return super().orderstat_survival_series(r, m_hi, form, m_lo)
+        return mvg_orderstat_survival(self.params, r, self.n, np.arange(m_lo, m_hi + 1))
 
     def factorial_moments(self, stat, p: int) -> Sequence[float]:
         """The statistic's subset-minima closed form."""
@@ -691,16 +685,16 @@ def _check_index_sets(model: JointModel, low: Iterable[int], up: Iterable[int]):
 def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) -> float:
     """P(X_i <= m for i in low, X_j > m for j in up).
 
-    One threshold of the model's ``rect_series``.  ``low`` and ``up`` are
-    disjoint subsets of {1..n}; ``m`` may be -1 (every "<= m" condition is
-    then impossible, every "> m" condition certain).
+    The one-row range m..m of the model's ``rect_series``.  ``low`` and
+    ``up`` are disjoint subsets of {1..n}; ``m`` may be -1 (every "<= m"
+    condition is then impossible, every "> m" condition certain).
     """
     L, U = _check_index_sets(model, low, up)
     m = _as_int(m, "threshold m", -1)
     if m == -1 or not L and not U:
         return 0.0 if L else 1.0
     m = _support_clamp(model, m)
-    return float(model.rect_series(L, U, m)[m])
+    return float(model.rect_series(L, U, m, m_lo=m)[0])
 
 
 def _support_clamp(model: JointModel, m: int) -> int:
@@ -805,14 +799,14 @@ class MultinomialModel(ExplicitFinitePMF):
     def support_size(self) -> int:
         return math.comb(self.trials + self.n - 1, self.n - 1)
 
-    def counts(self, marks: Mapping[int, str], m_hi: int) -> np.ndarray:
+    def counts(self, marks: Mapping[int, str], m_hi: int, m_lo: int = 0) -> np.ndarray:
         N, rates = self.trials, self.trials * self.cell_probs
         cells = [(rates[i - 1], rule) for i, rule in marks.items()]
         free = [rates[i - 1] for i in range(1, self.n + 1) if i not in marks]
         if free:  # a sum of independent Poisson cells is one Poisson cell
             cells.append((math.fsum(free), "free"))
         table = self._conditioned_poisson(cells, min(m_hi, N))
-        return table[np.minimum(np.arange(m_hi + 1), N)]  # constant past the support
+        return table[np.minimum(np.arange(m_lo, m_hi + 1), N)]  # constant past the support
 
     def _conditioned_poisson(self, cells: list[tuple[float, str]], m_top: int) -> np.ndarray:
         """Row m, column s: P(every cell meets its rule at threshold m and

@@ -7,13 +7,13 @@ Every moment here and in `systems` comes from the survival-series identity
 for T a statistic of the vector: an order statistic X_{r:n} (`_OrderStat`,
 here) or a coherent-system lifetime (`_System`, in `systems`); X_{r:n} is
 the (n-r+1)-out-of-n:G system.  A statistic gives its survival series
-P(T > m) for m = 0..m_hi (``series``), one threshold of it (``at``), its
-d-scale (``scale``) and its value at given points (``values``, for the
-oracles).  `_moment` sums the series and `_survival` reads one threshold,
-for every statistic.  Finite supports run to the end of the support;
-infinite supports are truncated at an index M0 chosen so the discarded tail
-is provably at most a requested d > 0 (the partial sums always
-underestimate, so the error sign is known).  The d-scale tightens a single
+P(T > m) for m = m_lo..m_hi (``series``), its d-scale (``scale``) and its
+value at given points (``values``, for the oracles).  `_moment` sums the
+series from m = 0 and `_survival` reads the one-row range m..m, for every
+statistic.  Finite supports run to the end of the support; infinite
+supports are truncated at an index M0 chosen so the discarded tail is
+provably at most a requested d > 0 (the partial sums always underestimate,
+so the error sign is known).  The d-scale tightens a single
 marginal's tail condition: `binomial_head(n, r)` for X_{r:n}, the positive
 subset coefficients for systems.  Closed-form M0 planners cover Poisson and
 negative binomial marginals; a generic planner searches any user-supplied
@@ -116,11 +116,8 @@ class _OrderStat:
     def scale(self) -> int:
         return binomial_head(self.n, self.r)
 
-    def series(self, model: JointModel, m_hi: int) -> np.ndarray:
-        return model.orderstat_survival_series(self.r, m_hi, self.form)
-
-    def at(self, model: JointModel, m: int) -> float:
-        return model.orderstat_survival(self.r, m, self.form)
+    def series(self, model: JointModel, m_hi: int, m_lo: int = 0) -> np.ndarray:
+        return model.orderstat_survival_series(self.r, m_hi, self.form, m_lo)
 
     def values(self, cols: np.ndarray) -> np.ndarray:
         """T at each of N points given coordinate-major, ``cols`` (n, N)."""
@@ -142,11 +139,12 @@ def _check_request(p: int, d: float | None):
 
 
 def _survival(model: JointModel, stat, m: int) -> float:
-    """P(T > m): 1 below zero, else the statistic at the clamped threshold."""
+    """P(T > m): 1 below zero, else the series row of the clamped threshold alone."""
     m = _as_int(m, "threshold m")
     if m < 0:
         return 1.0
-    return stat.at(model, _support_clamp(model, m))
+    m = _support_clamp(model, m)
+    return float(stat.series(model, m, m_lo=m)[0])
 
 
 def _moment(

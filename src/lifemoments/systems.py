@@ -20,6 +20,7 @@ into a statistic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -83,17 +84,20 @@ def _normalize_family(sets: Iterable[Iterable[int]], n: int, label: str) -> tupl
         raise ValidationError(f"{label} sets list is empty")
     if len(set(fam)) != len(fam):
         raise ValidationError(f"duplicate {label} sets")
-    for A, B in combinations(fam, 2):
-        if A <= B or B <= A:
-            raise ValidationError(
-                f"{label} sets {sorted(A)} and {sorted(B)} are nested; "
-                "minimal sets form an antichain"
-            )
+    fam.sort(key=lambda S: (len(S), sorted(S)))
+    for A in fam:
+        # distinct sets of one size are never nested: test the larger sets only
+        for B in fam[bisect_right(fam, len(A), key=len) :]:
+            if A < B:
+                raise ValidationError(
+                    f"{label} sets {sorted(A)} and {sorted(B)} are nested; "
+                    "minimal sets form an antichain"
+                )
     covered = frozenset().union(*fam)
     if len(covered) != n:
         missing = sorted(set(range(1, n + 1)) - covered)
         raise ValidationError(f"components {missing} appear in no {label} set")
-    return tuple(sorted(fam, key=lambda S: (len(S), sorted(S))))
+    return tuple(fam)
 
 
 class SystemStructure:
@@ -376,16 +380,13 @@ class _System:
         scale = sum(c for c in self.coeffs.values() if c > 0)
         return scale * (2**self.n - 1) if self.form == "beta" else scale
 
-    def series(self, model: JointModel, m_hi: int) -> np.ndarray:
+    def series(self, model: JointModel, m_hi: int, m_lo: int = 0) -> np.ndarray:
         none = frozenset()
-        series = np.zeros(m_hi + 1)
+        series = np.zeros(m_hi - m_lo + 1)
         for K, c in self.coeffs.items():
             low, up = (none, K) if self.form == "alpha" else (K, none)
-            series += float(c) * model.rect_series(low, up, m_hi)  # a Fraction would make an object array
+            series += float(c) * model.rect_series(low, up, m_hi, m_lo)  # a Fraction would make an object array
         return series if self.form == "alpha" else 1.0 - series
-
-    def at(self, model: JointModel, m: int) -> float:
-        return float(self.series(model, m)[m])
 
     def values(self, cols: np.ndarray) -> np.ndarray:
         """T at each of N points given coordinate-major, ``cols`` (n, N): the

@@ -193,6 +193,20 @@ def test_orderstat_explicit_request_list(tmp_path, capsys):
     assert float(rows[0][1]) == pytest.approx(0.75, abs=1e-9)
 
 
+def test_orderstat_ranks_with_different_moments_share_one_header(tmp_path, capsys):
+    # the header came from the first rank, so E X_{2:2}^2 = 1.75 sat under p1
+    cfg = {
+        "model": {"kind": "finite", "points": [[0, 1], [2, 0], [1, 1]], "probs": [0.25, 0.25, 0.5]},
+        "requests": [{"r": 1, "p": 1}, {"r": 2, "p": 2}],
+    }
+    code, out, _ = run_cli(capsys, ["orderstat", "--config", write_cfg(tmp_path, cfg), "--format", "csv"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["r", "p1", "p2", "var"]
+    assert all(len(row) == len(header) for row in rows)
+    assert rows == [["1", "0.500", "", ""], ["2", "", "1.750", ""]]
+
+
 # ---------------------------------------------------------------------------
 # system and signature
 # ---------------------------------------------------------------------------

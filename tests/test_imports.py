@@ -1,9 +1,9 @@
 """Every module-level import in the package is used, every module-level
 private name is referenced somewhere in it, the front ends do not branch on
-the kind of a statistic or a model, each model kind has one kernel, the
-oracle imports nothing of the analytic pipeline, and the MVG sums read
-theta(K) from one lattice, not subset by subset (no linter is a
-dependency)."""
+the kind of a statistic or a model, each model kind has one kernel, each
+statistic kind one survival read, the oracle imports nothing of the analytic
+pipeline, and the MVG sums read theta(K) from one lattice, not subset by
+subset (no linter is a dependency)."""
 
 import ast
 import importlib
@@ -221,6 +221,47 @@ def test_checker_flags_second_kernels():
     assert kernel_breaches(source) == [
         "B.rect_series", "B._class_count_table", "C: no counts", "C: self._counts_table",
     ]
+
+
+def survival_read_breaches(source: str) -> list[str]:
+    """Methods of a statistic kind (a class that defines ``series``), other
+    than ``series`` and the constructor, that take a ``model``, and any
+    method named ``orderstat_survival``: a statistic reads a model's
+    survival through the threshold range of ``series`` alone, and a model
+    kind has no single-threshold order-statistic read."""
+    breaches = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        is_statistic = any(m.name == "series" for m in methods)
+        for m in methods:
+            reads_model = any(a.arg == "model" for a in m.args.args + m.args.kwonlyargs)
+            if m.name == "orderstat_survival" or is_statistic and reads_model and m.name not in ("series", "__init__"):
+                breaches.append(f"{cls.name}.{m.name}")
+    return breaches
+
+
+@pytest.mark.parametrize("name", ["orderstats.py", "systems.py", "distributions.py"])
+def test_each_statistic_has_one_survival_read(name):
+    assert survival_read_breaches((PACKAGE / name).read_text()) == []
+
+
+def test_checker_flags_second_survival_reads():
+    source = (
+        "class Stat:\n"
+        "    def __init__(self, model): pass\n"
+        "    def series(self, model, m_hi, m_lo=0): pass\n"
+        "    def at(self, model, m): pass\n"
+        "    def values(self, cols): pass\n"
+        "class Other:\n"
+        "    def at(self, model, m): pass\n"
+        "class Kind:\n"
+        "    def orderstat_survival(self, r, m): pass\n"
+        "    def orderstat_survival_series(self, r, m_hi): pass\n"
+        "def orderstat_survival(model): pass\n"
+    )
+    assert survival_read_breaches(source) == ["Stat.at", "Kind.orderstat_survival"]
 
 
 # what the oracle may import from the package: the statistic's definition,
