@@ -19,11 +19,18 @@ sums log((R+k-1)/k), avoiding the cancellation in lgamma(x+R) - lgamma(x+1).
 
 Three tables are kept per object, each grow-only and read as read-only
 prefixes (``_PrefixCache``): a marginal's log pmf, which ``pmf_array``,
-``cdf_array``, ``quantile`` and ``tail_moment`` read; every model's
-class-count table; and, in ``IndependentMarginals``, each coordinate's cdf
-column.  Row x of each depends on rows 0..x alone, so a prefix of a longer
-build equals a shorter build bit for bit.  The caches assume that marginals
-and models are never mutated after construction.
+``cdf_array`` and the tail kernel read; every model's class-count table;
+and, in ``IndependentMarginals``, each coordinate's cdf column.  Row x of
+each depends on rows 0..x alone, so a prefix of a longer build equals a
+shorter build bit for bit.  The caches assume that marginals and models are
+never mutated after construction.
+
+A marginal's tail has one kernel, ``_tail_bounds``, built afresh per call:
+one cutoff search, one exp over the log pmf prefix and one backward cumsum
+give an upper bound on sum over x >= t of x^p pmf(x) for every t.  Its
+three readers are ``quantile`` (p = 0), ``tail_moment`` and the generic
+truncation planner of module ``orderstats``, which reads every probe of
+its search from one table.
 """
 
 from __future__ import annotations
@@ -186,6 +193,25 @@ class MarginalDist:
             x *= 2
         raise ConvergenceError("tail of x^p pmf(x) never became summably small")
 
+    def _tail_bounds(self, p: int, weight: float) -> np.ndarray:
+        """The one tail kernel: B[t] >= sum over x >= t of x^p pmf(x), t = 0..X+1.
+
+        X is the cutoff `_tail_cutoff` finds for ``weight``.  B[t] is the
+        backward sum of the terms t..X (accurate however small the tail)
+        plus the rest bound beyond X, so B[X+1] is the rest alone.  One
+        exp over the cached log pmf and one cumsum answer every t:
+        `quantile` reads the table at p = 0, `tail_moment` and the generic
+        truncation planner at p >= 1.
+        """
+        x_hi, rho = self._tail_cutoff(weight, p)
+        if p == 0:
+            terms = self.pmf_array(x_hi)
+        else:
+            with np.errstate(divide="ignore"):  # log 0 = -inf: the x = 0 term is 0
+                terms = np.exp(self.logpmf_array(x_hi) + p * np.log(np.arange(x_hi + 1)))
+        rest = terms[-1] * rho / (1.0 - rho)
+        return np.append(np.cumsum(terms[::-1])[::-1], 0.0) + rest
+
     def quantile(self, q: float) -> int:
         """Smallest x with P(X <= x) >= q, i.e. with P(X > x) <= 1 - q.
 
@@ -196,12 +222,8 @@ class MarginalDist:
         if not 0.0 < q < 1.0:
             raise ValidationError(f"quantile level q={q} outside (0, 1)")
         eps = 1.0 - q
-        x_hi, rho = self._tail_cutoff(eps * _TAIL_SLACK, 0)
-        pmfs = self.pmf_array(x_hi)
-        # tail[m] = P(m < X <= x_hi); adding rem bounds P(X > m) from above
-        tail = np.concatenate([np.cumsum(pmfs[::-1])[::-1][1:], [0.0]])
-        rem = pmfs[x_hi] * rho / (1.0 - rho)
-        hits = np.nonzero(tail + rem <= eps)[0]
+        # entry m + 1 bounds P(X > m) from above
+        hits = np.nonzero(self._tail_bounds(0, eps * _TAIL_SLACK)[1:] <= eps)[0]
         if hits.size == 0:
             raise ConvergenceError("tail never dropped below the quantile level")
         return int(hits[0])
@@ -216,11 +238,8 @@ class MarginalDist:
         p = _as_order(p)
         lo = max(m + 2, 1)
         first = exp(self.logpmf(lo) + p * log(lo))
-        x_hi, rho = self._tail_cutoff(max(first, 1e-300) * _TAIL_SLACK, p)
-        x_hi = max(x_hi, lo)
-        terms = np.exp(self.logpmf_array(x_hi)[lo:] + p * np.log(np.arange(lo, x_hi + 1)))
-        rem = terms[-1] * rho / (1.0 - rho)
-        return float(np.sum(terms)) + rem
+        bounds = self._tail_bounds(p, max(first, 1e-300) * _TAIL_SLACK)
+        return float(bounds[min(lo, len(bounds) - 1)])
 
 
 class Poisson(MarginalDist):
@@ -383,13 +402,10 @@ class FinitePMF(MarginalDist):
         # the probabilities may sum to 1 - 1e-12, leaving the cdf below q
         return min(int(np.searchsorted(self._cdf, q, side="left")), self.support_max())
 
-    def tail_moment(self, p: int, m: int) -> float:
-        p = _as_order(p)
-        lo = max(m + 2, 1)
-        if lo >= self.probs.size:
-            return 0.0
-        xs = np.arange(lo, self.probs.size, dtype=float)
-        return float(np.dot(xs**p, self.probs[lo:]))
+    def _tail_bounds(self, p: int, weight: float) -> np.ndarray:
+        """The whole support summed backward; nothing lies beyond it, so no rest."""
+        terms = np.arange(self.probs.size, dtype=float) ** p * self.probs
+        return np.append(np.cumsum(terms[::-1])[::-1], 0.0)
 
     def __repr__(self) -> str:
         return f"FinitePMF(K={self.probs.size - 1})"
@@ -435,8 +451,12 @@ class JointModel:
     def class_counts(self, m_max: int) -> np.ndarray:
         """(m_max+1, n+1) matrix: row m holds P(exactly s coordinates <= m),
         s = 0..n; a read-only prefix of the model's cached table."""
-        every = dict.fromkeys(range(1, self.n + 1), "count")
-        return self._class_counts.read(m_max, lambda m: self.counts(every, m))
+        return self._class_counts.read(m_max, lambda m: self.counts(self._every, m))
+
+    @property
+    def _every(self) -> dict[int, str]:
+        """The all-count marks of the class counts."""
+        return dict.fromkeys(range(1, self.n + 1), "count")
 
     @cached_property
     def _class_counts(self) -> _PrefixCache:
@@ -448,13 +468,21 @@ class JointModel:
         The event splits over how many coordinates fall at or below m: either
         sum the classes with fewer than r low coordinates ("low"), or
         complement the classes with at least r ("high").  "auto" picks
-        whichever needs fewer classes (ties go to the low form).
+        whichever needs fewer classes (ties go to the low form).  On an
+        infinite support a range past the cached table's end reads its own
+        rows of the class counts (row m reads threshold m alone) and leaves
+        the table as it is; a finite support bounds the table, and its
+        kernels build every row below m anyway, so they read the table.
         """
         if form == "auto":
             form = "low" if r <= (self.n + 1) / 2 else "high"
         if form not in ("low", "high"):
             raise ValidationError(f"form must be auto, low, or high, not {form!r}")
-        counts = self.class_counts(m_hi)[m_lo:]
+        table = self._class_counts.table
+        if m_lo > 0 and self.support_max() is None and (table is None or len(table) <= m_hi):
+            counts = self.counts(self._every, m_hi, m_lo)
+        else:
+            counts = self.class_counts(m_hi)[m_lo:]
         if form == "low":
             series = _compensated_row_sums(counts[:, :r])
         else:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import IndependentMarginals, JointModel, NegBin, Poisson, _support_clamp
+from .distributions import _TAIL_SLACK, IndependentMarginals, JointModel, NegBin, Poisson, _support_clamp
 from .errors import (
     ConvergenceError,
     NumericError,
@@ -332,11 +332,11 @@ def plan_for(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
 
     Poisson and shared-size negative binomial families use their closed-form
     planners with j0 the largest rate or the smallest success probability;
-    everything else searches the largest-mean marginal's tail moment
-    directly (smallest index on ties).  The caller is responsible for the
-    premise that one marginal dominates at every threshold (automatic in the
-    two closed-form families).  `_moment` calls this with d over the
-    statistic's d-scale.
+    everything else searches the tail moment of the largest-mean marginal
+    (smallest index on ties) in one tail table of it.  The caller is
+    responsible for the premise that one marginal dominates at every
+    threshold (automatic in the two closed-form families).  `_moment` calls
+    this with d over the statistic's d-scale.
     """
     margs = model.marginals
     if margs is None:
@@ -352,6 +352,8 @@ def plan_for(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
         M0, q = negbin_truncation_index(margs[j0 - 1], p, scaled_d)
         return TruncationPlan(M0=M0, j0=j0, threshold=q)
     j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
-    dist = margs[j0 - 1]
-    M0 = generic_truncation_index(lambda m: dist.tail_moment(p, m), p, scaled_d)
+    # one tail table at the decision's own weight answers every probe of the
+    # search: entry m + 2 bounds tail_moment(p, m) (the last, the rest alone)
+    tail = margs[j0 - 1]._tail_bounds(p, scaled_d * _TAIL_SLACK)
+    M0 = generic_truncation_index(lambda m: tail[min(m + 2, len(tail) - 1)], p, scaled_d)
     return TruncationPlan(M0=M0, j0=j0, threshold=scaled_d)

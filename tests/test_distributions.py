@@ -43,6 +43,7 @@ from lifemoments import (
     system_survival,
 )
 from lifemoments import distributions, mvg
+from lifemoments.orderstats import generic_truncation_index, plan_for
 from conftest import product_explicit, random_explicit, random_independent, random_probs
 
 
@@ -191,6 +192,46 @@ def test_negbin_cell_makes_few_scalar_logpmf_calls(monkeypatch):
     approx_moment(IndependentMarginals([NegBin(2, q) for q in ps]), req, plan)
     assert plan.M0 == 510
     assert 0 < len(calls) < 100
+
+
+KERNEL_DISTS = [Poisson(0.7), Poisson(47.3), NegBin(0.3, 0.05), NegBin(3.5, 0.4), Geometric(0.3), Geometric(0.97)]
+
+
+@pytest.mark.parametrize("dist", KERNEL_DISTS, ids=repr)
+def test_tail_table_search_matches_per_probe_tail_moments(dist):
+    """The generic planner's one tail table gives the M0 of the search over
+    per-probe tail moments, and of one over per-x fsums; the tail left at
+    M0 is within the bound.  A point mass at 0 beside ``dist`` sends
+    `plan_for` to its generic branch with j0 = 1."""
+    model = IndependentMarginals([dist, FinitePMF([1.0])])
+    for p in (1, 2, 3):
+        for bound in (1e-2, 1e-6, 1e-10, 1e-13):
+            M0 = plan_for(model, p, bound).M0
+            assert M0 == generic_truncation_index(lambda m: dist.tail_moment(p, m), p, bound)
+            assert M0 == generic_truncation_index(lambda m: _tail_moment_per_x(dist, p, m), p, bound)
+            assert _tail_moment_per_x(dist, p, M0) <= bound
+
+
+def test_generic_plan_makes_one_tail_cutoff_and_no_tail_moment_call(monkeypatch):
+    """One generic plan builds one tail table and reads every probe from it."""
+    calls = Counter()
+    for name in ("_tail_cutoff", "tail_moment"):
+        method = getattr(MarginalDist, name)
+        monkeypatch.setattr(
+            MarginalDist, name, lambda d, *args, name=name, method=method: calls.update([name]) or method(d, *args)
+        )
+    plan = plan_for(IndependentMarginals([Poisson(3.0), NegBin(1, 0.3)]), 2, 1e-8)
+    assert (plan.M0, plan.j0) == (19, 1)
+    assert calls == Counter(_tail_cutoff=1)
+
+
+def test_finite_marginal_plans_as_j0():
+    """A finite marginal's tail table is its whole support, with no rest."""
+    model = IndependentMarginals([FinitePMF([0] * 6 + [0.5, 0.5]), Poisson(1.0), Geometric(0.5)])
+    plan = plan_for(model, 1, 1e-6)
+    assert (plan.M0, plan.j0) == (6, 1)
+    assert FinitePMF([0.2, 0.3, 0.5]).tail_moment(2, 0) == 2.0
+    assert FinitePMF([0.2, 0.3, 0.5]).tail_moment(1, 1) == 0.0
 
 
 def test_geometric_closed_forms():

@@ -2,8 +2,9 @@
 private name is referenced somewhere in it, the front ends do not branch on
 the kind of a statistic or a model, each model kind has one kernel, each
 statistic kind one survival read, the oracle imports nothing of the analytic
-pipeline, and the MVG sums read theta(K) from one lattice, not subset by
-subset (no linter is a dependency)."""
+pipeline, the MVG sums read theta(K) from one lattice, not subset by
+subset, and one kernel searches a marginal's tail cutoff (no linter is a
+dependency)."""
 
 import ast
 import importlib
@@ -321,17 +322,23 @@ def test_checker_flags_oracle_imports():
     ]
 
 
-def callers(source: str, name: str) -> list[str]:
+def callers(source: str, name: str, methods: bool = False) -> list[str]:
     """Where ``source`` uses ``name``: "import" for a module-level import
     binding it, and the enclosing ``Class.method`` or function of each call
-    (``<module>`` outside any), in source order."""
+    (``<module>`` outside any), in source order; with ``methods``, calls of
+    an attribute ``name`` (``self.name(...)``) count too."""
     found = []
+
+    def called(func) -> bool:
+        return isinstance(func, ast.Name) and func.id == name or (
+            methods and isinstance(func, ast.Attribute) and func.attr == name
+        )
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.Import, ast.ImportFrom)) and node is tree:
                 found.extend("import" for a in child.names if (a.asname or a.name) == name)
-            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+            elif isinstance(child, ast.Call) and called(child.func):
                 found.append(scope or "<module>")
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
@@ -368,3 +375,11 @@ def test_checker_finds_callers():
         "    return other(mvg_min_param(3))\n"
     )
     assert callers(source, "mvg_min_param") == ["import", "<module>", "A.f", "h"]
+    assert callers(source, "mvg_min_param", methods=True) == ["import", "<module>", "A.f", "A.g", "h"]
+
+
+def test_one_tail_kernel_runs_the_cutoff_search():
+    # quantile, tail_moment and the generic planner read a marginal's tail
+    # through one kernel, and only it searches for the cutoff
+    found = {path.name: callers(path.read_text(), "_tail_cutoff", methods=True) for path in PACKAGE.glob("*.py")}
+    assert {name: where for name, where in found.items() if where} == {"distributions.py": ["MarginalDist._tail_bounds"]}

@@ -112,6 +112,40 @@ def test_mvg_single_threshold_survival_reads_one_threshold(monkeypatch):
                 assert survival_orderstat(model, r, 4, m, form) == model.orderstat_survival_series(r, m, form)[m]
 
 
+@pytest.mark.parametrize("form", ["low", "high"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MvgModel(MvgParams(5, theta={(1,): 0.6, (2,): 0.7, (3,): 0.5, (4,): 0.8, (1, 2): 0.95, (3, 4, 5): 0.9})),
+        lambda: IndependentMarginals([Poisson(1 + 0.1 * j) for j in range(5)]),
+    ],
+    ids=["mvg", "independent"],
+)
+def test_forced_form_survival_reads_one_row_of_the_class_counts(build, form):
+    """Past the cached table's end a single-threshold read computes row m
+    alone: the same float as a slice of the full build, and the table does
+    not grow; a table that holds row m is sliced."""
+    model, m = build(), 3000
+    got = survival_orderstat(model, 3, 5, m, form)
+    assert model._class_counts.table is None
+    full = model.orderstat_survival_series(3, m, form)
+    assert got == full[m]
+    table = model._class_counts.table
+    assert survival_orderstat(model, 3, 5, m // 2, form) == full[m // 2]
+    assert model._class_counts.table is table
+
+
+def test_finite_support_survival_reads_grow_the_class_count_table():
+    """A finite support bounds the table and its kernel builds every row up
+    to m anyway, so single-threshold reads grow the table once and slice it."""
+    model = multinomial_pmf(40, [0.2, 0.3, 0.5])
+    survival_orderstat(model, 2, 3, 20, "low")
+    table = model._class_counts.table
+    assert len(table) > 20
+    assert survival_orderstat(model, 2, 3, 15, "low") == model.orderstat_survival_series(2, 15, "low")[15]
+    assert model._class_counts.table is table
+
+
 def test_survival_validation():
     model = random_explicit(np.random.default_rng(1), 2)
     with pytest.raises(ValidationError):
