@@ -17,13 +17,13 @@ overflow nor lose the leading digits.  Poisson and geometric arrays repeat
 the scalar formulas' float operations bit for bit; the negative binomial
 sums log((R+k-1)/k), avoiding the cancellation in lgamma(x+R) - lgamma(x+1).
 
-Three tables are kept per object, each grow-only and read as read-only
-prefixes (``_PrefixCache``): a marginal's log pmf, which ``pmf_array``,
-``cdf_array`` and the tail kernel read; every model's class-count table;
-and, in ``IndependentMarginals``, each coordinate's cdf column.  Row x of
-each depends on rows 0..x alone, so a prefix of a longer build equals a
-shorter build bit for bit.  The caches assume that marginals and models are
-never mutated after construction.
+Three tables are kept, each grow-only and read as read-only prefixes
+(``_PrefixCache``): a marginal's log pmf, which ``pmf_array``, ``cdf_array``
+and the tail kernel read; a marginal's cdf, which its scalar ``cdf`` and
+every coordinate of a model that holds it read; and every model's class
+counts.  Row x of each depends on rows 0..x alone, so a prefix of a longer
+build equals a shorter build bit for bit.  The caches assume that marginals
+and models are never mutated after construction.
 
 A marginal's tail has one kernel, ``_tail_bounds``, built afresh per call:
 one cutoff search, one exp over the log pmf prefix and one backward cumsum
@@ -46,6 +46,7 @@ from .errors import (
     ConvergenceError,
     UnsupportedModelError,
     ValidationError,
+    _as_index_set,
     _as_int,
     _as_order,
 )
@@ -152,12 +153,21 @@ class MarginalDist:
         return np.exp(self.logpmf_array(m_max))
 
     def cdf_array(self, m_max: int) -> np.ndarray:
+        """cdf on 0..m_max, built afresh: the caller's own array."""
         return np.minimum(np.cumsum(self.pmf_array(m_max)), 1.0)
+
+    def _cdf_prefix(self, m_max: int) -> np.ndarray:
+        """cdf on 0..m_max, a read-only prefix of the marginal's table."""
+        return self._cdfs.read(m_max, self.cdf_array)
+
+    @cached_property
+    def _cdfs(self) -> _PrefixCache:
+        return _PrefixCache()
 
     def cdf(self, m: int) -> float:
         if m < 0:
             return 0.0
-        return float(self.cdf_array(m)[-1])
+        return float(self._cdf_prefix(_support_clamp(self, m))[-1])
 
     def survival(self, m: int) -> float:
         if m < 0:
@@ -366,12 +376,11 @@ class FinitePMF(MarginalDist):
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("FinitePMF needs a non-empty probability vector")
-        if np.any(arr < 0.0):
+        if not np.all(arr >= 0.0):  # NaN included
             raise ValidationError("FinitePMF entries must be non-negative")
         if abs(float(arr.sum()) - 1.0) > 1e-12:
             raise ValidationError(f"FinitePMF sums to {arr.sum()!r}, not 1")
         self.probs = arr
-        self._cdf = np.minimum(np.cumsum(arr), 1.0)
 
     def logpmf(self, x: int) -> float:
         if 0 <= x < self.probs.size and self.probs[x] > 0.0:
@@ -384,11 +393,6 @@ class FinitePMF(MarginalDist):
         out[:k] = self.probs[:k]
         return out
 
-    def cdf(self, m: int) -> float:
-        if m < 0:
-            return 0.0
-        return float(self._cdf[min(m, self.probs.size - 1)])
-
     def mean(self) -> float:
         return float(np.dot(self.probs, np.arange(self.probs.size)))
 
@@ -400,7 +404,8 @@ class FinitePMF(MarginalDist):
         if not 0.0 < q < 1.0:
             raise ValidationError(f"quantile level q={q} outside (0, 1)")
         # the probabilities may sum to 1 - 1e-12, leaving the cdf below q
-        return min(int(np.searchsorted(self._cdf, q, side="left")), self.support_max())
+        top = self.support_max()
+        return min(int(np.searchsorted(self._cdf_prefix(top), q, side="left")), top)
 
     def _tail_bounds(self, p: int, weight: float) -> np.ndarray:
         """The whole support summed backward; nothing lies beyond it, so no rest."""
@@ -530,7 +535,7 @@ class ExplicitFinitePMF(JointModel):
             pts = pts.astype(np.int64)
         if np.any(pts < 0):
             raise ValidationError("support points must be non-negative")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):  # NaN included
             raise ValidationError("probabilities must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {w.sum()!r}, not 1")
@@ -598,7 +603,6 @@ class IndependentMarginals(JointModel):
         self.marginals = ms
         self.n = len(ms)
         self.exchangeable = bool(exchangeable)
-        self._cdfs = [_PrefixCache() for _ in ms]
 
     def support_max(self) -> int | None:
         sizes = [d.support_max() for d in self.marginals]
@@ -606,21 +610,16 @@ class IndependentMarginals(JointModel):
             return None
         return max(sizes)
 
-    def _cdf(self, j: int, m_max: int) -> np.ndarray:
-        """F_j(m) for m = 0..m_max (j 1-based), a prefix of the cached column;
-        a cumsum's prefix is the cumsum of the prefix."""
-        return self._cdfs[j - 1].read(m_max, self.marginals[j - 1].cdf_array)
-
     def counts(self, marks: Mapping[int, str], m_hi: int, m_lo: int = 0) -> np.ndarray:
         """One recursion over the marked coordinates, every threshold at once:
         a low j multiplies by F_j(m), an up one by 1 - F_j(m), and a counted
         one moves a class up with probability F_j(m).  Nothing cancels (Hong
         2013, Comput. Stat. Data Anal. 59:41-51); row m reads F_j(m) alone,
-        and only the marked coordinates' columns are built."""
+        from the cdf table of each marked coordinate's marginal."""
         out = np.zeros((m_hi - m_lo + 1, 1 + sum(rule == "count" for rule in marks.values())))
         out[:, 0] = 1.0
         for j, rule in marks.items():
-            q = self._cdf(j, m_hi)[m_lo:, None]
+            q = self.marginals[j - 1]._cdf_prefix(m_hi)[m_lo:, None]
             if rule == "low":
                 out *= q
             elif rule == "up":
@@ -696,20 +695,6 @@ class MvgModel(JointModel):
 # the rectangle query and its relatives
 # ---------------------------------------------------------------------------
 
-def _check_index_sets(model: JointModel, low: Iterable[int], up: Iterable[int]):
-    try:
-        L = frozenset(_as_int(i, "index") for i in low)
-        U = frozenset(_as_int(i, "index") for i in up)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"index sets must contain integers: {e}") from None
-    if L & U:
-        raise ValidationError(f"low and up overlap: {sorted(L & U)}")
-    for i in L | U:
-        if not 1 <= i <= model.n:
-            raise ValidationError(f"index {i} outside 1..{model.n}")
-    return L, U
-
-
 def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) -> float:
     """P(X_i <= m for i in low, X_j > m for j in up).
 
@@ -717,7 +702,9 @@ def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) 
     ``up`` are disjoint subsets of {1..n}; ``m`` may be -1 (every "<= m"
     condition is then impossible, every "> m" condition certain).
     """
-    L, U = _check_index_sets(model, low, up)
+    L, U = _as_index_set(low, "low set", model.n), _as_index_set(up, "up set", model.n)
+    if L & U:
+        raise ValidationError(f"low and up overlap: {sorted(L & U)}")
     m = _as_int(m, "threshold m", -1)
     if m == -1 or not L and not U:
         return 0.0 if L else 1.0
@@ -725,17 +712,17 @@ def rect_prob(model: JointModel, low: Iterable[int], up: Iterable[int], m: int) 
     return float(model.rect_series(L, U, m, m_lo=m)[0])
 
 
-def _support_clamp(model: JointModel, m: int) -> int:
+def _support_clamp(model: JointModel | MarginalDist, m: int) -> int:
     """m, or the end of a finite support, past which every series is constant."""
     m_max = model.support_max()
     return m if m_max is None else min(m, m_max)
 
 
 def marginal_survival(model: JointModel, j: int, m: int) -> float:
-    """P(X_j > m); equals rect_prob(model, {}, {j}, m)."""
+    """P(X_j > m) for m >= -1; equals rect_prob(model, {}, {j}, m)."""
     if not 1 <= j <= model.n:
         raise ValidationError(f"index {j} outside 1..{model.n}")
-    if _as_int(m, "threshold m") < 0:
+    if _as_int(m, "threshold m", -1) < 0:
         return 1.0
     return rect_prob(model, (), (j,), m)
 
@@ -783,7 +770,7 @@ class MultinomialModel(ExplicitFinitePMF):
         trials = _as_int(trials, "trials", 1)
         if ps.ndim != 1 or ps.size < 1:
             raise ValidationError("probs must be a non-empty vector")
-        if np.any(ps <= 0.0):
+        if not np.all(ps > 0.0):  # NaN included
             raise ValidationError("all cell probabilities must be positive")
         if abs(float(ps.sum()) - 1.0) > 1e-9:
             raise ValidationError(f"cell probabilities sum to {ps.sum()!r}, not 1")

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer rule.
+"""Exception hierarchy shared across the package, and the integer and
+index-set rules.
 
 The CLI maps these onto its exit-code contract: validation problems exit
 with 2, capacity limits with 3, numeric failures with 4.
@@ -47,6 +48,22 @@ def _as_int(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{what}={value} must be >= {minimum}")
     return value
+
+
+def _as_index_set(values, what: str, n: int, nonempty: bool = False) -> frozenset[int]:
+    """``values`` as a set of 1-based indices within 1..n, each member an
+    integer by the rule of ``_as_int``; a value that is not iterable is
+    refused like a member that is not an integer."""
+    label = f"{what} index"
+    try:
+        members = frozenset(_as_int(i, label) for i in values)
+    except TypeError:
+        raise ValidationError(f"{what} {values!r} is not a set of integers") from None
+    if nonempty and not members:
+        raise ValidationError(f"{what} is empty")
+    if not all(1 <= i <= n for i in members):
+        raise ValidationError(f"{what} {sorted(members)} is not within 1..{n}")
+    return members
 
 
 def _as_order(p) -> int:

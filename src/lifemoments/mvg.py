@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ValidationError, _as_int, _as_order
+from .errors import CapacityError, NumericError, ValidationError, _as_index_set, _as_int, _as_order
 
 # Tables over all 2^n subsets of n coordinates (the general MVG sums here, MVG
 # queries over marked coordinates, signature lattices) are refused above this n.
@@ -51,18 +51,6 @@ LATTICE_N_CAP = 20
 # products they exponentiate stop underflowing to 0; anything this large with
 # a base < 1 is an exact 0 for our purposes.
 _HUGE_EXPONENT = 1 << 60
-
-
-def _as_subset(I: Iterable[int], n: int) -> frozenset[int]:
-    try:
-        s = frozenset(_as_int(i, "subset index") for i in I)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"subsets must contain integers: {e}") from None
-    if not s:
-        raise ValidationError("shock subsets must be non-empty")
-    if not all(1 <= i <= n for i in s):
-        raise ValidationError(f"subset {sorted(s)} not within 1..{n}")
-    return s
 
 
 class MvgParams:
@@ -107,7 +95,7 @@ class MvgParams:
             return
         store: dict[frozenset[int], float] = {}
         for I, t in theta.items():
-            key = _as_subset(I, n)
+            key = _as_index_set(I, "shock subset", n, nonempty=True)
             t = float(t)
             if not 0.0 <= t <= 1.0:
                 raise ValidationError(f"theta_{sorted(key)}={t} outside [0, 1]")
@@ -174,7 +162,7 @@ def mvg_min_param(params: MvgParams, subset: Iterable[int]) -> float:
     The minimum over a non-empty subset S is ge(1 - theta) with
     theta = prod over I intersecting S of theta_I, so P(min > m) = theta^(m+1).
     """
-    S = _as_subset(subset, params.n)
+    S = _as_index_set(subset, "subset", params.n, nonempty=True)
     if params.exchangeable:
         n, k = params.n, len(S)
         # C(n, s) - C(n-k, s) of the size-s shocks meet S
@@ -282,7 +270,7 @@ def mvg_marginal(params: MvgParams, subset: Iterable[int]) -> MvgParams:
     I of the survivors absorbs every stored shock set whose intersection with
     the kept components is exactly I.
     """
-    S = _as_subset(subset, params.n)
+    S = _as_index_set(subset, "subset", params.n, nonempty=True)
     kept = sorted(S)
     k = len(kept)
     if params.exchangeable:
@@ -414,10 +402,10 @@ def mvg_orderstat_survival(
                  sum_{|K| = n-j} F_{1:K}(m),
     and every F_{1:K} is geometric: F_{1:K}(m) = 1 - theta(K)^(m+1).
     ``m`` is one threshold (a float is returned) or an array of thresholds
-    (an array of survival probabilities is returned); thresholds below 0
-    give 1.
+    (an array of survival probabilities is returned); thresholds are at
+    least -1, which gives 1.
     """
-    exps = [max(_as_int(v, "threshold m") + 1, 0) for v in np.atleast_1d(m)]
+    exps = [_as_int(v, "threshold m", -1) + 1 for v in np.atleast_1d(m)]
 
     def fsums(thetas: np.ndarray) -> list[float]:
         return [math.fsum((1.0 - np.float_power(thetas, e)).tolist()) for e in exps]

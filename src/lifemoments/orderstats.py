@@ -173,7 +173,7 @@ def _moment(
 
 
 def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "auto") -> float:
-    """P(X_{r:n} > m).
+    """P(X_{r:n} > m) for a threshold m >= -1.
 
     The event splits over how many coordinates fall at or below m: either sum
     the classes with fewer than r low coordinates, or complement the classes
@@ -182,7 +182,7 @@ def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "a
     side of the class counts, which is useful for cross-checking the
     evaluations against each other.
     """
-    return _survival(model, _OrderStat(model, r, n, form), m)
+    return _survival(model, _OrderStat(model, r, n, form), _as_int(m, "threshold m", -1))
 
 
 def exact_moment_finite(model: JointModel, req: MomentRequest) -> MomentResult:

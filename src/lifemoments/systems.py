@@ -36,6 +36,7 @@ from .errors import (
     NumericError,
     UnsupportedModelError,
     ValidationError,
+    _as_index_set,
     _as_int,
     _as_order,
 )
@@ -72,14 +73,10 @@ COLLECTION_CAP = 25  # path/cut sets per family; kept while the benchmark pins 3
 
 
 def _normalize_family(sets: Iterable[Iterable[int]], n: int, label: str) -> tuple[frozenset[int], ...]:
-    fam = []
-    for S in sets:
-        fs = frozenset(_as_int(i, f"{label} set index") for i in S)
-        if not fs:
-            raise ValidationError(f"empty {label} set")
-        if not all(1 <= i <= n for i in fs):
-            raise ValidationError(f"{label} set {sorted(fs)} outside 1..{n}")
-        fam.append(fs)
+    try:
+        fam = [_as_index_set(S, f"{label} set", n, nonempty=True) for S in sets]
+    except TypeError:
+        raise ValidationError(f"{label} sets {sets!r} is not a list of index sets") from None
     if not fam:
         raise ValidationError(f"{label} sets list is empty")
     if len(set(fam)) != len(fam):
@@ -255,6 +252,13 @@ def maximal_signature(structure: SystemStructure) -> tuple[int, ...]:
     return _aggregate_by_size(beta_coefficients(structure), structure.n)
 
 
+def _check_finite(signature: Sequence) -> None:
+    """Refuse a NaN or infinite float entry, which a sum check lets through."""
+    bad = [x for x in signature if isinstance(x, (float, np.floating)) and not math.isfinite(x)]
+    if bad:
+        raise ValidationError(f"signature entries must be finite, not {bad[0]}")
+
+
 def signature_from_samaniego(s: Sequence, n: int) -> tuple:
     """Minimal signature from a Samaniego signature (s_1..s_n).
 
@@ -270,6 +274,7 @@ def signature_from_samaniego(s: Sequence, n: int) -> tuple:
     """
     if len(s) != n:
         raise ValidationError(f"signature has length {len(s)}, expected n={n}")
+    _check_finite(s)
     vals = []
     for x in s:
         if isinstance(x, float):
@@ -546,6 +551,7 @@ def exchangeable_system_moment(
         raise ValidationError("model is not declared exchangeable")
     if len(signature) != model.n:
         raise ValidationError(f"signature has length {len(signature)}, expected {model.n}")
+    _check_finite(signature)
     total = sum(signature)
     off = abs(total - 1) > 1e-12 if isinstance(total, float) else total != 1
     if off:

@@ -500,6 +500,21 @@ def test_exit_2_non_integer_field(tmp_path, capsys, command, cfg):
     assert "is not an integer" in err
 
 
+@pytest.mark.parametrize("model, message", [
+    ("{kind: independent, marginals: [{dist: finite, probs: [.nan, 1.0]}, {dist: finite, probs: [1.0]}]}",
+     "FinitePMF entries must be non-negative"),
+    ("{kind: finite, points: [[0, 0], [1, 1]], probs: [.nan, 1.0]}", "probabilities must be non-negative"),
+    # refused when the model is built, not by the Poisson cells of its first read
+    ("{kind: multinomial, trials: 3, probs: [.nan, 1.0]}", "all cell probabilities must be positive"),
+], ids=["finite_marginal", "finite", "multinomial"])
+def test_exit_2_nan_probability(tmp_path, capsys, model, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"model: {model}\nrequests: {{ranks: [1], moments: [1]}}\n")
+    code, out, err = run_cli(capsys, ["orderstat", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_exit_4_numeric(tmp_path, capsys):
     cfg = {
         "model": {"kind": "independent", "marginal": {"dist": "poisson", "lam": 1.0}, "count": 5},

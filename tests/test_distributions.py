@@ -284,6 +284,17 @@ def test_marginal_validation(bad):
         bad()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FinitePMF([math.nan, 1.0]),
+    lambda: ExplicitFinitePMF([[0], [1]], [math.nan, 1.0]),
+    lambda: multinomial_pmf(3, [math.nan, 1.0]),
+], ids=["finite_pmf", "explicit", "multinomial"])
+def test_nan_probabilities_are_refused(make):
+    # NaN passes both "< 0" and "|sum - 1| > tol"; exact moments then read nan
+    with pytest.raises(ValidationError, match="non-negative|positive"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # joint models and the rectangle query
 # ---------------------------------------------------------------------------
@@ -403,6 +414,41 @@ def test_rect_prob_edge_cases():
         rect_prob(model, (0,), (), 0)
     with pytest.raises(ValidationError):
         rect_prob(model, (1,), (), -2)
+
+
+def test_single_threshold_reads_refuse_thresholds_below_minus_one():
+    # rect_prob's documented floor; these answered 1.0 at m = -5
+    model = IndependentMarginals([Poisson(1.0), Geometric(0.5)])
+    params = MvgParams(2, exchangeable_levels=[0.9, 0.95])
+    reads = [
+        lambda m: marginal_survival(model, 1, m),
+        lambda m: survival_orderstat(model, 1, 2, m),
+        lambda m: survival_orderstat(MvgModel(params), 2, 2, m),
+        lambda m: mvg_orderstat_survival(params, 1, 2, m),
+        lambda m: mvg_orderstat_survival(params, 1, 2, [m, 3])[0],
+    ]
+    for read in reads:
+        assert read(-1) == 1.0
+        with pytest.raises(ValidationError, match="threshold m=-2 must be >= -1"):
+            read(-2)
+
+
+def test_index_sets_that_are_not_iterable_are_refused():
+    # iterating an int leaked a raw TypeError
+    model = IndependentMarginals([Poisson(1.0)] * 3)
+    refused = [
+        lambda: rect_prob(model, 1, [], 2),
+        lambda: rect_prob(model, [], 3, 2),
+        lambda: SystemStructure(3, path_sets=[1, 2, 3]),
+        lambda: SystemStructure(3, cut_sets=[[1, 2], 3]),
+        lambda: MvgParams(3, theta={5: 0.5}),
+        lambda: mvg.mvg_min_param(MvgParams(2, exchangeable_levels=[0.5, 0.9]), 1),
+    ]
+    for make in refused:
+        with pytest.raises(ValidationError, match="is not a set of integers"):
+            make()
+    with pytest.raises(ValidationError, match="is not a list of index sets"):
+        SystemStructure(3, path_sets=5)
 
 
 def test_independent_vs_unrolled_product():
@@ -753,10 +799,8 @@ def test_rect_prob_past_the_support_reads_its_end(make):
 def test_rect_prob_builds_only_the_named_columns(monkeypatch):
     dists = [Poisson(3.0 + j) for j in range(8)]
     survival = 1.0 - dists[0].cdf_array(3000)[-1]
-    rect = dists[0].cdf(40) * (1.0 - dists[2].cdf(40))
-    built = []
-    cdf_array = MarginalDist.cdf_array
-    monkeypatch.setattr(MarginalDist, "cdf_array", lambda d, m: built.append(d) or cdf_array(d, m))
+    rect = Poisson(3.0).cdf(40) * (1.0 - Poisson(5.0).cdf(40))  # fresh: cdf fills a marginal's table
+    built = recorded_cdf_builds(monkeypatch)
     model = IndependentMarginals(dists)
     assert rect_prob(model, (), (1,), 3000) == survival
     assert built == [dists[0]]
@@ -799,9 +843,8 @@ def test_prefix_caches_read_like_fresh_builds(kind, order):
                 assert np.array_equal(model.orderstat_survival_series(r, m, form), want)
         if model.marginals is None:
             continue
-        fresh = CACHE_MODELS[kind]()
-        for j in range(1, model.n + 1):
-            assert np.array_equal(model._cdf(j, m), fresh._cdf(j, m))
+        for d, f in zip(model.marginals, CACHE_MODELS[kind]().marginals):
+            assert np.array_equal(d._cdf_prefix(m), f._cdf_prefix(m))
         for d, f in zip(model.marginals, CACHE_MODELS[kind]().marginals):
             assert np.array_equal(d.pmf_array(m), f.pmf_array(m))
         for d, f in zip(model.marginals, CACHE_MODELS[kind]().marginals):
@@ -811,7 +854,8 @@ def test_prefix_caches_read_like_fresh_builds(kind, order):
 
 def test_cached_tables_are_read_only():
     model = IndependentMarginals([Poisson(3.0), NegBin(2.0, 0.4), Geometric(0.3)])
-    kept = [model.class_counts(30), model._cdf(2, 30), *(d.logpmf_array(30) for d in model.marginals)]
+    kept = [model.class_counts(30), model.marginals[1]._cdf_prefix(30),
+            *(d.logpmf_array(30) for d in model.marginals)]
     for arr in kept:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -821,6 +865,44 @@ def test_cached_tables_are_read_only():
     for arr in (model.rect_series(frozenset({1}), frozenset({2}), 30), model.marginals[0].pmf_array(30),
                 model.marginals[0].cdf_array(30)):
         assert arr.flags.writeable
+
+
+def recorded_cdf_builds(monkeypatch) -> list:
+    """The marginals whose ``cdf_array`` runs from now on, one entry a call."""
+    built = []
+    cdf_array = MarginalDist.cdf_array
+    monkeypatch.setattr(MarginalDist, "cdf_array", lambda d, m: built.append(d) or cdf_array(d, m))
+    return built
+
+
+def test_coordinates_sharing_a_marginal_build_one_cdf_table(monkeypatch):
+    want = IndependentMarginals([Poisson(1.0) for _ in range(5)]).class_counts(40)
+    built = recorded_cdf_builds(monkeypatch)
+    shared = Poisson(1.0)
+    assert np.array_equal(IndependentMarginals([shared] * 5).class_counts(40), want)
+    assert built == [shared]
+
+
+def test_repeated_scalar_cdf_builds_one_table(monkeypatch):
+    want = Poisson(1.0).cdf_array(40)
+    built = recorded_cdf_builds(monkeypatch)
+    d = Poisson(1.0)
+    assert d.cdf(40) == d.cdf(40) == want[-1]
+    assert d.cdf(17) == want[17]  # a prefix of the kept table
+    assert built == [d]
+
+
+@pytest.mark.parametrize("probs", [
+    [0.2, 0.0, 0.5, 0.3], [0.5, 0.5 - 1e-13], [0.5, 0.5 - 1e-13, 0.0], [0.0, 0.0, 1.0], [1.0],
+    [0.1] * 10,
+])
+def test_finite_pmf_reads_of_its_cdf_table(probs):
+    f = FinitePMF(probs)
+    table = np.minimum(np.cumsum(probs), 1.0)
+    for m in range(-3, len(probs) + 5):
+        assert f.cdf(m) == (0.0 if m < 0 else table[min(m, len(probs) - 1)])
+    for q in (1e-12, 0.1, 0.2, 0.21, 0.5, 0.7, 0.95, 1 - 1e-13, 1 - 1e-14):
+        assert f.quantile(q) == min(int(np.searchsorted(table, q)), f.support_max())
 
 
 def test_prefix_caches_stay_within_twice_the_largest_request(monkeypatch):

@@ -1,10 +1,10 @@
 """Every module-level import in the package is used, every module-level
 private name is referenced somewhere in it, the front ends do not branch on
-the kind of a statistic or a model, each model kind has one kernel, each
-statistic kind one survival read, the oracle imports nothing of the analytic
-pipeline, the MVG sums read theta(K) from one lattice, not subset by
-subset, and one kernel searches a marginal's tail cutoff (no linter is a
-dependency)."""
+the kind of a statistic or a model, each model kind has one kernel, a
+marginal alone keeps its cdf table, each statistic kind has one survival
+read, the oracle imports nothing of the analytic pipeline, the MVG sums
+read theta(K) from one lattice, not subset by subset, and one kernel
+searches a marginal's tail cutoff (no linter is a dependency)."""
 
 import ast
 import importlib
@@ -167,34 +167,42 @@ def test_checker_finds_type_test_targets():
     assert {"JointModel", "ExplicitFinitePMF", "MultinomialModel", "IndependentMarginals", "MvgModel"} <= model_kinds()
 
 
+def subclasses(source: str, *bases: str) -> dict[str, ast.ClassDef]:
+    """Classes of ``source`` deriving from one of ``bases``, directly or
+    through another class of ``source``, in source order."""
+    classes = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+
+    def derives(name: str) -> bool:
+        parents = [b.id for b in classes[name].bases if isinstance(b, ast.Name)]
+        return any(p in bases or p in classes and derives(p) for p in parents)
+
+    return {name: cls for name, cls in classes.items() if derives(name)}
+
+
+def methods_and_stores(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
+    """The methods ``cls`` defines and the ``self`` attributes it assigns."""
+    methods = [n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    stores = [
+        node.attr for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    ]
+    return methods, stores
+
+
 def kernel_breaches(source: str, base: str = "JointModel") -> list[str]:
     """Subclasses of ``base`` in ``source``, direct or through another class
     of it, that define no ``counts``, or that define ``rect_series``,
     ``class_counts`` or any other method or ``self`` attribute whose name
     mentions a count: a kind has one kernel, and ``base`` alone keeps the
     class-count table."""
-    classes = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
-
-    def parents(cls: ast.ClassDef) -> list[str]:
-        return [b.id for b in cls.bases if isinstance(b, ast.Name)]
-
-    def is_kind(name: str) -> bool:
-        return any(p == base or p in classes and is_kind(p) for p in parents(classes[name]))
-
     breaches = []
-    for name, cls in classes.items():
-        if not is_kind(name):
-            continue
-        methods = [n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for name, cls in subclasses(source, base).items():
+        methods, stores = methods_and_stores(cls)
         if "counts" not in methods:
             breaches.append(f"{name}: no counts")
         breaches += [f"{name}.{m}" for m in methods if m == "rect_series" or "count" in m and m != "counts"]
-        breaches += [
-            f"{name}: self.{node.attr}"
-            for node in ast.walk(cls)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-            and isinstance(node.value, ast.Name) and node.value.id == "self" and "count" in node.attr
-        ]
+        breaches += [f"{name}: self.{a}" for a in stores if "count" in a]
     return breaches
 
 
@@ -222,6 +230,46 @@ def test_checker_flags_second_kernels():
     assert kernel_breaches(source) == [
         "B.rect_series", "B._class_count_table", "C: no counts", "C: self._counts_table",
     ]
+
+
+def cdf_copies(source: str) -> list[str]:
+    """Model kinds and marginal families in ``source`` (subclasses of
+    ``JointModel`` or ``MarginalDist``) that define a method or assign a
+    ``self`` attribute named ``_cdf...``: ``MarginalDist`` alone keeps a
+    marginal's cdf table, and a model reads its marginals' tables."""
+    breaches = []
+    for name, cls in subclasses(source, "JointModel", "MarginalDist").items():
+        methods, stores = methods_and_stores(cls)
+        breaches += [f"{name}.{m}" for m in methods if m.startswith("_cdf")]
+        breaches += [f"{name}: self.{a}" for a in stores if a.startswith("_cdf")]
+    return breaches
+
+
+def test_one_cdf_table_per_marginal():
+    assert cdf_copies((PACKAGE / "distributions.py").read_text()) == []
+
+
+def test_checker_flags_cdf_copies():
+    source = (
+        "class MarginalDist:\n"
+        "    def _cdf_prefix(self): pass\n"
+        "class A(MarginalDist):\n"
+        "    def __init__(self):\n"
+        "        self._cdf = None\n"
+        "        self.probs = None\n"
+        "class B(A):\n"
+        "    def _cdfs(self): pass\n"
+        "    def cdf(self): pass\n"
+        "class JointModel:\n"
+        "    pass\n"
+        "class C(JointModel):\n"
+        "    def __init__(self):\n"
+        "        self._cdf_columns = []\n"
+        "class D:\n"
+        "    def __init__(self):\n"
+        "        self._cdf = None\n"
+    )
+    assert cdf_copies(source) == ["A: self._cdf", "B._cdfs", "C: self._cdf_columns"]
 
 
 def survival_read_breaches(source: str) -> list[str]:

@@ -494,9 +494,9 @@ def test_approx_builds_the_cdf_matrix_once(bridge, monkeypatch):
 
     monkeypatch.setattr(distributions._PrefixCache, "read", counted)
     got = system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005)
-    # one cdf column per marginal, one log pmf per marginal object (the five
-    # columns and the planner's quantile share one), and no class counts
-    assert builds == {"MarginalDist.cdf_array": 5, "Poisson._logpmf_table": 1}
+    # one cdf table and one log pmf per marginal object (the five coordinates
+    # share the cdf, and the planner's quantile the log pmf), no class counts
+    assert builds == {"MarginalDist.cdf_array": 1, "Poisson._logpmf_table": 1}
 
     def uncached(model, low, up, m_hi, m_lo=0):
         def cdf(i):  # a fresh marginal keeps nothing from earlier reads
@@ -739,6 +739,16 @@ def test_exchangeable_signature_must_sum_to_one():
     # floats within rounding of 1 are accepted
     res = exchangeable_system_moment(fair_bits(2, exchangeable=True), (2.0, -1.0 + 1e-14), 1)
     assert res.value == pytest.approx(0.75, abs=1e-12)
+
+
+def test_non_finite_signature_entries_are_refused():
+    # NaN passes every sum check: the moment read nan, Fraction raised a bare ValueError
+    model = IndependentMarginals([Poisson(1.0)] * 3, exchangeable=True)
+    for bad in ([math.nan, 1.0, 0.0], [math.inf, -math.inf, 1.0], [0.0, 1.0, np.float32("nan")]):
+        with pytest.raises(ValidationError, match="must be finite"):
+            exchangeable_system_moment(model, bad, 1, d=1e-6)
+        with pytest.raises(ValidationError, match="must be finite"):
+            signature_from_samaniego(bad, 3)
 
 
 def test_exchangeable_validation(bridge):
