@@ -62,6 +62,7 @@ import argparse
 import csv
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import yaml
@@ -93,6 +94,9 @@ __all__ = ["main"]
 
 _RNG_NAME = "numpy.default_rng (PCG64)"
 
+# libyaml's parser when PyYAML was built with it; both build the same safe types
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _note(msg: str):
     print(f"# {msg}", file=sys.stderr)
@@ -109,7 +113,7 @@ def _require(mapping, key: str, where: str):
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as e:
         raise ValidationError(f"cannot read config {path}: {e}") from e
     except yaml.YAMLError as e:
@@ -163,7 +167,7 @@ def build_model(spec) -> JointModel:
         if "count" in spec:
             count = _as_int(spec["count"], "count", 1)
             base = _require(spec, "marginal", "model spec with count")
-            margs = [build_marginal(base) for _ in range(count)]
+            margs = [build_marginal(base)] * count  # one marginal, so one set of tables
             return IndependentMarginals(margs, exchangeable=True)
         margs = [build_marginal(s) for s in _require(spec, "marginals", "independent model spec")]
         return IndependentMarginals(margs, exchangeable=bool(spec.get("exchangeable", False)))
@@ -411,6 +415,7 @@ def cmd_validate(cfg: dict, args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@cache  # parse_args leaves the parser as it was, so every call in a process can share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lifemoments",

@@ -8,9 +8,15 @@ reuses the survival-series machinery, and each model kind keeps its own
 enumerator and sampler.
 
 Points travel coordinate-major: every enumerator and sampler hands
-``values`` an (n, N) array, one contiguous row per coordinate, so that the
-minima and maxima of a statistic run along rows.  The layout must not change
-a draw: ``tests/test_oracle.py`` pins the seeded stream.
+``values`` one contiguous row per coordinate, so that the minima and maxima
+of a statistic run along rows.  Enumerators pass an (n, N) array; samplers
+pass the list of drawn rows, which no pass copies into a block.  The layout
+must not change a draw: ``tests/test_oracle.py`` pins the seeded stream.
+
+A finite support below ``ENUMERATION_CAP`` (an explicit pmf or a listable
+multinomial) is sampled by index, so Monte Carlo evaluates the statistic,
+and its p-th power, once per support point and gathers those values by the
+drawn indices; a draw never becomes a point.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -98,8 +105,13 @@ def enumerate_moment(model: JointModel, statistic, p: int) -> float:
     p = _as_order(p)
     stat = _statistic(model, statistic)
     points, probs = _full_support(model)
-    vals = stat.values(points).astype(float)
-    return float(np.dot(probs, vals**p))
+    return float(np.dot(probs, _powers(stat.values(points), p)))
+
+
+def _powers(vals: np.ndarray, p: int) -> np.ndarray:
+    """vals**p as floats; x**1 is exact, so p = 1 skips the pass."""
+    vals = vals.astype(float)
+    return vals if p == 1 else vals**p
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +141,30 @@ def _shock_sets(params: MvgParams) -> tuple[tuple[tuple[int, ...], float], ...]:
     ))
 
 
+def _mvg_rows(params: MvgParams, size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``size`` draws of the minimum construction, one row per component."""
+    sets = _shock_sets(params)
+    # non-defectiveness puts at least one finite-theta set on each component
+    if len({c for cols, _ in sets for c in cols}) < params.n:
+        raise ConvergenceError("a component received no shock set")
+    # a row is the draw of the first set reaching it (copied if that draw
+    # already is a row), then its running minimum; min(a-1, b-1) = min(a, b)-1,
+    # so the shift to cycle counts is one pass per row at the end
+    rows: dict[int, np.ndarray] = {}
+    for cols, theta in sets:
+        m = rng.geometric(1.0 - theta, size=size)
+        owned = False
+        for c in cols:
+            if c in rows:
+                np.minimum(rows[c], m, out=rows[c])
+            else:
+                rows[c] = m.copy() if owned else m
+                owned = True
+    for row in rows.values():
+        row -= 1
+    return [rows[c] for c in range(params.n)]
+
+
 def sample_mvg(params: MvgParams, n_samples: int, seed=None, method: str = "min") -> np.ndarray:
     """(n_samples, n) draws of the common-shock lifetime vector.
 
@@ -142,20 +178,11 @@ def sample_mvg(params: MvgParams, n_samples: int, seed=None, method: str = "min"
     if method not in ("min", "cycle"):
         raise ValidationError(f"method must be 'min' or 'cycle', not {method!r}")
     rng = _rng(seed)
+    if method == "min":
+        # the coordinate-major block; its transpose is the (n_samples, n) view
+        return np.stack(_mvg_rows(params, n_samples, rng)).T
     sets = _shock_sets(params)
     n = params.n
-    if method == "min":
-        # filled coordinate-major, one contiguous row per component; the
-        # transpose is the (n_samples, n) view, and its .T the buffer itself
-        out = np.full((n, n_samples), np.iinfo(np.int64).max, dtype=np.int64)
-        for cols, theta in sets:
-            m = rng.geometric(1.0 - theta, size=n_samples) - 1
-            for c in cols:
-                np.minimum(out[c], m, out=out[c])
-        # non-defectiveness puts at least one finite-theta set on each component
-        if out.max() == np.iinfo(np.int64).max:
-            raise ConvergenceError("a component received no shock set")
-        return out.T
     # cycle simulation: every set with survivors fires each cycle w.p. 1-theta
     x = np.zeros((n_samples, n), dtype=np.int64)
     alive = np.ones((n_samples, n), dtype=bool)
@@ -187,17 +214,24 @@ def _sample_marginal(dist, size: int, rng: np.random.Generator) -> np.ndarray:
     raise UnsupportedModelError(f"no sampler for marginal {type(dist).__name__}")
 
 
-def _sample_model(model: JointModel, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` draws as an (n, size) array, one row per coordinate."""
+def _draw_powers(model: JointModel, stat, p: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """(size, rng) -> statistic(X)^p as floats at ``size`` draws of X."""
     if isinstance(model, MultinomialModel) and model.support_size() > ENUMERATION_CAP:
-        return rng.multinomial(model.trials, model.cell_probs / model.cell_probs.sum(), size).T
+        cells = model.cell_probs / model.cell_probs.sum()
+        return lambda size, rng: _powers(stat.values(rng.multinomial(model.trials, cells, size).T), p)
     if isinstance(model, ExplicitFinitePMF):
-        idx = rng.choice(model.points.shape[0], size=size, p=model.probs)
-        return model.points.T.take(idx, axis=1)
+        # one value per support point, gathered by the drawn point indices
+        table = _powers(stat.values(model.points.T), p)
+        return lambda size, rng: table.take(rng.choice(table.size, size=size, p=model.probs))
+    return lambda size, rng: _powers(stat.values(_sample_model(model, size, rng)), p)
+
+
+def _sample_model(model: JointModel, size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``size`` draws, one row per coordinate; each row is a draw's own array."""
     if isinstance(model, IndependentMarginals):
-        return np.stack([_sample_marginal(d, size, rng) for d in model.marginals])
+        return [_sample_marginal(d, size, rng) for d in model.marginals]
     if isinstance(model, MvgModel):
-        return sample_mvg(model.params, size, rng).T
+        return _mvg_rows(model.params, size, rng)
     raise UnsupportedModelError(f"no sampler for {type(model).__name__}")
 
 
@@ -217,7 +251,7 @@ def mc_moment(model: JointModel, statistic, p: int, n_samples: int, seed) -> McE
     p = _as_order(p)
     if n_samples < _MC_MIN_SAMPLES:
         raise ValidationError(f"n_samples={n_samples} below the minimum {_MC_MIN_SAMPLES}")
-    stat = _statistic(model, statistic)
+    draw = _draw_powers(model, _statistic(model, statistic), p)
     rng = _rng(seed)
     chunk = _chunk_size(model)
     done = 0
@@ -225,8 +259,7 @@ def mc_moment(model: JointModel, statistic, p: int, n_samples: int, seed) -> McE
     total_sq = 0.0
     while done < n_samples:
         size = min(chunk, n_samples - done)
-        vals = stat.values(_sample_model(model, size, rng)).astype(float)
-        vals = vals**p
+        vals = draw(size, rng)
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
         done += size

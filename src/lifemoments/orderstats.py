@@ -120,7 +120,9 @@ class _OrderStat:
         return model.orderstat_survival_series(self.r, m_hi, self.form, m_lo)
 
     def values(self, cols: np.ndarray) -> np.ndarray:
-        """T at each of N points given coordinate-major, ``cols`` (n, N)."""
+        """T at each of N points given coordinate-major, ``cols`` an (n, N)
+        array or a list of n rows."""
+        cols = np.asarray(cols)
         if self.r == 1:
             return cols.min(axis=0)
         if self.r == self.n:
@@ -139,8 +141,9 @@ def _check_request(p: int, d: float | None):
 
 
 def _survival(model: JointModel, stat, m: int) -> float:
-    """P(T > m): 1 below zero, else the series row of the clamped threshold alone."""
-    m = _as_int(m, "threshold m")
+    """P(T > m) for a threshold m >= -1: 1 at -1, else the series row of the
+    clamped threshold alone."""
+    m = _as_int(m, "threshold m", -1)
     if m < 0:
         return 1.0
     m = _support_clamp(model, m)
@@ -182,7 +185,7 @@ def survival_orderstat(model: JointModel, r: int, n: int, m: int, form: str = "a
     side of the class counts, which is useful for cross-checking the
     evaluations against each other.
     """
-    return _survival(model, _OrderStat(model, r, n, form), _as_int(m, "threshold m", -1))
+    return _survival(model, _OrderStat(model, r, n, form), m)
 
 
 def exact_moment_finite(model: JointModel, req: MomentRequest) -> MomentResult:

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -394,16 +394,45 @@ class _System:
         return series if self.form == "alpha" else 1.0 - series
 
     def values(self, cols: np.ndarray) -> np.ndarray:
-        """T at each of N points given coordinate-major, ``cols`` (n, N): the
-        max over path sets of the in-set minimum, else the min over cut sets
-        of the in-set maximum, reduced over whole coordinate rows."""
+        """T at each of N points given coordinate-major, ``cols`` an (n, N)
+        array or a list of n rows: the max over path sets of the in-set
+        minimum, else the min over cut sets of the in-set maximum, reduced
+        along coordinate rows."""
         s = self.structure
         if s.path_sets is not None:
-            return reduce(np.maximum, [reduce(np.minimum, [cols[i - 1] for i in sorted(P)]) for P in s.path_sets])
-        return reduce(np.minimum, [reduce(np.maximum, [cols[i - 1] for i in sorted(C)]) for C in s.cut_sets])
+            return _reduce_rows(cols, s.path_sets, np.maximum, np.minimum)
+        return _reduce_rows(cols, s.cut_sets, np.minimum, np.maximum)
 
     def mvg_factorial_moments(self, params: MvgParams, p: int) -> tuple[float, ...]:
         return system_factorial_moments_mvg(params, self.structure, p)
+
+
+_ROW_BLOCK = 1 << 14  # points per block of _reduce_rows: its working rows stay in cache
+
+
+def _reduce_rows(cols: np.ndarray, sets, outer: np.ufunc, inner: np.ufunc) -> np.ndarray:
+    """outer over ``sets`` of inner over each set's rows of ``cols``.  Runs
+    a block of points at a time, folding in place into the result and one
+    scratch block; ``cols`` is only read."""
+    sets = [[i - 1 for i in sorted(S)] for S in sets]
+    out = np.empty_like(cols[0])
+    scratch = np.empty_like(out[:_ROW_BLOCK])
+    for lo in range(0, out.size, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        res = out[block]
+        for k, members in enumerate(sets):
+            first, *rest = [cols[i][block] for i in members]
+            term = first
+            if rest:
+                term = scratch[: res.size] if k else res
+                inner(first, rest[0], out=term)
+                for row in rest[1:]:
+                    inner(term, row, out=term)
+            if k:
+                outer(res, term, out=res)
+            elif term is not res:
+                np.copyto(res, term)
+    return out
 
 
 def _statistic(model: JointModel, statistic) -> _OrderStat | _System:
@@ -414,8 +443,8 @@ def _statistic(model: JointModel, statistic) -> _OrderStat | _System:
 
 
 def system_survival(model: JointModel, structure: SystemStructure, m: int, form: str = "auto") -> float:
-    """P(T > m) by the alpha expansion, or the beta complement when asked
-    (or when only cut sets are available)."""
+    """P(T > m) for a threshold m >= -1, by the alpha expansion, or the beta
+    complement when asked (or when only cut sets are available)."""
     return _survival(model, _System(model, form, structure), m)
 
 

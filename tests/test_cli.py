@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -15,6 +16,7 @@ from lifemoments import (
     FinitePMF,
     Geometric,
     IndependentMarginals,
+    MarginalDist,
     MomentRequest,
     NegBin,
     Poisson,
@@ -416,6 +418,34 @@ def test_validate_rank_statistic(tmp_path, capsys):
     assert all(r[1] == "PASS" for r in rows)
 
 
+_BRIDGE_MVG = {"kind": "mvg", "n": 5, "theta": {
+    "1": 0.6, "2": 0.7, "3": 0.5, "4": 0.8, "5": 0.65, "1,2": 0.9, "2,3,4": 0.85, "1,2,3,4,5": 0.95,
+}}
+
+# validate stdout at --seed 7, recorded from the oracle that drew every
+# multinomial point and reduced statistics with fresh arrays
+PINNED_VALIDATE = [
+    ({"model": {"kind": "independent", "marginals": [{"dist": "poisson", "lam": x} for x in (1.0, 2.0, 3.0, 4.0, 5.0)]},
+      "structure": BRIDGE_STRUCTURE, "validate": {"p": 1, "samples": 20_000, "d": 1e-6}},
+     "check,status,analytic,estimate,tolerance\n"
+     "mc_3sigma,PASS,2.7279555131887414,2.72295,0.026022890759276086\n"),
+    ({"model": {"kind": "multinomial", "trials": 6, "probs": [0.25, 0.25, 0.5]},
+      "validate": {"rank": 3, "p": 1, "samples": 20_000}},
+     "check,status,analytic,estimate,tolerance\n"
+     "mc_3sigma,PASS,3.4658203124999982,3.45685,0.017968396647303805\n"
+     "enumerate,PASS,3.4658203124999982,3.4658203125000004,1e-09\n"),
+    ({"model": _BRIDGE_MVG, "structure": BRIDGE_STRUCTURE, "validate": {"p": 1, "samples": 20_000}},
+     "check,status,analytic,estimate,tolerance\n"
+     "mc_3sigma,PASS,0.8954800703373468,0.90505,0.022237361555092795\n"),
+]
+
+
+@pytest.mark.parametrize("cfg, want", PINNED_VALIDATE, ids=["poisson_bridge", "multinomial_rank", "mvg_bridge"])
+def test_validate_output_is_pinned(tmp_path, capsys, cfg, want):
+    argv = ["validate", "--config", write_cfg(tmp_path, cfg), "--format", "csv", "--seed", "7"]
+    assert run_cli(capsys, argv)[:2] == (0, want)
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------
@@ -513,6 +543,47 @@ def test_exit_2_nan_probability(tmp_path, capsys, model, message):
     code, out, err = run_cli(capsys, ["orderstat", "--config", str(path)])
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_exit_2_invalid_yaml(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("model: {kind: independent, marginals: [\n")
+    code, out, err = run_cli(capsys, ["orderstat", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert "is not valid YAML" in err
+
+
+# every config shape the CLI tests write: safe_dump output and hand-written text
+_CONFIG_TEXTS = [
+    yaml.safe_dump({"model": {"kind": "finite", "points": [[0, 0], [1, 1]], "probs": [0.5, 0.5]},
+                    "requests": [{"r": 1, "p": 2, "d": 1e-06}], "validate": {"samples": 50_000}}),
+    yaml.safe_dump({"structure": {"n": 5, "samaniego": ["0", "1/5", "3/5", "1/5", "0"]},
+                    "model": {"kind": "mvg", "n": 2, "theta": {"1": 0.8, "1,2": 0.9}}}),
+    "model: {kind: finite, points: [[0, 0], [1, 1]], probs: [.nan, 1.0]}\n"
+    "requests: {ranks: [1], moments: [1], d: 1e-06}\n"
+    "structure: {n: 5, samaniego: [\"0\", \"1/5\", \"3/5\", \"1/5\", \"0\"], path_sets: [[1, 2], [3, 4]]}\n",
+]
+
+
+@pytest.mark.parametrize("text", _CONFIG_TEXTS, ids=["dumped_finite", "dumped_mvg", "hand_written"])
+def test_yaml_loaders_read_configs_alike(tmp_path, text):
+    libyaml = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert cli._YAML_LOADER is libyaml
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    # repr, since .nan != .nan
+    assert repr(cli.load_config(str(path))) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    assert repr(yaml.load(text, Loader=libyaml)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_count_form_shares_one_marginal(monkeypatch):
+    want = IndependentMarginals([Poisson(1.0) for _ in range(5)]).class_counts(40)
+    built = []
+    cdf_array = MarginalDist.cdf_array
+    monkeypatch.setattr(MarginalDist, "cdf_array", lambda d, m: built.append(d) or cdf_array(d, m))
+    model = cli.build_model({"kind": "independent", "marginal": {"dist": "poisson", "lam": 1.0}, "count": 5})
+    assert np.array_equal(model.class_counts(40), want)
+    assert len(built) == 1 and all(d is built[0] for d in model.marginals)
 
 
 def test_exit_4_numeric(tmp_path, capsys):

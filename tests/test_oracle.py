@@ -1,12 +1,14 @@
 """Enumeration and Monte Carlo reference calculators."""
 
 import hashlib
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from lifemoments import (
     CapacityError,
+    ConvergenceError,
     FinitePMF,
     Geometric,
     IndependentMarginals,
@@ -25,7 +27,7 @@ from lifemoments import (
     multinomial_pmf,
     sample_mvg,
 )
-from lifemoments import distributions
+from lifemoments import distributions, oracle, systems
 from lifemoments.systems import _statistic
 from conftest import BRIDGE_CUTS, BRIDGE_PATHS, random_explicit
 
@@ -201,6 +203,23 @@ def test_monte_carlo_stream_is_pinned():
     assert hashlib.sha256(np.ascontiguousarray(draws, dtype=np.int64).tobytes()).hexdigest() == PINNED_MVG_DRAWS
 
 
+# more than one chunk: 255 shock sets give chunks of 15,686 draws, so 40,000
+# samples are three chunks, the last one shorter; recorded at seed 2024 from
+# the oracle that filled a sentinel block and reduced with fresh arrays
+_CHUNKED = MvgModel(MvgParams(8, exchangeable_levels=[0.9, 0.99, 0.995, 0.998, 0.998, 0.998, 0.99, 0.98]))
+PINNED_CHUNKED_STREAM = [
+    (3, 2, "0x1.2cfc504816f00p+0", "0x1.c66b2eb0a8783p-7"),
+    (k_out_of_n_structure(8, 6), 1, "0x1.3edc5d6388659p-1", "0x1.22dc39bb45bcdp-8"),
+]
+
+
+def test_monte_carlo_stream_is_pinned_across_chunks():
+    assert 2 * oracle._chunk_size(_CHUNKED) < 40_000 < 3 * oracle._chunk_size(_CHUNKED)
+    for stat, p, mean, stderr in PINNED_CHUNKED_STREAM:
+        est = mc_moment(_CHUNKED, stat, p, n_samples=40_000, seed=2024)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
 def test_enumeration_is_pinned():
     models = _pinned_models()
     independent = IndependentMarginals([FinitePMF([0.2, 0.5, 0.3])] * 5)
@@ -234,6 +253,7 @@ def test_values_match_a_per_point_reference(dtype):
     for r in range(1, n + 1):
         want = [sorted(x)[r - 1] for x in points]
         assert _statistic(model, r).values(cols).tolist() == want
+        assert _statistic(model, r).values(list(cols)).tolist() == want
         # the same rank as the (n-r+1)-out-of-n:G system, in path and in cut form
         k_of_n = k_out_of_n_structure(n, n - r + 1)
         path = SystemStructure(n, path_sets=k_of_n.path_sets)
@@ -245,3 +265,54 @@ def test_values_match_a_per_point_reference(dtype):
     assert _statistic(model, _PATH).values(cols).tolist() == [_max_of_mins(x, BRIDGE_PATHS) for x in points]
     assert _statistic(model, _CUT).values(cols).tolist() == [_min_of_maxes(x, BRIDGE_CUTS) for x in points]
 
+
+def _reduce_reference(cols, structure):
+    """The statistic as nested reductions with a fresh array per step."""
+    if structure.path_sets is not None:
+        return reduce(np.maximum, [reduce(np.minimum, [cols[i - 1] for i in sorted(P)]) for P in structure.path_sets])
+    return reduce(np.minimum, [reduce(np.maximum, [cols[i - 1] for i in sorted(C)]) for C in structure.cut_sets])
+
+
+def _random_family(rng, n: int) -> list[frozenset[int]]:
+    """A random antichain over 1..n, with singletons for uncovered components."""
+    drawn = {frozenset(int(i) for i in rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False))
+             for _ in range(int(rng.integers(1, 5)))}
+    family = [S for S in drawn if not any(T < S for T in drawn)]
+    covered = frozenset().union(*family)
+    return family + [frozenset([i]) for i in range(1, n + 1) if i not in covered]
+
+
+def test_system_values_match_fresh_array_reductions():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        N = int(rng.integers(1, 300)) if trial % 3 else 2 * systems._ROW_BLOCK + int(rng.integers(1, 300))
+        model = IndependentMarginals([FinitePMF([0.5, 0.5])] * n)  # fixes n only
+        cols = rng.integers(0, 50, size=(n, N))
+        family = [range(1, n + 1)] if trial % 4 == 0 else _random_family(rng, n)  # a single set, or several
+        for structure in (SystemStructure(n, path_sets=family), SystemStructure(n, cut_sets=family)):
+            before = cols.copy()
+            got = _statistic(model, structure).values(cols)
+            assert np.array_equal(got, _reduce_reference(cols, structure))
+            assert np.array_equal(_statistic(model, structure).values(list(cols)), got)  # rows as samplers pass them
+            assert np.array_equal(cols, before)  # the points are only read
+            assert not np.shares_memory(got, cols)
+
+
+def test_explicit_mc_evaluates_the_statistic_once_per_support_point(monkeypatch):
+    model = random_explicit(np.random.default_rng(17), 3, m_max=3)
+    stat = _statistic(model, 2)
+    widths = []
+    values = type(stat).values
+    monkeypatch.setattr(type(stat), "values", lambda self, cols: widths.append(cols.shape) or values(self, cols))
+    mc_moment(model, 2, 1, n_samples=20_000, seed=2024)
+    assert widths == [(3, model.points.shape[0])]
+
+
+def test_sample_mvg_refuses_an_uncovered_component_before_drawing(monkeypatch):
+    monkeypatch.setattr(oracle, "_shock_sets", lambda params: (((0, 1), 0.5),))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ConvergenceError):
+        sample_mvg(MvgParams(3, theta={(1, 2, 3): 0.5}), 100, seed=rng)
+    assert rng.bit_generator.state == state

@@ -342,7 +342,9 @@ def test_parallel_survival_fair_bits():
     parallel = SystemStructure(2, path_sets=[[1], [2]])
     assert system_survival(fair_bits(2), parallel, 0) == pytest.approx(0.75, abs=1e-12)
     assert system_survival(fair_bits(2), parallel, 1) == 0.0
-    assert system_survival(fair_bits(2), parallel, -3) == 1.0
+    assert system_survival(fair_bits(2), parallel, -1) == 1.0
+    with pytest.raises(ValidationError):
+        system_survival(fair_bits(2), parallel, -3)
 
 
 def test_alpha_beta_survival_agree(bridge):
