@@ -46,8 +46,7 @@ Config schema (sections used depend on the subcommand)::
       family: geometric | poisson
       parameter: pi | lam
       values: [0.05, 0.10, 0.15]
-      moments: [1, 2]
-      d: 0.0005                     # poisson family only
+      d: 0.0005                     # poisson family only; prints ET, ET2 and var
 
     validate:                       # validate: oracle cross-checks
       rank: 1                       # statistic: a rank ...
@@ -80,15 +79,9 @@ from .distributions import (
     multinomial_pmf,
 )
 from .errors import CapacityError, LifemomentsError, NumericError, ValidationError, _as_int
-from .mvg import MvgParams, factorial_to_raw
+from .mvg import MvgParams
 from .oracle import enumerate_moment, mc_moment
-from .orderstats import _check_request, _moment
-from .systems import (
-    SystemStructure,
-    _statistic,
-    signature_from_samaniego,
-    signature_set,
-)
+from .systems import SystemStructure, moments, signature_from_samaniego, signature_set
 
 __all__ = ["main"]
 
@@ -223,22 +216,13 @@ def _expand_requests(cfg: dict, n: int, flag_d, with_ranks: bool) -> list[tuple[
 def _cells(model: JointModel, statistic, requests: list[tuple[int, float | None]]) -> dict[int, dict]:
     """value plus truncation metadata for each (moment, bound) request on one
     statistic, a rank or a structure, keyed by moment (a later request for
-    the same moment wins).  A model kind with closed forms computes the
-    factorial moments 1..max p once, whatever moments are requested."""
-    stat = _statistic(model, statistic)
-    for p, d in requests:
-        _check_request(p, d)
-    factorials = model.factorial_moments(stat, max(p for p, _ in requests))
-    if factorials is not None:
-        raws = factorial_to_raw(factorials)
-        return {p: {"value": raws[p - 1], "M0": None} for p, _ in requests}
-    finite = model.support_max() is not None
+    the same moment wins); one `moments` call per distinct bound."""
+    last = dict(requests)
     cells = {}
-    for p, d in requests:
-        if not finite and d is None:
-            raise ValidationError(f"p={p}: infinite support needs an error bound (request d or --d)")
-        res = _moment(model, stat, p, None if finite else d)
-        cells[p] = {"value": res.value, "M0": res.M0_used}
+    for d in dict.fromkeys(last.values()):
+        orders = [p for p, dp in last.items() if dp == d]
+        for p, res in zip(orders, moments(model, statistic, orders, d)):
+            cells[p] = {"value": res.value, "M0": res.M0_used}
     return cells
 
 
@@ -366,8 +350,7 @@ def cmd_sweep(cfg: dict, args) -> int:
                 model = MvgModel(MvgParams(n, theta={frozenset([i]): 1.0 - v for i in range(1, n + 1)}))
             else:
                 model = IndependentMarginals([Poisson(v)] * n, exchangeable=True)
-            cells = _cells(model, structure, [(1, d), (2, d)])
-            m1, m2_raw = cells[1]["value"], cells[2]["value"]
+            m1, m2_raw = (res.value for res in moments(model, structure, (1, 2), d))
             rows.append([v, m1, m2_raw, m2_raw - m1 * m1])
         except LifemomentsError as e:
             _note(f"{param}={v} failed: {e}")
@@ -392,7 +375,7 @@ def cmd_validate(cfg: dict, args) -> int:
     d = args.d if args.d is not None else float(spec.get("d", 1e-6))
     seed = args.seed if args.seed is not None else 0
 
-    analytic = _cells(model, statistic, [(p, d)])[p]["value"]
+    analytic = moments(model, statistic, (p,), d)[0].value
 
     rows = []
     est = mc_moment(model, statistic, p, samples, seed)

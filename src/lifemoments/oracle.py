@@ -14,9 +14,11 @@ pass the list of drawn rows, which no pass copies into a block.  The layout
 must not change a draw: ``tests/test_oracle.py`` pins the seeded stream.
 
 A finite support below ``ENUMERATION_CAP`` (an explicit pmf or a listable
-multinomial) is sampled by index, so Monte Carlo evaluates the statistic,
+multinomial) is sampled by index.  When a run draws at least as many
+samples as there are support points, Monte Carlo evaluates the statistic,
 and its p-th power, once per support point and gathers those values by the
-drawn indices; a draw never becomes a point.
+drawn indices; with fewer draws it gathers the drawn points and evaluates
+those alone.  Either way the draws and the estimate are the same.
 """
 
 from __future__ import annotations
@@ -214,15 +216,24 @@ def _sample_marginal(dist, size: int, rng: np.random.Generator) -> np.ndarray:
     raise UnsupportedModelError(f"no sampler for marginal {type(dist).__name__}")
 
 
-def _draw_powers(model: JointModel, stat, p: int) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """(size, rng) -> statistic(X)^p as floats at ``size`` draws of X."""
+def _draw_powers(
+    model: JointModel, stat, p: int, n_samples: int
+) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """(size, rng) -> statistic(X)^p as floats at ``size`` draws of X, for a
+    run of ``n_samples`` draws in all."""
     if isinstance(model, MultinomialModel) and model.support_size() > ENUMERATION_CAP:
         cells = model.cell_probs / model.cell_probs.sum()
         return lambda size, rng: _powers(stat.values(rng.multinomial(model.trials, cells, size).T), p)
     if isinstance(model, ExplicitFinitePMF):
-        # one value per support point, gathered by the drawn point indices
-        table = _powers(stat.values(model.points.T), p)
-        return lambda size, rng: table.take(rng.choice(table.size, size=size, p=model.probs))
+        size_all = model.support_size()
+        if size_all <= n_samples:
+            # one value per support point, gathered by the drawn point indices
+            table = _powers(stat.values(model.points.T), p)
+            return lambda size, rng: table.take(rng.choice(size_all, size=size, p=model.probs))
+        # fewer draws than points: evaluate the drawn points alone
+        return lambda size, rng: _powers(
+            stat.values(model.points[rng.choice(size_all, size=size, p=model.probs)].T), p
+        )
     return lambda size, rng: _powers(stat.values(_sample_model(model, size, rng)), p)
 
 
@@ -251,7 +262,7 @@ def mc_moment(model: JointModel, statistic, p: int, n_samples: int, seed) -> McE
     p = _as_order(p)
     if n_samples < _MC_MIN_SAMPLES:
         raise ValidationError(f"n_samples={n_samples} below the minimum {_MC_MIN_SAMPLES}")
-    draw = _draw_powers(model, _statistic(model, statistic), p)
+    draw = _draw_powers(model, _statistic(model, statistic), p, n_samples)
     rng = _rng(seed)
     chunk = _chunk_size(model)
     done = 0

@@ -10,14 +10,15 @@ the (n-r+1)-out-of-n:G system.  A statistic gives its survival series
 P(T > m) for m = m_lo..m_hi (``series``), its d-scale (``scale``) and its
 value at given points (``values``, for the oracles).  `_moment` sums the
 series from m = 0 and `_survival` reads the one-row range m..m, for every
-statistic.  Finite supports run to the end of the support; infinite
-supports are truncated at an index M0 chosen so the discarded tail is
-provably at most a requested d > 0 (the partial sums always underestimate,
-so the error sign is known).  The d-scale tightens a single
-marginal's tail condition: `binomial_head(n, r)` for X_{r:n}, the positive
-subset coefficients for systems.  Closed-form M0 planners cover Poisson and
-negative binomial marginals; a generic planner searches any user-supplied
-tail oracle.
+statistic; `systems.moments`, the public entry for any statistic, sums
+through `_moment` unless the model kind has a closed form.  Finite supports
+run to the end of the support; infinite supports are truncated at an index
+M0 chosen so the discarded tail is provably at most a requested d > 0 (the
+partial sums always underestimate, so the error sign is known).  The
+d-scale tightens a single marginal's tail condition: `binomial_head(n, r)`
+for X_{r:n}, the positive subset coefficients for systems.  Closed-form M0
+planners cover Poisson and negative binomial marginals; a generic planner
+searches any user-supplied tail oracle.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ class TruncationPlan:
 
 @dataclass(frozen=True)
 class MomentResult:
+    """A moment and its route.  A series summed to the end of a finite
+    support without a d or a plan is ``exact`` and has neither field.  A
+    series given a d or a plan is not exact: ``M0_used`` is its last index
+    and ``error_bound`` the d, if any, so the moment lies in [value,
+    value + d].  A closed form (`systems.moments` on multivariate geometric
+    components) is not exact, from rounding in its signed sum, and has
+    neither field."""
+
     value: float
     exact: bool
     M0_used: int | None = None

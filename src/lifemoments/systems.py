@@ -14,7 +14,8 @@ bound otherwise, and in closed form for multivariate geometric components.
 The system kind of the statistic type of `orderstats`, `_System`, computes
 its coefficients on first use, so the oracles, which read only its values,
 never run a Mobius transform.  `_statistic` turns a rank or a structure
-into a statistic.
+into a statistic, and `moments`, the one entry that picks the route to a
+moment (closed form or survival series), reads any model and statistic.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .errors import (
     _as_int,
     _as_order,
 )
-from .mvg import LATTICE_N_CAP, MvgParams, _lattice
-from .orderstats import MomentResult, TruncationPlan, _moment, _OrderStat, _require_d, _survival
+from .mvg import LATTICE_N_CAP, MvgParams, _lattice, factorial_to_raw
+from .orderstats import MomentResult, TruncationPlan, _check_request, _moment, _OrderStat, _require_d, _survival
 # not used here; bench/test_bench.py checks that the tracer also wraps this
 # second binding of a traced function
 from .orderstats import poisson_truncation_index  # noqa: F401
@@ -57,6 +58,7 @@ __all__ = [
     "signature_set",
     "k_out_of_n_structure",
     "cut_sets_from_path_sets",
+    "moments",
     "system_survival",
     "system_moment_exact",
     "system_moment_approx",
@@ -64,8 +66,6 @@ __all__ = [
     "system_factorial_moments_mvg",
     "system_moment_mvg",
     "system_mean_var_mvg",
-    "system_moment_from_min_moments",
-    "system_moment_from_max_moments",
     "exchangeable_system_moment",
 ]
 
@@ -442,6 +442,33 @@ def _statistic(model: JointModel, statistic) -> _OrderStat | _System:
     return _OrderStat(model, statistic, model.n)
 
 
+def moments(model: JointModel, statistic, orders: Sequence[int], d: float | None = None) -> tuple[MomentResult, ...]:
+    """E T^p for each p of ``orders``, T the order statistic of a rank or the
+    lifetime of a `SystemStructure`.
+
+    Every order and d is checked first.  A model kind with a closed form
+    gives the factorial moments 1..max(orders) once, converted to raw
+    moments.  Otherwise each order sums the survival series: to the end of
+    a finite support, where d is ignored, or on an infinite support up to
+    the cutoff planned for d, which it needs.
+    """
+    stat = _statistic(model, statistic)
+    orders = tuple(orders)
+    if not orders:
+        raise ValidationError("orders names no moment")
+    for p in orders:
+        _check_request(p, d)
+    factorials = model.factorial_moments(stat, max(orders))
+    if factorials is not None:
+        raws = factorial_to_raw(factorials)
+        return tuple(MomentResult(raws[p - 1], exact=False) for p in orders)
+    if model.support_max() is not None:
+        d = None
+    elif d is None:
+        raise ValidationError(f"p={orders[0]}: infinite support needs an error bound (request d or --d)")
+    return tuple(_moment(model, stat, p, d) for p in orders)
+
+
 def system_survival(model: JointModel, structure: SystemStructure, m: int, form: str = "auto") -> float:
     """P(T > m) for a threshold m >= -1, by the alpha expansion, or the beta
     complement when asked (or when only cut sets are available)."""
@@ -520,44 +547,6 @@ def system_mean_var_mvg(params: MvgParams, structure: SystemStructure) -> tuple[
     """(ET, Var T) from the first two closed-form factorial moments."""
     m1, m2 = system_factorial_moments_mvg(params, structure, 2)
     return m1, m2 + m1 * (1.0 - m1)
-
-
-def _combine_subset_moments(
-    coeffs: Mapping[frozenset[int], int],
-    provider: Callable[[frozenset[int], int], float],
-    p: int,
-    label: str,
-) -> float:
-    terms = []
-    for K, c in coeffs.items():
-        v = provider(K, p)
-        if math.isinf(v) or math.isnan(v):
-            raise NumericError(f"{label} moment over {sorted(K)} is not finite: {v}")
-        terms.append(c * v)
-    return float(math.fsum(terms))
-
-
-def system_moment_from_min_moments(
-    provider: Callable[[frozenset[int], int], float],
-    structure: SystemStructure,
-    p: int,
-) -> float:
-    """alpha-weighted combination of caller-supplied subset-minimum moments.
-
-    ``provider(K, p)`` must return E(X_{1:K}^p) (or the factorial variant;
-    the output is then in the same convention).  Finiteness is required for
-    every K with a non-zero coefficient.
-    """
-    return _combine_subset_moments(alpha_coefficients(structure), provider, p, "minimum")
-
-
-def system_moment_from_max_moments(
-    provider: Callable[[frozenset[int], int], float],
-    structure: SystemStructure,
-    p: int,
-) -> float:
-    """beta-weighted combination of subset-maximum moments, dual to the above."""
-    return _combine_subset_moments(beta_coefficients(structure), provider, p, "maximum")
 
 
 def exchangeable_system_moment(

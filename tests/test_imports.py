@@ -3,8 +3,9 @@ private name is referenced somewhere in it, the front ends do not branch on
 the kind of a statistic or a model, each model kind has one kernel, a
 marginal alone keeps its cdf table, each statistic kind has one survival
 read, the oracle imports nothing of the analytic pipeline, the MVG sums
-read theta(K) from one lattice, not subset by subset, and one kernel
-searches a marginal's tail cutoff (no linter is a dependency)."""
+read theta(K) from one lattice, not subset by subset, one kernel
+searches a marginal's tail cutoff, and the CLI leaves the route to a moment
+to `moments` (no linter is a dependency)."""
 
 import ast
 import importlib
@@ -431,3 +432,45 @@ def test_one_tail_kernel_runs_the_cutoff_search():
     # through one kernel, and only it searches for the cutoff
     found = {path.name: callers(path.read_text(), "_tail_cutoff", methods=True) for path in PACKAGE.glob("*.py")}
     assert {name: where for name, where in found.items() if where} == {"distributions.py": ["MarginalDist._tail_bounds"]}
+
+
+# the moment modules, whose private pieces and factorial conversion make up
+# the route to a moment; only `moments` picks that route
+ROUTE_MODULES = ("orderstats", "systems", "mvg")
+
+
+def route_imports(source: str) -> list[str]:
+    """Names that ``source`` imports from ``ROUTE_MODULES``, relatively or
+    as ``lifemoments.*``, that are private or are ``factorial_to_raw``;
+    each as ``module.name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "lifemoments"):
+            module = (node.module or "").removeprefix("lifemoments").lstrip(".")
+            if module in ROUTE_MODULES:
+                found += [f"{module}.{a.name}" for a in node.names
+                          if a.name.startswith("_") or a.name == "factorial_to_raw"]
+    return found
+
+
+def test_the_cli_leaves_the_route_to_moments():
+    assert route_imports((PACKAGE / "cli.py").read_text()) == []
+    found = {path.name: callers(path.read_text(), "factorial_moments", methods=True) for path in PACKAGE.glob("*.py")}
+    assert {name: where for name, where in found.items() if where} == {"systems.py": ["moments"]}
+
+
+def test_checker_flags_route_imports():
+    source = (
+        "from .mvg import MvgParams, factorial_to_raw\n"
+        "from .orderstats import _check_request, approx_moment\n"
+        "from .systems import SystemStructure, _statistic, moments\n"
+        "from .errors import _as_int\n"
+        "from lifemoments.orderstats import _moment\n"
+        "from .distributions import _support_clamp\n"
+        "def f():\n"
+        "    from .mvg import _lattice\n"
+    )
+    assert route_imports(source) == [
+        "mvg.factorial_to_raw", "orderstats._check_request", "systems._statistic",
+        "orderstats._moment", "mvg._lattice",
+    ]

@@ -1,6 +1,7 @@
 """Enumeration and Monte Carlo reference calculators."""
 
 import hashlib
+import math
 from functools import reduce
 
 import numpy as np
@@ -307,6 +308,27 @@ def test_explicit_mc_evaluates_the_statistic_once_per_support_point(monkeypatch)
     monkeypatch.setattr(type(stat), "values", lambda self, cols: widths.append(cols.shape) or values(self, cols))
     mc_moment(model, 2, 1, n_samples=20_000, seed=2024)
     assert widths == [(3, model.points.shape[0])]
+
+
+@pytest.mark.parametrize("stat, p", [(2, 1), (SystemStructure(5, path_sets=BRIDGE_PATHS), 2)], ids=["rank", "bridge"])
+def test_explicit_mc_below_the_support_size_evaluates_the_drawn_points(monkeypatch, stat, p):
+    # 4^5 = 1024 listed points and 1000 draws: no per-point table, and the
+    # estimate is the per-point table gathered by the same draws, bit for bit
+    model = random_explicit(np.random.default_rng(19), 5, m_max=3)
+    n_samples = 1000
+    assert n_samples < model.support_size() and n_samples <= oracle._chunk_size(model)
+    statistic = _statistic(model, stat)
+    rng = np.random.default_rng(2024)
+    table = statistic.values(model.points.T).astype(float) ** p
+    vals = table[rng.choice(model.support_size(), size=n_samples, p=model.probs)]
+    mean = float(vals.sum()) / n_samples
+    var = max(float(np.dot(vals, vals)) - n_samples * mean * mean, 0.0) / (n_samples - 1)
+    widths = []
+    values = type(statistic).values
+    monkeypatch.setattr(type(statistic), "values", lambda self, cols: widths.append(len(cols[0])) or values(self, cols))
+    est = mc_moment(model, stat, p, n_samples=n_samples, seed=2024)
+    assert widths and max(widths) <= n_samples
+    assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), math.sqrt(var / n_samples).hex())
 
 
 def test_sample_mvg_refuses_an_uncovered_component_before_drawing(monkeypatch):

@@ -12,29 +12,32 @@ import pytest
 from lifemoments import (
     CapacityError,
     FinitePMF,
+    Geometric,
     IndependentMarginals,
     MarginalDist,
     MomentRequest,
+    MomentResult,
     MvgModel,
     MvgParams,
     NegBin,
-    NumericError,
     Poisson,
     SystemStructure,
     TruncationPlan,
     ValidationError,
     alpha_coefficients,
+    approx_moment,
     beta_coefficients,
     cut_sets_from_path_sets,
     enumerate_moment,
     exact_moment_finite,
     exchangeable_system_moment,
-    geometric_factorial_moment,
+    factorial_to_raw,
     k_out_of_n_structure,
     maximal_signature,
     minimal_signature,
+    moments,
     multinomial_pmf,
-    mvg_min_param,
+    mvg_orderstat_factorial_moment,
     rect_prob,
     signature_from_samaniego,
     signature_set,
@@ -43,8 +46,6 @@ from lifemoments import (
     system_moment_approx,
     system_moment_approx_beta,
     system_moment_exact,
-    system_moment_from_max_moments,
-    system_moment_from_min_moments,
     system_moment_mvg,
     survival_orderstat,
     system_survival,
@@ -645,55 +646,6 @@ def test_system_mvg_validation(bridge):
 
 
 # ---------------------------------------------------------------------------
-# moment combination from subset providers
-# ---------------------------------------------------------------------------
-
-def test_from_min_moments_mvg_provider(bridge):
-    params = MvgParams(5, theta=bridge_theta(1))
-
-    def provider(K, p):
-        return geometric_factorial_moment(mvg_min_param(params, K), p)
-
-    for p in (1, 2):
-        assert system_moment_from_min_moments(provider, bridge, p) == pytest.approx(
-            system_moment_mvg(params, bridge, p), rel=1e-12
-        )
-
-
-def test_from_min_and_max_moments_finite_provider(bridge):
-    model = random_explicit(np.random.default_rng(44), 5, m_max=3)
-    pts = model.points.astype(float)
-
-    def min_provider(K, p):
-        cols = sorted(i - 1 for i in K)
-        return float(np.dot(model.probs, pts[:, cols].min(axis=1) ** p))
-
-    def max_provider(K, p):
-        cols = sorted(i - 1 for i in K)
-        return float(np.dot(model.probs, pts[:, cols].max(axis=1) ** p))
-
-    for p in (1, 2):
-        want = system_moment_exact(model, bridge, p).value
-        assert system_moment_from_min_moments(min_provider, bridge, p) == pytest.approx(
-            want, abs=1e-9
-        )
-        # the beta expansion needs E T^p = sum beta_K E max_K^p only after
-        # moving the complement; combine and compare through the identity
-        got = system_moment_from_max_moments(max_provider, bridge, p)
-        beta_total = math.fsum(beta_coefficients(bridge).values())
-        assert beta_total == 1
-        # E max over K weighting with beta sums to E T^p for self-dual bridge
-        assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_from_min_moments_rejects_divergent_provider(bridge):
-    with pytest.raises(NumericError):
-        system_moment_from_min_moments(lambda K, p: math.inf, bridge, 1)
-    with pytest.raises(NumericError):
-        system_moment_from_max_moments(lambda K, p: math.nan, bridge, 1)
-
-
-# ---------------------------------------------------------------------------
 # exchangeable shortcut
 # ---------------------------------------------------------------------------
 
@@ -823,3 +775,61 @@ def test_order_statistics_are_k_out_of_n_systems(kind):
                 assert factorials == pytest.approx(want, rel=1e-12)
             else:
                 assert factorials is None
+
+
+# ---------------------------------------------------------------------------
+# the one moment entry
+# ---------------------------------------------------------------------------
+
+def entry_models():
+    rng = np.random.default_rng(73)
+    return {
+        "poisson": IndependentMarginals([Poisson(lam) for lam in (0.8, 1.5, 2.0, 3.1, 1.1)]),
+        "mixed": IndependentMarginals(
+            [Poisson(1.3), NegBin(3, 0.6), Geometric(0.4), FinitePMF([0.2, 0.5, 0.3]), Poisson(2.0)]
+        ),
+        "explicit": random_explicit(rng, 5, m_max=3),
+        "multinomial": multinomial_pmf(6, [0.2, 0.3, 0.1, 0.25, 0.15]),
+        "mvg": MvgModel(MvgParams(5, theta=bridge_theta(1))),
+        "mvg_exchangeable": MvgModel(MvgParams(5, exchangeable_levels=[0.7, 0.9, 0.95, 0.97, 0.99])),
+    }
+
+
+@pytest.mark.parametrize("statistic", [1, 3, 5, "bridge"])
+@pytest.mark.parametrize("kind", list(entry_models()))
+def test_moments_takes_each_kinds_own_route(kind, statistic, bridge, monkeypatch):
+    # the series entries on infinite and finite supports, the closed forms
+    # on MVG: the same values, cutoffs and flags, bit for bit
+    model, d, orders = entry_models()[kind], 1e-4, (2, 1)
+    stat = bridge if statistic == "bridge" else statistic
+    if kind.startswith("mvg"):
+        if stat is bridge:
+            factorials = system_factorial_moments_mvg(model.params, bridge, 2)
+        else:
+            factorials = [mvg_orderstat_factorial_moment(model.params, stat, 5, q) for q in (1, 2)]
+        raws = factorial_to_raw(factorials)
+        want = tuple(MomentResult(raws[p - 1], exact=False) for p in orders)
+    elif kind in ("poisson", "mixed"):
+        if stat is bridge:
+            want = tuple(system_moment_approx(model, bridge, p, d) for p in orders)
+        else:
+            want = tuple(approx_moment(model, MomentRequest(r=stat, n=5, p=p, d=d)) for p in orders)
+    elif stat is bridge:
+        want = tuple(system_moment_exact(model, bridge, p) for p in orders)
+    else:
+        want = tuple(exact_moment_finite(model, MomentRequest(r=stat, n=5, p=p)) for p in orders)
+    got = moments(model, stat, orders, d)
+    assert [(r.value.hex(), r.exact, r.M0_used, r.error_bound) for r in got] == [
+        (r.value.hex(), r.exact, r.M0_used, r.error_bound) for r in want
+    ]
+    # refusals come before any route runs
+    monkeypatch.setattr(type(model), "factorial_moments", lambda *args: pytest.fail("a route ran"))
+    for bad_orders, bad_d in (((), d), ((1, 0), d), ((1, 2), 0.0), ((1,), -1e-3)):
+        with pytest.raises(ValidationError):
+            moments(model, stat, bad_orders, bad_d)
+    monkeypatch.undo()
+    if model.support_max() is None and not kind.startswith("mvg"):
+        with pytest.raises(ValidationError, match="infinite support needs an error bound"):
+            moments(model, stat, (1,))
+    else:
+        assert moments(model, stat, (1,)) == moments(model, stat, (1,), d)
