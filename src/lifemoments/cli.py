@@ -216,14 +216,16 @@ def _expand_requests(cfg: dict, n: int, flag_d, with_ranks: bool) -> list[tuple[
 def _cells(model: JointModel, statistic, requests: list[tuple[int, float | None]]) -> dict[int, dict]:
     """value plus truncation metadata for each (moment, bound) request on one
     statistic, a rank or a structure, keyed by moment (a later request for
-    the same moment wins); one `moments` call per distinct bound."""
+    the same moment wins); one `moments` call with a bound per moment."""
     last = dict(requests)
-    cells = {}
-    for d in dict.fromkeys(last.values()):
-        orders = [p for p, dp in last.items() if dp == d]
-        for p, res in zip(orders, moments(model, statistic, orders, d)):
-            cells[p] = {"value": res.value, "M0": res.M0_used}
-    return cells
+    orders = tuple(last)
+    try:
+        results = moments(model, statistic, orders, tuple(last.values()))
+    except ValidationError as e:
+        if "needs an error bound" in str(e):
+            raise ValidationError(f"{e}: set requests.d in the config or pass --d") from e
+        raise
+    return {p: {"value": res.value, "M0": res.M0_used} for p, res in zip(orders, results)}
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,17 @@ rectangle series and the class counts are two reads of it.  Four model kinds eac
 implement it with one kernel: an explicit finite pmf, the multinomial count
 vector (an explicit pmf that never lists its support), a product of
 independent marginals, and the common-shock geometric model of module
-``mvg``, which reads that module's lattice of theta(K).  A kind with a
-closed-form order-statistic survival or closed-form moments of a statistic
-overrides those reads of the class counts.
+``mvg``, which reads that module's lattice of theta(K).
+
+The statistic reads, ``orderstat_survival_series`` and
+``system_survival_series``, have base forms built on that query (the class
+counts, and one rectangle series per coefficient of a system's signed
+expansion), and a kind may override them where it has a better route:
+``MvgModel`` reads both in closed form from its lattice, as it reads
+closed-form moments of a statistic (``factorial_moments``), and
+``IndependentMarginals`` contracts a system's structure function with its
+marginals' cdfs.  A forced form of either read keeps the base route, as a
+cross-check.
 
 Marginal pmf work is done in log space, one array per family on 0..m
 (``logpmf_array``), so that large rates and far tail indices neither
@@ -73,7 +81,7 @@ __all__ = [
 # quantity being compared.
 _TAIL_SLACK = 1e-8
 _DOUBLING_CAP = 200
-_LATTICE_BLOCK = 1 << 20  # theta powers per block of rows in MvgModel.counts
+_LATTICE_BLOCK = 1 << 20  # table entries per block of rows in the subset-table reads of joint models
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +503,35 @@ class JointModel:
         # rows of class counts may sum to 1 plus a few ulps
         return np.clip(series, 0.0, 1.0)
 
+    def system_survival_series(self, structure, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
+        """P(T > m) for m = m_lo..m_hi, T the lifetime of the coherent system
+        ``structure`` (a `systems.SystemStructure`), from its signed subset
+        expansion.
+
+        "alpha" sums c_K P(min over K > m) over the non-zero alpha
+        coefficients, one rectangle series each; "beta" complements the sum
+        of c_K P(max over K <= m) over the beta ones.  "auto" takes alpha
+        when the structure has path sets, beta otherwise; a kind with a
+        better route overrides "auto", and a forced form always reads the
+        expansion, as a cross-check.
+        """
+        if form == "auto":
+            form = "alpha" if structure.path_sets is not None else "beta"
+        if form not in ("alpha", "beta"):
+            raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
+        return self._expansion_series(structure._coefficients(form), form, m_hi, m_lo)
+
+    def _expansion_series(
+        self, coeffs: Mapping[frozenset[int], float], form: str, m_hi: int, m_lo: int = 0
+    ) -> np.ndarray:
+        """The signed expansion of ``form`` over the subsets K of ``coeffs``."""
+        none = frozenset()
+        series = np.zeros(m_hi - m_lo + 1)
+        for K, c in coeffs.items():
+            low, up = (none, K) if form == "alpha" else (K, none)
+            series += float(c) * self.rect_series(low, up, m_hi, m_lo)  # a Fraction would make an object array
+        return series if form == "alpha" else 1.0 - series
+
     def factorial_moments(self, stat, p: int) -> Sequence[float] | None:
         """Closed-form factorial moments E(T)_1..E(T)_p of a statistic T, or
         None when the kind has none and moments come from the survival series."""
@@ -629,6 +666,29 @@ class IndependentMarginals(JointModel):
                 out[:, :1] *= 1.0 - q
         return out
 
+    def system_survival_series(self, structure, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
+        """Under "auto", the reliability polynomial: the structure function
+        over the 2^n working sets, contracted one component at a time from
+        the highest bit, each pair of halves into phi(j failed) F_j(m) +
+        phi(j working) (1 - F_j(m)).  Every term is non-negative, no
+        rectangle series is read, and each step is elementwise, so row m
+        reads F_j(m) alone (Barlow and Proschan 1975, ch. 2, pivotal
+        decomposition).  A forced form reads the expansion."""
+        if form != "auto":
+            return super().system_survival_series(structure, m_hi, form, m_lo)
+        phi = structure._phi()
+        cdfs = [d._cdf_prefix(m_hi)[m_lo:] for d in reversed(self.marginals)]
+        out = np.empty(m_hi - m_lo + 1)
+        step = max(1, _LATTICE_BLOCK // len(phi))
+        for lo in range(0, len(out), step):
+            state = phi[:, None]  # working sets by thresholds
+            for cdf in cdfs:
+                q = cdf[lo : lo + step]
+                half = state.reshape(2, -1, state.shape[1])  # axis 0: the highest component left
+                state = half[0] * q + half[1] * (1.0 - q)
+            out[lo : lo + step] = state[0]
+        return np.minimum(out, 1.0, out=out)  # q + (1 - q) may round above 1
+
 
 class MvgModel(JointModel):
     """Joint model wrapper around MVG common-shock parameters.
@@ -685,6 +745,23 @@ class MvgModel(JointModel):
         if form != "auto":
             return super().orderstat_survival_series(r, m_hi, form, m_lo)
         return mvg_orderstat_survival(self.params, r, self.n, np.arange(m_lo, m_hi + 1))
+
+    def system_survival_series(self, structure, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
+        """Under "auto", the alpha expansion in closed form: the sum over the
+        non-zero alpha coefficients of alpha_K theta(K)^(m+1), theta(K) read
+        from one all-free lattice, each row summed exactly.  A forced form
+        reads the expansion over rectangle series."""
+        if form != "auto":
+            return super().system_survival_series(structure, m_hi, form, m_lo)
+        masks, coeffs = structure._alpha_terms()
+        thetas = _lattice(self.params, range(1, self.n + 1))[masks]
+        exps = np.arange(m_lo + 1.0, m_hi + 2.0)[:, None]
+        out = np.empty(len(exps))
+        step = max(1, _LATTICE_BLOCK // len(masks))
+        for lo in range(0, len(exps), step):
+            terms = coeffs * np.float_power(thetas, exps[lo : lo + step])
+            out[lo : lo + step] = [math.fsum(row) for row in terms.tolist()]
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def factorial_moments(self, stat, p: int) -> Sequence[float]:
         """The statistic's subset-minima closed form."""

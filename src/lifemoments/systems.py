@@ -11,11 +11,24 @@ gives beta_K against maxima.  Moments follow by the survival series of
 `orderstats`, exactly on finite supports, truncated with a certified error
 bound otherwise, and in closed form for multivariate geometric components.
 
-The system kind of the statistic type of `orderstats`, `_System`, computes
-its coefficients on first use, so the oracles, which read only its values,
-never run a Mobius transform.  `_statistic` turns a rank or a structure
-into a statistic, and `moments`, the one entry that picks the route to a
-moment (closed form or survival series), reads any model and statistic.
+The system kind of the statistic type of `orderstats`, `_System`, reads
+its survival series from the model's `JointModel.system_survival_series`,
+which a model kind may override, as `MvgModel` also overrides the
+order-statistic read.  The base read sums the signed expansion, one
+rectangle series per non-zero coefficient, and a forced "alpha" or "beta"
+form always reads it, as a cross-check.  Under "auto", independent
+components contract the structure function phi at the multilinear point
+(F_j(m), 1 - F_j(m)), the reliability polynomial, whose terms are all
+non-negative; MVG components sum alpha_K theta(K)^(m+1) over one subset
+lattice.  The d-scale of a truncation is the positive alpha sum (beta times
+2^n - 1 from cut sets alone) on every route.  A structure keeps, per object,
+its phi table, the non-zero alpha terms and the positive coefficient sums,
+built on first use; the coefficient maps of `alpha_coefficients` and
+`beta_coefficients` are computed afresh, so the oracles, which read only
+the statistic's values, never run a Mobius transform.  `_statistic` turns a
+rank or a structure into a statistic, and `moments`, the one entry that
+picks the route to a moment (closed form or survival series), reads any
+model and statistic.
 """
 
 from __future__ import annotations
@@ -24,7 +37,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -108,7 +120,7 @@ class SystemStructure:
     taken as declared.
     """
 
-    __slots__ = ("n", "path_sets", "cut_sets")
+    __slots__ = ("n", "path_sets", "cut_sets", "_tables")
 
     def __init__(
         self,
@@ -125,6 +137,45 @@ class SystemStructure:
         if self.path_sets is not None and self.cut_sets is not None and n <= LATTICE_N_CAP:
             if _minimal_transversals(self.path_sets, n) != self.cut_sets:
                 raise ValidationError("cut sets are not the minimal transversals of the path sets")
+        self._tables: dict = {}  # filled on first use by the reads below
+
+    def _table(self, key, build):
+        """The object's table ``key``, built on first use; a structure is
+        never mutated after construction."""
+        tables = self._tables
+        if key not in tables:
+            tables[key] = build()
+        return tables[key]
+
+    def _phi(self) -> np.ndarray:
+        """The structure function over the 2^n working sets (bit i-1 for
+        component i working), read-only: U works when it contains a path
+        set, or, from cut sets alone, when it meets every cut set."""
+        def build():
+            if self.path_sets is not None:
+                phi = _up_closure(self.path_sets, self.n)
+            else:
+                phi = ~_up_closure(self.cut_sets, self.n)[::-1]  # the failed set, U's complement, holds no cut set
+            phi.flags.writeable = False
+            return phi
+        return self._table("phi", build)
+
+    def _alpha_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The non-zero alpha coefficients as (masks, coefficients), the
+        Mobius transform of ``_phi``, which either family gives."""
+        def build():
+            coeff = _mobius(self._phi().astype(np.int64))
+            masks = np.flatnonzero(coeff)
+            return masks, coeff[masks]
+        return self._table("alpha", build)
+
+    def _coefficients(self, form: str) -> dict[frozenset[int], int]:
+        """`alpha_coefficients` ("alpha") or `beta_coefficients` ("beta"), computed afresh."""
+        return alpha_coefficients(self) if form == "alpha" else beta_coefficients(self)
+
+    def _positive_sum(self, form: str) -> int:
+        """The sum of the positive coefficients of ``form``, the d-scale of a system series."""
+        return self._table(("positive", form), lambda: sum(c for c in self._coefficients(form).values() if c > 0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,17 +257,27 @@ def _collection_coefficients(structure: SystemStructure, form: str) -> np.ndarra
     These are the coefficients of the unique multilinear form of the
     family's indicator "U contains a set of the family", so they are its
     Mobius transform on the 2^n subset lattice (exact integer arithmetic).
+    The indicator is read off the structure function: for path sets it is
+    phi itself, for cut sets (U the failed components) the complement of
+    phi at U's complement.
     """
     family = structure.path_sets if form == "alpha" else structure.cut_sets
     if family is None:
         raise ValidationError(f"structure has no {'path' if form == 'alpha' else 'cut'} sets")
     if len(family) > COLLECTION_CAP:
         raise CapacityError(f"{len(family)} sets exceed the cap of {COLLECTION_CAP} per family")
-    coeff = _up_closure(family, structure.n).astype(np.int64)
-    for b in range(structure.n):
-        halves = coeff.reshape(-1, 2, 1 << b)
+    phi = structure._phi()
+    return _mobius((phi if form == "alpha" else ~phi[::-1]).astype(np.int64))
+
+
+def _mobius(table: np.ndarray) -> np.ndarray:
+    """The Mobius transform, in place, of an integer table over the subsets
+    of log2(len) components: entry U becomes the sum over V <= U of
+    (-1)^|U - V| table[V]."""
+    for b in range(len(table).bit_length() - 1):
+        halves = table.reshape(-1, 2, 1 << b)
         halves[:, 1] -= halves[:, 0]
-    return coeff
+    return table
 
 
 def _subset_coefficients(structure: SystemStructure, form: str) -> dict[frozenset[int], int]:
@@ -357,41 +418,38 @@ def _minimal_transversals(fam: Sequence[frozenset[int]], n: int) -> tuple[frozen
 
 class _System:
     """T of a coherent system.  ``form`` "alpha" expands P(T > m) over subset
-    minima, "beta" P(T <= m) over subset maxima.  Exchangeable models pass
-    signature entries on prefixes as ``coeffs``, and no structure."""
+    minima, "beta" P(T <= m) over subset maxima, and "auto" takes the model
+    kind's route (`JointModel.system_survival_series`), its d-scale that of
+    the alpha expansion, or of the beta one from cut sets alone.
+    Exchangeable models pass signature entries on prefixes as ``coeffs``,
+    and no structure."""
 
     def __init__(self, model: JointModel, form: str, structure: SystemStructure | None = None,
                  coeffs: Mapping[frozenset[int], float] | None = None):
         if structure is not None:
             if model.n != structure.n:
                 raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
-            if form == "auto":
-                form = "alpha" if structure.path_sets is not None else "beta"
-        if form not in ("alpha", "beta"):
-            allowed = "alpha or beta" if structure is None else "auto, alpha, or beta"
-            raise ValidationError(f"form must be {allowed}, not {form!r}")
-        self.n, self.form, self.structure = model.n, form, structure
-        if coeffs is not None:
-            self.coeffs = coeffs  # fills the cached property
-
-    @cached_property
-    def coeffs(self) -> Mapping[frozenset[int], float]:
-        if self.form == "alpha":
-            return alpha_coefficients(self.structure)
-        return beta_coefficients(self.structure)
+            if form not in ("auto", "alpha", "beta"):
+                raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
+        elif form not in ("alpha", "beta"):
+            raise ValidationError(f"form must be alpha or beta, not {form!r}")
+        self.n, self.form, self.structure, self.coeffs = model.n, form, structure, coeffs
 
     @property
     def scale(self):
-        scale = sum(c for c in self.coeffs.values() if c > 0)
-        return scale * (2**self.n - 1) if self.form == "beta" else scale
+        form, structure = self.form, self.structure
+        if structure is None:
+            scale = sum(c for c in self.coeffs.values() if c > 0)
+        else:
+            if form == "auto":
+                form = "alpha" if structure.path_sets is not None else "beta"
+            scale = structure._positive_sum(form)
+        return scale * (2**self.n - 1) if form == "beta" else scale
 
     def series(self, model: JointModel, m_hi: int, m_lo: int = 0) -> np.ndarray:
-        none = frozenset()
-        series = np.zeros(m_hi - m_lo + 1)
-        for K, c in self.coeffs.items():
-            low, up = (none, K) if self.form == "alpha" else (K, none)
-            series += float(c) * model.rect_series(low, up, m_hi, m_lo)  # a Fraction would make an object array
-        return series if self.form == "alpha" else 1.0 - series
+        if self.structure is None:
+            return model._expansion_series(self.coeffs, self.form, m_hi, m_lo)
+        return model.system_survival_series(self.structure, m_hi, self.form, m_lo)
 
     def values(self, cols: np.ndarray) -> np.ndarray:
         """T at each of N points given coordinate-major, ``cols`` an (n, N)
@@ -442,36 +500,43 @@ def _statistic(model: JointModel, statistic) -> _OrderStat | _System:
     return _OrderStat(model, statistic, model.n)
 
 
-def moments(model: JointModel, statistic, orders: Sequence[int], d: float | None = None) -> tuple[MomentResult, ...]:
+def moments(
+    model: JointModel, statistic, orders: Sequence[int], d: float | None | Sequence[float | None] = None
+) -> tuple[MomentResult, ...]:
     """E T^p for each p of ``orders``, T the order statistic of a rank or the
-    lifetime of a `SystemStructure`.
+    lifetime of a `SystemStructure`; ``d`` is one error bound for every
+    order, or one per order.
 
-    Every order and d is checked first.  A model kind with a closed form
-    gives the factorial moments 1..max(orders) once, converted to raw
+    Every order and bound is checked first.  A model kind with a closed
+    form gives the factorial moments 1..max(orders) once, converted to raw
     moments.  Otherwise each order sums the survival series: to the end of
-    a finite support, where d is ignored, or on an infinite support up to
-    the cutoff planned for d, which it needs.
+    a finite support, where its bound is ignored, or on an infinite support
+    up to the cutoff planned for its bound, which it needs.
     """
     stat = _statistic(model, statistic)
     orders = tuple(orders)
     if not orders:
         raise ValidationError("orders names no moment")
-    for p in orders:
-        _check_request(p, d)
+    bounds = (d,) * len(orders) if np.ndim(d) == 0 else tuple(d)
+    if len(bounds) != len(orders):
+        raise ValidationError(f"d gives {len(bounds)} bounds for {len(orders)} orders")
+    for p, dp in zip(orders, bounds):
+        _check_request(p, dp)
     factorials = model.factorial_moments(stat, max(orders))
     if factorials is not None:
         raws = factorial_to_raw(factorials)
         return tuple(MomentResult(raws[p - 1], exact=False) for p in orders)
     if model.support_max() is not None:
-        d = None
-    elif d is None:
-        raise ValidationError(f"p={orders[0]}: infinite support needs an error bound (request d or --d)")
-    return tuple(_moment(model, stat, p, d) for p in orders)
+        bounds = (None,) * len(orders)
+    elif None in bounds:
+        raise ValidationError(f"p={orders[bounds.index(None)]}: infinite support needs an error bound d")
+    return tuple(_moment(model, stat, p, dp) for p, dp in zip(orders, bounds))
 
 
 def system_survival(model: JointModel, structure: SystemStructure, m: int, form: str = "auto") -> float:
-    """P(T > m) for a threshold m >= -1, by the alpha expansion, or the beta
-    complement when asked (or when only cut sets are available)."""
+    """P(T > m) for a threshold m >= -1: by the model kind's route
+    (``form="auto"``), or by the alpha expansion or the beta complement when
+    asked, which cross-check it."""
     return _survival(model, _System(model, form, structure), m)
 
 
@@ -491,12 +556,15 @@ def system_moment_approx(
     d: float,
     plan: TruncationPlan | None = None,
 ) -> MomentResult:
-    """Truncated E T^p via the alpha expansion; error lies in [0, d].
+    """Truncated E T^p of a structure with path sets; error lies in [0, d].
 
-    The truncation index satisfies the tail condition scaled by the sum of
-    positive alpha coefficients, so the dropped terms cannot exceed d.
+    The survival series takes the model kind's route.  The truncation index
+    satisfies the tail condition scaled by the sum of positive alpha
+    coefficients, so the dropped terms cannot exceed d.
     """
-    return _moment(model, _System(model, "alpha", structure), p, _require_d(d), plan)
+    if structure.path_sets is None:
+        raise ValidationError("structure has no path sets")
+    return _moment(model, _System(model, "auto", structure), p, _require_d(d), plan)
 
 
 def system_moment_approx_beta(

@@ -20,6 +20,7 @@ from lifemoments import (
     MomentRequest,
     NegBin,
     Poisson,
+    approx_moment,
     exact_moment_finite,
     factorial_to_raw,
     multinomial_pmf,
@@ -471,6 +472,42 @@ def test_exit_2_infinite_support_without_d(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["orderstat", "--config", write_cfg(tmp_path, cfg)])
     assert code == 2
     assert "error bound" in err
+    # the CLI names its own ways to give the bound
+    assert "requests.d" in err and "--d" in err
+
+
+def test_missing_bound_names_the_config_key_and_flag_on_stderr(tmp_path, capsys):
+    cfg = {"model": POISSON3, "structure": {"n": 3, "path_sets": [[1, 2], [2, 3]]},
+           "requests": [{"p": 1, "d": 1e-3}, {"p": 2}]}
+    code, out, err = run_cli(capsys, ["system", "--config", write_cfg(tmp_path, cfg)])
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        "# config error: p=2: infinite support needs an error bound d: set requests.d in the config or pass --d"
+    )
+    code, out, _ = run_cli(capsys, ["system", "--config", write_cfg(tmp_path, cfg), "--d", "1e-3"])
+    assert code == 0 and out
+
+
+def test_cells_make_one_moments_call_per_statistic(monkeypatch):
+    factorials = []
+    original = orderstats.mvg_orderstat_factorial_moment
+
+    def counted(*args):
+        factorials.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orderstats, "mvg_orderstat_factorial_moment", counted)
+    mvg_model = cli.build_model(REQUEST_CHECK_MODELS["mvg"])
+    cells = cli._cells(mvg_model, 2, [(1, 0.1), (2, 0.01)])
+    assert len(factorials) == 2  # moments 1 and 2 once, whatever the bounds
+    raws = factorial_to_raw([original(mvg_model.params, 2, 3, q) for q in (1, 2)])
+    assert cells == {1: {"value": raws[0], "M0": None}, 2: {"value": raws[1], "M0": None}}
+    # a truncated series keeps each moment's own bound; the last request wins
+    poisson = cli.build_model(POISSON3)
+    cells = cli._cells(poisson, 2, [(1, 0.5), (2, 1e-4), (1, 1e-6)])
+    for p, d in ((1, 1e-6), (2, 1e-4)):
+        res = approx_moment(poisson, MomentRequest(r=2, n=3, p=p, d=d))
+        assert cells[p] == {"value": res.value, "M0": res.M0_used}
 
 
 def test_exit_3_capacity(tmp_path, capsys):

@@ -14,6 +14,7 @@ from lifemoments import (
     FinitePMF,
     Geometric,
     IndependentMarginals,
+    JointModel,
     MarginalDist,
     MomentRequest,
     MomentResult,
@@ -51,7 +52,7 @@ from lifemoments import (
     system_survival,
 )
 from lifemoments import distributions, systems
-from lifemoments.orderstats import _OrderStat
+from lifemoments.orderstats import _moment, _OrderStat
 from lifemoments.systems import _statistic, _System
 from conftest import (
     BRIDGE_CUTS,
@@ -396,7 +397,7 @@ def test_threshold_range_is_the_slice_of_the_series(bridge, kind):
     bit: both statistic kinds in every form, ``counts`` and ``rect_series``."""
     model = RANGE_MODELS[kind]()
     stats = [_OrderStat(model, r, 5, form) for r in range(1, 6) for form in ("auto", "low", "high")]
-    stats += [_System(model, form, bridge) for form in ("alpha", "beta")]
+    stats += [_System(model, form, bridge) for form in ("auto", "alpha", "beta")]
     marks = {2: "count", 1: "low", 4: "up", 5: "count"}
     for m_hi in (0, 4, 9, 40):
         for m_lo in sorted({m for m in (0, 1, m_hi // 3, m_hi - 1, m_hi) if 0 <= m <= m_hi}):
@@ -501,15 +502,30 @@ def test_approx_builds_the_cdf_matrix_once(bridge, monkeypatch):
     # share the cdf, and the planner's quantile the log pmf), no class counts
     assert builds == {"MarginalDist.cdf_array": 1, "Poisson._logpmf_table": 1}
 
+    # the default route contracts the structure function and reads no
+    # rectangle series: its cdfs are checked against fresh builds, and the
+    # forced-alpha expansion against an uncached rect_series
+    def fresh_cdf(dist, m_max):
+        return Poisson(dist.lam).cdf_array(m_max)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MarginalDist, "_cdf_prefix", fresh_cdf)
+        assert system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005) == got
+
     def uncached(model, low, up, m_hi, m_lo=0):
         def cdf(i):  # a fresh marginal keeps nothing from earlier reads
             return Poisson(model.marginals[i - 1].lam).cdf_array(m_hi)
 
         return np.column_stack([cdf(i) for i in sorted(low)] + [1.0 - cdf(j) for j in sorted(up)]).prod(axis=1)[m_lo:]
 
+    def forced_alpha():
+        model = IndependentMarginals([Poisson(1.0)] * 5)
+        return _moment(model, _System(model, "alpha", bridge), 2, 0.0005)
+
+    cached = forced_alpha()
     monkeypatch.setattr(IndependentMarginals, "rect_series", uncached)
-    want = system_moment_approx(IndependentMarginals([Poisson(1.0)] * 5), bridge, 2, 0.0005)
-    assert got == want
+    assert forced_alpha() == cached
+    assert cached.M0_used == got.M0_used and cached.value == pytest.approx(got.value, abs=1e-12)
 
 
 def test_approx_beta_form_agrees(bridge):
@@ -829,7 +845,122 @@ def test_moments_takes_each_kinds_own_route(kind, statistic, bridge, monkeypatch
             moments(model, stat, bad_orders, bad_d)
     monkeypatch.undo()
     if model.support_max() is None and not kind.startswith("mvg"):
-        with pytest.raises(ValidationError, match="infinite support needs an error bound"):
+        # a library message: no CLI flag in it
+        with pytest.raises(ValidationError, match=r"^p=1: infinite support needs an error bound d$"):
             moments(model, stat, (1,))
     else:
         assert moments(model, stat, (1,)) == moments(model, stat, (1,), d)
+
+
+def test_moments_takes_one_bound_per_order(bridge):
+    models = entry_models()
+    infinite, finite, mvg = models["mixed"], models["explicit"], models["mvg"]
+    for stat in (2, bridge):
+        got = moments(infinite, stat, (1, 2, 1), (1e-2, 1e-4, 1e-6))
+        assert got == tuple(moments(infinite, stat, (p,), d)[0] for p, d in ((1, 1e-2), (2, 1e-4), (1, 1e-6)))
+        assert got[0].M0_used < got[2].M0_used
+        # a bound per order is checked, and ignored by the exact and closed-form routes
+        for model in (finite, mvg):
+            assert moments(model, stat, (1, 2), [None, 1e-3]) == moments(model, stat, (1, 2))
+    for model in (infinite, finite, mvg):
+        with pytest.raises(ValidationError, match="d gives 2 bounds for 3 orders"):
+            moments(model, 1, (1, 2, 3), (0.1, 0.1))
+        with pytest.raises(ValidationError, match="must be positive"):
+            moments(model, 1, (1, 2), (0.1, -1.0))
+    with pytest.raises(ValidationError, match=r"^p=2: infinite support needs an error bound d$"):
+        moments(infinite, 1, (1, 2), (0.1, None))
+
+
+# ---------------------------------------------------------------------------
+# system series routes of the model kinds
+# ---------------------------------------------------------------------------
+
+def random_infinite(rng: np.random.Generator, n: int) -> IndependentMarginals:
+    """Independent Poisson, negative binomial and geometric components."""
+    families = (
+        lambda: Poisson(rng.uniform(0.5, 3.0)),
+        lambda: NegBin(rng.uniform(0.5, 3.0), rng.uniform(0.2, 0.7)),
+        lambda: Geometric(rng.uniform(0.2, 0.7)),
+    )
+    return IndependentMarginals([families[int(rng.integers(3))]() for _ in range(n)])
+
+
+def test_contraction_agrees_with_both_expansions():
+    rng = np.random.default_rng(97)
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
+        paths = random_antichain(rng, n)
+        both = SystemStructure(n, path_sets=paths, cut_sets=cut_sets_from_path_sets(n, paths))
+        cuts_only = SystemStructure(n, cut_sets=both.cut_sets)
+        infinite, finite = random_infinite(rng, n), random_independent(rng, n)
+        for model in (infinite, finite):
+            auto = model.system_survival_series(both, 30)
+            # phi is the same table from either family
+            assert np.array_equal(model.system_survival_series(cuts_only, 30), auto)
+            for form in ("alpha", "beta"):
+                assert np.max(np.abs(model.system_survival_series(both, 30, form) - auto)) <= 1e-12
+        for p in (1, 2):
+            assert system_moment_exact(finite, both, p).value == pytest.approx(
+                enumerate_moment(finite, both, p), abs=1e-12)
+            want = _moment(infinite, _System(infinite, "alpha", both), p, 1e-4)
+            got = system_moment_approx(infinite, both, p, 1e-4)
+            assert got.M0_used == want.M0_used and got.value == pytest.approx(want.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["independent", "mvg_general", "mvg_exchangeable"])
+def test_system_series_in_blocks_of_rows_changes_no_bit(bridge, kind, monkeypatch):
+    model = RANGE_MODELS[kind]()
+    whole = model.system_survival_series(bridge, 40)
+    monkeypatch.setattr(distributions, "_LATTICE_BLOCK", 64)  # a few rows per block
+    assert np.array_equal(model.system_survival_series(bridge, 40), whole)
+    assert np.array_equal(model.system_survival_series(bridge, 40, m_lo=7), whole[7:])
+
+
+def test_independent_auto_route_runs_no_counts_and_one_transform_per_structure(bridge, monkeypatch):
+    model = IndependentMarginals([Poisson(1.0), Poisson(1.5), NegBin(2, 0.4), Poisson(0.7), Poisson(2.2)])
+    calls = Counter()
+
+    def counted(key, fn):
+        return lambda *args: calls.update([key(*args)]) or fn(*args)
+
+    monkeypatch.setattr(IndependentMarginals, "counts", counted(lambda *a: "counts", IndependentMarginals.counts))
+    monkeypatch.setattr(JointModel, "_expansion_series",
+                        counted(lambda *a: "expansion", JointModel._expansion_series))
+    monkeypatch.setattr(systems, "_collection_coefficients",
+                        counted(lambda structure, form: (id(structure), form), systems._collection_coefficients))
+    structures = [bridge, k_out_of_n_structure(5, 3), SystemStructure(5, path_sets=[[i] for i in range(1, 6)])]
+    for _ in range(3):
+        for structure in structures:
+            for p in (1, 2, 3):
+                system_moment_approx(model, structure, p, 1e-4)
+            system_survival(model, structure, 4)
+    assert calls == {(id(structure), "alpha"): 1 for structure in structures}
+    # the forced forms still read the signed expansion over rectangle series
+    calls.clear()
+    for form in ("alpha", "beta"):
+        system_survival(model, bridge, 4, form=form)
+    assert calls["expansion"] == 2
+    assert calls["counts"] == len(alpha_coefficients(bridge)) + len(beta_coefficients(bridge))
+
+
+def test_mvg_system_series_builds_one_lattice(bridge, monkeypatch):
+    lattices = []
+    lattice = distributions._lattice
+    monkeypatch.setattr(distributions, "_lattice", lambda *args: lattices.append(args) or lattice(*args))
+    for kind in ("mvg_general", "mvg_exchangeable"):
+        model = RANGE_MODELS[kind]()
+        two_of_five = k_out_of_n_structure(5, 2).path_sets
+        for paths in (BRIDGE_PATHS, [[1, 2, 3, 4, 5]], [[i] for i in range(1, 6)], two_of_five):
+            with_paths = SystemStructure(5, path_sets=paths)
+            cuts_only = SystemStructure(5, cut_sets=cut_sets_from_path_sets(5, paths))
+            lattices.clear()
+            want = model.system_survival_series(with_paths, 60, "alpha")
+            assert len(lattices) == len(alpha_coefficients(with_paths))  # one per rectangle series
+            for structure in (with_paths, cuts_only):
+                lattices.clear()
+                got = model.system_survival_series(structure, 60)
+                assert len(lattices) == 1
+                assert np.max(np.abs(got - want)) <= 1e-15
+            lattices.clear()
+            system_survival(model, with_paths, 7)
+            assert len(lattices) == 1
