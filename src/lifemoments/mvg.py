@@ -23,13 +23,17 @@ over the sizes n-j, j < r, each read at once from ``_subset_minima``.
 
 Each size's sum is array work and one exact ``math.fsum``: the terms
 g(theta(K))^p, or 1 - theta(K)^(m+1) once per threshold, come from one
-``np.float_power`` over the size's slice.  ``np.float_power`` calls the C
-library's pow, as Python's float ``**`` does, so the sums are the
-per-subset ones to the last bit; numpy's ``**`` may use a SIMD pow that
-differs from it in the last place.  The ``fsums`` callback of
-``_size_sums`` is the one place the order-statistic terms are summed, and
-where an exact-arithmetic (``decimal``) kernel for their alternating sums
-would plug in.
+``np.float_power`` over the size's slice (none at p = 1, where pow returns
+its base exactly).  ``np.float_power`` calls the C library's pow, as
+Python's float ``**`` does, so the sums are the per-subset ones to the last
+bit; numpy's ``**`` may use a SIMD pow that differs from it in the last
+place.  The factorial sums are computed once per parameter set, size and
+order (``_factorial_sum``) and shared by every rank, every moment order up
+to p and the bracket; each rank keeps its own weights and its own
+alternating ``fsum`` in ``FactorialMomentTerms.value``.  The survival sums
+depend on the thresholds and are summed afresh by the ``fsums`` callback of
+``_size_sums``, the one place those terms are summed.  An exact-arithmetic
+(``decimal``) kernel for the alternating sums would replace those two.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class MvgParams:
     P(X_i = infinity) > 0 and no moment exists.
     """
 
-    __slots__ = ("n", "_theta", "exchangeable_levels", "_minima")
+    __slots__ = ("n", "_theta", "exchangeable_levels", "_minima", "_factorial_sums")
 
     def __init__(
         self,
@@ -79,6 +83,7 @@ class MvgParams:
         n = _as_int(n, "n", 1)
         self.n = n
         self._minima: dict[int, np.ndarray] = {}  # filled by _subset_minima
+        self._factorial_sums: dict[tuple[int, int], float] = {}  # filled by _factorial_sum
         if (theta is None) == (exchangeable_levels is None):
             raise ValidationError("give exactly one of theta or exchangeable_levels")
         if exchangeable_levels is not None:
@@ -341,6 +346,25 @@ def _orderstat_weight(r: int, n: int, j: int) -> int:
     return (-1) ** (r - 1 - j) * math.comb(n - j - 1, n - r)
 
 
+def _check_rank(params: MvgParams, r: int, n: int) -> None:
+    if n != params.n:
+        raise ValidationError(f"n={n} does not match params.n={params.n}")
+    if not 1 <= r <= n:
+        raise ValidationError(f"rank r={r} outside 1..{n}")
+
+
+def _float_factors(r: int, n: int, j: int, mult: int) -> tuple[float, float]:
+    """The weight of the size-(n-j) sum in the expansion of X_{r:n}, and the
+    subset count ``mult``, as floats; either beyond the float range raises
+    NumericError."""
+    try:
+        return float(_orderstat_weight(r, n, j)), float(mult)
+    except OverflowError:
+        raise NumericError(
+            f"weight C({n - j - 1}, {n - r}) or subset count C({n}, {n - j}) exceeds the float range"
+        ) from None
+
+
 def _size_sums(
     params: MvgParams, r: int, n: int, fsums: Callable[[np.ndarray], list[float]]
 ) -> list[tuple[float, list[float]]]:
@@ -348,21 +372,34 @@ def _size_sums(
     ``sums`` is ``fsums`` of the theta(K) of the size-(n-j) subsets, each
     times the number of subsets a table entry stands for.  A weight or
     subset count beyond the float range raises NumericError."""
-    if n != params.n:
-        raise ValidationError(f"n={n} does not match params.n={params.n}")
-    if not 1 <= r <= n:
-        raise ValidationError(f"rank r={r} outside 1..{n}")
+    _check_rank(params, r, n)
     out = []
     for j in range(r):
         thetas, mult = _subset_minima(params, n - j)
-        try:
-            w, count = float(_orderstat_weight(r, n, j)), float(mult)
-        except OverflowError:
-            raise NumericError(
-                f"weight C({n - j - 1}, {n - r}) or subset count C({n}, {n - j}) exceeds the float range"
-            ) from None
+        w, count = _float_factors(r, n, j, mult)
         out.append((w, [count * s for s in fsums(thetas)]))
     return out
+
+
+def _factorial_sum(params: MvgParams, r: int, j: int, p: int) -> float:
+    """The sum of g(theta(K))^p, g = theta/(1-theta), over the size-(n-j)
+    subsets K, times the number of subsets a table entry stands for.
+
+    Kept on the parameter set per (size, order) and computed on first
+    request, after the weight of the size in the expansion of X_{r:n} and
+    its subset count are checked (``_float_factors``); a later request
+    checks the weight of its own rank again, and a refused size is never
+    kept.  Reading g(theta(K)) sidesteps 0/0 in the theta_all ratio form."""
+    n, sums = params.n, params._factorial_sums
+    key = (n - j, p)
+    if key in sums:
+        _float_factors(r, n, j, 1)
+        return sums[key]
+    thetas, mult = _subset_minima(params, n - j)
+    count = _float_factors(r, n, j, mult)[1]
+    g = thetas / (1.0 - thetas)
+    sums[key] = s = count * math.fsum((g if p == 1 else np.float_power(g, p)).tolist())
+    return s
 
 
 def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> FactorialMomentTerms:
@@ -370,15 +407,12 @@ def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> Factori
 
     S_{j,p} aggregates, over the C(n, j) ways to discard j components, the
     p-th geometric factorial moment kernel of the minimum over the remaining
-    n-j components.
+    n-j components.  The bracket reads the size-1 sum, the last one of X_{n:n}.
     """
     p = _as_order(p)
-    # the term of a kept subset K is g(theta(K))^p with g = theta/(1-theta),
-    # which sidesteps 0/0 in the theta_all ratio form
-    fsums = lambda thetas: [math.fsum(np.float_power(thetas / (1.0 - thetas), p).tolist())]
-    S = tuple(sums[0] for _, sums in _size_sums(params, r, n, fsums))
-    singles, mult = _subset_minima(params, 1)
-    return FactorialMomentTerms(r=r, n=n, p=p, S=S, bracket=math.factorial(p) * (mult * fsums(singles)[0]))
+    _check_rank(params, r, n)
+    S = tuple(_factorial_sum(params, r, j, p) for j in range(r))
+    return FactorialMomentTerms(r=r, n=n, p=p, S=S, bracket=math.factorial(p) * _factorial_sum(params, n, n - 1, p))
 
 
 def mvg_orderstat_factorial_moment(params: MvgParams, r: int, n: int, p: int) -> float:

@@ -225,13 +225,13 @@ def _mask(S: frozenset[int]) -> int:
 
 
 def _unmask(mask: int) -> frozenset[int]:
+    """The components of a bit mask (bit i-1 for component i), visiting the
+    set bits only, lowest first."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return frozenset(out)
 
 
@@ -601,8 +601,9 @@ def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, 
         K, theta = _unmask(int(masks[defective[0]])), thetas[defective[0]]
         raise ValidationError(f"defective minimum over {sorted(K)}: theta={theta}")
     coeff, g = coeff[masks], thetas / (1.0 - thetas)
-    # np.float_power calls the C library's pow, as a float ** does
-    return tuple(math.fsum((coeff * (math.factorial(q) * np.float_power(g, q))).tolist())
+    # np.float_power calls the C library's pow, as a float ** does; at q = 1
+    # pow returns g itself, and so does 1! * g
+    return tuple(math.fsum((coeff * (g if q == 1 else math.factorial(q) * np.float_power(g, q))).tolist())
                  for q in range(1, p + 1))
 
 

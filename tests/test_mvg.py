@@ -420,6 +420,100 @@ def test_factorial_terms_exchangeable_matches_general():
             assert a == pytest.approx(b, rel=1e-11)
 
 
+def ring_params(rng: np.random.Generator, n: int) -> MvgParams:
+    """n singleton shocks plus n pair shocks around a random ring."""
+    order = (rng.permutation(n) + 1).tolist()
+    theta = {frozenset([i]): float(rng.uniform(0.85, 1.0)) for i in range(1, n + 1)}
+    for k in range(n):
+        theta[frozenset([order[k], order[(k + 1) % n]])] = float(rng.uniform(0.95, 1.0))
+    return MvgParams(n, theta=theta)
+
+
+def _warm_cold_params(label: str):
+    """A constructor of fresh parameters for each case of the warm/cold test."""
+    from test_acceptance import MVG_EXCH_ROWS, _levels_vector, _mvg_general_rows
+
+    rows, levels = _mvg_general_rows(), _levels_vector(MVG_EXCH_ROWS[0])
+    return {
+        "c4_general1": lambda: MvgParams(10, theta=rows[0]),
+        "c4_general2": lambda: MvgParams(10, theta=rows[1]),
+        "c4_exch1": lambda: MvgParams(10, exchangeable_levels=levels),
+        "ring16": lambda: ring_params(np.random.default_rng(16), 16),
+        "exchangeable": lambda: MvgParams(9, exchangeable_levels=[0.85, 0.97, 1.0, 0.995, 0.0, 1.0, 0.999, 0.9, 1.0]),
+    }[label]
+
+
+@pytest.mark.parametrize("label", ["c4_general1", "c4_general2", "c4_exch1", "ring16", "exchangeable"])
+def test_warm_and_cold_subset_sums_give_the_same_bits(label):
+    """Ranks and orders in a scrambled sequence on one parameter set, whose
+    per-(size, order) sums fill as they go, against fresh parameters per
+    call, by float.hex."""
+    make = _warm_cold_params(label)
+    warm = make()
+    n = warm.n
+    ranks = (1, 2, n // 2, n - 1, n) if n > 12 else range(1, n + 1)
+    calls = [("mean_var", r, 2) for r in ranks] + [("fm", r, p) for r in ranks for p in (1, 2, 3)]
+    hexes = lambda xs: [float(x).hex() for x in xs]
+    for i in np.random.default_rng(n).permutation(len(calls)):
+        kind, r, p = calls[i]
+        if kind == "mean_var":
+            got, want = mvg_orderstat_mean_var(warm, r, n), mvg_orderstat_mean_var(make(), r, n)
+        else:
+            got, want = factorial_moment_terms(warm, r, n, p), factorial_moment_terms(make(), r, n, p)
+            assert hexes([mvg_orderstat_factorial_moment(warm, r, n, p)]) == hexes([want.value()])
+            got, want = (*got.S, got.bracket, got.value()), (*want.S, want.bracket, want.value())
+        assert hexes(got) == hexes(want), (kind, r, p)
+    # the p = 1 sums skip the pow: it returns its base exactly
+    for k in range(1, n + 1):
+        thetas = _subset_minima(warm, k)[0]
+        g = thetas / (1.0 - thetas)
+        assert np.float_power(g, 1).tobytes() == g.tobytes(), k
+
+
+def test_a_rank_table_evaluates_each_size_sum_once(monkeypatch):
+    """Mean and variance for every rank read each (size, order) sum from one
+    evaluation; a second table and the factorial moments evaluate none."""
+    import lifemoments.mvg as mvg
+
+    params = sparse_general_params(np.random.default_rng(11), 10)
+    sizes = []
+    real = mvg._subset_minima
+
+    def counting(params, k):
+        sizes.append(k)
+        return real(params, k)
+
+    monkeypatch.setattr(mvg, "_subset_minima", counting)
+    table = [mvg_orderstat_mean_var(params, r, 10) for r in range(1, 11)]
+    assert sorted(sizes) == sorted(list(range(1, 11)) * 2)
+    assert sorted(params._factorial_sums) == [(k, p) for k in range(1, 11) for p in (1, 2)]
+    assert [mvg_orderstat_mean_var(params, r, 10) for r in range(1, 11)] == table
+    for r in range(1, 11):
+        mvg_orderstat_factorial_moment(params, r, 10, 1)
+        mvg_orderstat_factorial_moment(params, r, 10, 2)
+    assert len(sizes) == 20
+
+
+def test_refusals_survive_a_warm_cache():
+    levels = [0.7] + [1.0] * 1099
+    warm = MvgParams(1100, exchangeable_levels=levels)
+    mean, var = mvg_orderstat_mean_var(warm, 300, 1100)
+    # cancellation debris, returned as computed until the closed forms
+    # refuse it (ROADMAP item 3)
+    assert math.isfinite(mean) and var == -math.inf
+    # every size of r = 550 is kept from r = 300, but its weight C(1099, 550)
+    # does not fit in a float, warm or cold
+    for params in (warm, MvgParams(1100, exchangeable_levels=levels)):
+        with pytest.raises(NumericError, match=r"weight C\(1099, 550\) or subset count C\(1100, 1100\)"):
+            mvg_orderstat_mean_var(params, 550, 1100)
+    # at r = n the first count beyond the float range is C(1100, 712); that
+    # size is never kept, so asking again refuses again
+    for _ in range(2):
+        with pytest.raises(NumericError, match=r"subset count C\(1100, 712\) exceeds"):
+            mvg_orderstat_mean_var(warm, 1100, 1100)
+        assert (713, 1) in warm._factorial_sums and (712, 1) not in warm._factorial_sums
+
+
 def test_minimum_rank_reduces_to_geometric():
     params = all_pairs_params(4, 0.8, 0.9)
     theta = mvg_min_param(params, (1, 2, 3, 4))
