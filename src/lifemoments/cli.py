@@ -64,6 +64,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
+import numpy as np
 import yaml
 
 from .distributions import (
@@ -85,7 +86,8 @@ from .systems import SystemStructure, moments, signature_from_samaniego, signatu
 
 __all__ = ["main"]
 
-_RNG_NAME = "numpy.default_rng (PCG64)"
+# a seeded validate run depends on numpy's samplers, so the note names its version
+_RNG_NAME = f"numpy {np.__version__} default_rng (PCG64)"
 
 # libyaml's parser when PyYAML was built with it; both build the same safe types
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -324,7 +325,8 @@ class FactorialMomentTerms:
     bracket: float = math.inf
 
     def signed_terms(self) -> tuple[float, ...]:
-        return tuple(_orderstat_weight(self.r, self.n, j) * s for j, s in enumerate(self.S))
+        # float(w) * s is w * s for an integer w, to the last bit
+        return tuple(w * s for w, s in zip(_float_weights(self.r, self.n), self.S))
 
     def value(self) -> float:
         return math.factorial(self.p) * math.fsum(self.signed_terms())
@@ -353,16 +355,29 @@ def _check_rank(params: MvgParams, r: int, n: int) -> None:
         raise ValidationError(f"rank r={r} outside 1..{n}")
 
 
-def _float_factors(r: int, n: int, j: int, mult: int) -> tuple[float, float]:
-    """The weight of the size-(n-j) sum in the expansion of X_{r:n}, and the
-    subset count ``mult``, as floats; either beyond the float range raises
-    NumericError."""
+def _beyond_float(r: int, n: int, j: int) -> NumericError:
+    return NumericError(f"weight C({n - j - 1}, {n - r}) or subset count C({n}, {n - j}) exceeds the float range")
+
+
+@lru_cache(maxsize=64)  # shared by a rank's moment orders and its terms objects
+def _float_weights(r: int, n: int) -> tuple[float, ...]:
+    """The weights of the size-(n-j) sums, j = 0..r-1, in the expansion of
+    X_{r:n}, as floats; one beyond the float range raises NumericError (a
+    refusal is not kept).  The weights fall with j, so only the first can be
+    beyond it."""
     try:
-        return float(_orderstat_weight(r, n, j)), float(mult)
+        return tuple(float(_orderstat_weight(r, n, j)) for j in range(r))
     except OverflowError:
-        raise NumericError(
-            f"weight C({n - j - 1}, {n - r}) or subset count C({n}, {n - j}) exceeds the float range"
-        ) from None
+        raise _beyond_float(r, n, 0) from None
+
+
+def _float_count(r: int, n: int, j: int, mult: int) -> float:
+    """The count ``mult`` of the size-(n-j) subsets as a float; beyond the
+    float range it raises NumericError."""
+    try:
+        return float(mult)
+    except OverflowError:
+        raise _beyond_float(r, n, j) from None
 
 
 def _size_sums(
@@ -374,9 +389,9 @@ def _size_sums(
     subset count beyond the float range raises NumericError."""
     _check_rank(params, r, n)
     out = []
-    for j in range(r):
+    for j, w in enumerate(_float_weights(r, n)):
         thetas, mult = _subset_minima(params, n - j)
-        w, count = _float_factors(r, n, j, mult)
+        count = _float_count(r, n, j, mult)
         out.append((w, [count * s for s in fsums(thetas)]))
     return out
 
@@ -386,17 +401,16 @@ def _factorial_sum(params: MvgParams, r: int, j: int, p: int) -> float:
     subsets K, times the number of subsets a table entry stands for.
 
     Kept on the parameter set per (size, order) and computed on first
-    request, after the weight of the size in the expansion of X_{r:n} and
-    its subset count are checked (``_float_factors``); a later request
-    checks the weight of its own rank again, and a refused size is never
-    kept.  Reading g(theta(K)) sidesteps 0/0 in the theta_all ratio form."""
+    request, after its subset count is checked (``_float_count``, which
+    names rank r); a refused size is never kept.  The caller checks the
+    weights of its rank (``_float_weights``).  Reading g(theta(K)) sidesteps
+    0/0 in the theta_all ratio form."""
     n, sums = params.n, params._factorial_sums
     key = (n - j, p)
     if key in sums:
-        _float_factors(r, n, j, 1)
         return sums[key]
     thetas, mult = _subset_minima(params, n - j)
-    count = _float_factors(r, n, j, mult)[1]
+    count = _float_count(r, n, j, mult)
     g = thetas / (1.0 - thetas)
     sums[key] = s = count * math.fsum((g if p == 1 else np.float_power(g, p)).tolist())
     return s
@@ -408,9 +422,11 @@ def factorial_moment_terms(params: MvgParams, r: int, n: int, p: int) -> Factori
     S_{j,p} aggregates, over the C(n, j) ways to discard j components, the
     p-th geometric factorial moment kernel of the minimum over the remaining
     n-j components.  The bracket reads the size-1 sum, the last one of X_{n:n}.
+    The weights of the rank are checked before any sum.
     """
     p = _as_order(p)
     _check_rank(params, r, n)
+    _float_weights(r, n)
     S = tuple(_factorial_sum(params, r, j, p) for j in range(r))
     return FactorialMomentTerms(r=r, n=n, p=p, S=S, bracket=math.factorial(p) * _factorial_sum(params, n, n - 1, p))
 

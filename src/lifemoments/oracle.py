@@ -19,6 +19,22 @@ samples as there are support points, Monte Carlo evaluates the statistic,
 and its p-th power, once per support point and gathers those values by the
 drawn indices; with fewer draws it gathers the drawn points and evaluates
 those alone.  Either way the draws and the estimate are the same.
+
+Every finite support (an explicit pmf, a listable multinomial, a
+``FinitePMF`` marginal) draws its indices from one sampler,
+``_index_sampler``, built once per ``mc_moment`` call.  It returns, index
+for index, what ``Generator.choice(size, p=probs)`` returns, and leaves the
+generator in the same state: the same cdf (``probs.cumsum()`` over its last
+entry), the same ``rng.random(size)`` uniforms, and for each uniform u the
+number of cdf values <= u.  Instead of ``choice``'s binary search per draw
+it reads a guide table (Chen and Asau 1974; Devroye 1986, ch. III): K
+buckets [b/K, (b+1)/K), K a power of two so that floor(u K) is exact.  A
+bucket that holds no cdf value fixes the index, read from the table; only
+the draws that land in a bucket holding a cdf value are searched.  K is
+about 8 buckets per support point, within 2^10..2^20, and never above the
+power of two at or above the run's sample count, so that building the table
+costs no more than drawing; a support with more points than buckets is
+searched draw by draw, as ``choice`` does.
 """
 
 from __future__ import annotations
@@ -42,7 +58,7 @@ from .distributions import (
     NegBin,
     Poisson,
 )
-from .errors import CapacityError, ConvergenceError, UnsupportedModelError, ValidationError, _as_order
+from .errors import CapacityError, ConvergenceError, UnsupportedModelError, ValidationError, _as_int, _as_order
 from .mvg import MvgParams
 from .systems import _statistic
 
@@ -57,6 +73,12 @@ SHOCK_SET_CAP = 1 << 14  # exchangeable sampling materializes every subset
 _MC_MIN_SAMPLES = 1000
 
 _CHUNK_BUDGET = 4_000_000  # random values drawn per chunk
+
+# guide-table buckets of the finite-support sampler: a power of two, about
+# this many per support point, within these bounds
+_GUIDE_PER_POINT = 8
+_GUIDE_MIN = 1 << 10
+_GUIDE_MAX = 1 << 20
 
 
 def _rng(seed) -> np.random.Generator:
@@ -175,8 +197,7 @@ def sample_mvg(params: MvgParams, n_samples: int, seed=None, method: str = "min"
     "cycle"`` simulates the shock process cycle by cycle instead; it is the
     semantic reference the minimum construction is validated against.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples={n_samples} must be >= 1")
+    n_samples = _as_int(n_samples, "n_samples", 1)
     if method not in ("min", "cycle"):
         raise ValidationError(f"method must be 'min' or 'cycle', not {method!r}")
     rng = _rng(seed)
@@ -204,15 +225,55 @@ def sample_mvg(params: MvgParams, n_samples: int, seed=None, method: str = "min"
     return x
 
 
-def _sample_marginal(dist, size: int, rng: np.random.Generator) -> np.ndarray:
+def _pow2_at_least(x: int) -> int:
+    return 1 << max(x - 1, 0).bit_length()
+
+
+def _guide_buckets(points: int, n_samples: int) -> int:
+    """The bucket count of a guide table over ``points`` support points, for
+    a run of ``n_samples`` draws."""
+    buckets = min(max(_pow2_at_least(_GUIDE_PER_POINT * points), _GUIDE_MIN), _GUIDE_MAX)
+    return min(buckets, _pow2_at_least(n_samples))
+
+
+def _index_sampler(probs: np.ndarray, n_samples: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """(size, rng) -> ``size`` indices into ``probs``, the ones
+    ``rng.choice(len(probs), size=size, p=probs)`` draws, for a run of
+    ``n_samples`` draws in all; see the module docstring."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    buckets = _guide_buckets(cdf.size, n_samples)
+    if buckets < cdf.size:
+        return lambda size, rng: cdf.searchsorted(rng.random(size), side="right")
+    # scaling by a power of two is exact, so the scaled cdf orders the scaled
+    # uniforms as the cdf orders the uniforms; a cdf value of 1 lies past the
+    # last bucket
+    scaled = cdf * buckets
+    held = np.bincount(scaled.astype(np.intp), minlength=buckets + 1)[:buckets]
+    # per bucket the number of cdf values below it, or -1 where it holds one
+    guide = np.where(held > 0, -1, np.cumsum(held) - held)
+
+    def draw(size: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(size)
+        u *= buckets
+        idx = guide[u.astype(np.intp)]
+        searched = np.flatnonzero(idx < 0)
+        idx[searched] = scaled.searchsorted(u[searched], side="right")
+        return idx
+
+    return draw
+
+
+def _marginal_sampler(dist, n_samples: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """(size, rng) -> ``size`` draws of the marginal, for a run of ``n_samples``."""
     if isinstance(dist, Poisson):
-        return rng.poisson(dist.lam, size=size)
+        return lambda size, rng: rng.poisson(dist.lam, size=size)
     if isinstance(dist, NegBin):
-        return rng.negative_binomial(dist.R, dist.p, size=size)
+        return lambda size, rng: rng.negative_binomial(dist.R, dist.p, size=size)
     if isinstance(dist, Geometric):
-        return rng.geometric(dist.pi, size=size) - 1
+        return lambda size, rng: rng.geometric(dist.pi, size=size) - 1
     if isinstance(dist, FinitePMF):
-        return rng.choice(len(dist.probs), size=size, p=dist.probs)
+        return _index_sampler(dist.probs, n_samples)
     raise UnsupportedModelError(f"no sampler for marginal {type(dist).__name__}")
 
 
@@ -225,24 +286,25 @@ def _draw_powers(
         cells = model.cell_probs / model.cell_probs.sum()
         return lambda size, rng: _powers(stat.values(rng.multinomial(model.trials, cells, size).T), p)
     if isinstance(model, ExplicitFinitePMF):
-        size_all = model.support_size()
-        if size_all <= n_samples:
+        indices = _index_sampler(model.probs, n_samples)
+        if model.support_size() <= n_samples:
             # one value per support point, gathered by the drawn point indices
             table = _powers(stat.values(model.points.T), p)
-            return lambda size, rng: table.take(rng.choice(size_all, size=size, p=model.probs))
+            return lambda size, rng: table.take(indices(size, rng))
         # fewer draws than points: evaluate the drawn points alone
-        return lambda size, rng: _powers(
-            stat.values(model.points[rng.choice(size_all, size=size, p=model.probs)].T), p
-        )
-    return lambda size, rng: _powers(stat.values(_sample_model(model, size, rng)), p)
+        return lambda size, rng: _powers(stat.values(model.points[indices(size, rng)].T), p)
+    rows = _row_sampler(model, n_samples)
+    return lambda size, rng: _powers(stat.values(rows(size, rng)), p)
 
 
-def _sample_model(model: JointModel, size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """``size`` draws, one row per coordinate; each row is a draw's own array."""
+def _row_sampler(model: JointModel, n_samples: int) -> Callable[[int, np.random.Generator], list[np.ndarray]]:
+    """(size, rng) -> ``size`` draws, one row per coordinate, for a run of
+    ``n_samples``; each row is a draw's own array."""
     if isinstance(model, IndependentMarginals):
-        return [_sample_marginal(d, size, rng) for d in model.marginals]
+        marginals = [_marginal_sampler(d, n_samples) for d in model.marginals]
+        return lambda size, rng: [draw(size, rng) for draw in marginals]
     if isinstance(model, MvgModel):
-        return _mvg_rows(model.params, size, rng)
+        return lambda size, rng: _mvg_rows(model.params, size, rng)
     raise UnsupportedModelError(f"no sampler for {type(model).__name__}")
 
 
@@ -260,6 +322,7 @@ def mc_moment(model: JointModel, statistic, p: int, n_samples: int, seed) -> McE
     model, so the draw stream is reproducible bit for bit.
     """
     p = _as_order(p)
+    n_samples = _as_int(n_samples, "n_samples")
     if n_samples < _MC_MIN_SAMPLES:
         raise ValidationError(f"n_samples={n_samples} below the minimum {_MC_MIN_SAMPLES}")
     draw = _draw_powers(model, _statistic(model, statistic), p, n_samples)

@@ -447,6 +447,17 @@ def test_validate_output_is_pinned(tmp_path, capsys, cfg, want):
     assert run_cli(capsys, argv)[:2] == (0, want)
 
 
+def test_validate_note_names_the_numpy_version(tmp_path, capsys):
+    # a seeded run depends on numpy's samplers, so the provenance names them
+    cfg, _ = PINNED_VALIDATE[1]
+    argv = ["validate", "--config", write_cfg(tmp_path, cfg), "--format", "csv", "--seed", "7"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0
+    assert err.splitlines()[-1] == (
+        f"# validate rank 3 p=1 samples=20000 seed=7 rng=numpy {np.__version__} default_rng (PCG64)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------

@@ -316,9 +316,9 @@ def test_checker_flags_second_survival_reads():
 
 # what the oracle may import from the package: the statistic's definition,
 # the model and marginal classes it samples, the parameter set of an MVG,
-# the error classes and the moment-order rule; any other package name is
-# analytic machinery
-ORACLE_IMPORTS = {("systems", "_statistic"), ("mvg", "MvgParams"), ("errors", "_as_order")}
+# the error classes, the integer rule and the moment-order rule; any other
+# package name is analytic machinery
+ORACLE_IMPORTS = {("systems", "_statistic"), ("mvg", "MvgParams"), ("errors", "_as_int"), ("errors", "_as_order")}
 ORACLE_IMPORT_KINDS = {"distributions": (JointModel, MarginalDist), "errors": (LifemomentsError,)}
 
 
@@ -354,7 +354,7 @@ def test_checker_flags_oracle_imports():
         "import numpy as np\n"
         "from itertools import combinations\n"
         "from .distributions import Poisson, MvgModel, rect_prob, _support_clamp\n"
-        "from .errors import CapacityError, _as_int\n"
+        "from .errors import CapacityError, _as_index_set\n"
         "from .systems import _statistic, alpha_coefficients\n"
         "from .mvg import MvgParams, mvg_min_param\n"
         "from .orderstats import _moment\n"
@@ -365,7 +365,7 @@ def test_checker_flags_oracle_imports():
         "    from .mvg import sample_nothing\n"
     )
     assert oracle_import_breaches(source) == [
-        "distributions.rect_prob", "distributions._support_clamp", "errors._as_int",
+        "distributions.rect_prob", "distributions._support_clamp", "errors._as_index_set",
         "systems.alpha_coefficients", "mvg.mvg_min_param", "orderstats._moment", ".cli",
         "distributions._PrefixCache", "lifemoments.orderstats", "mvg.sample_nothing",
     ]
@@ -432,6 +432,13 @@ def test_one_tail_kernel_runs_the_cutoff_search():
     # through one kernel, and only it searches for the cutoff
     found = {path.name: callers(path.read_text(), "_tail_cutoff", methods=True) for path in PACKAGE.glob("*.py")}
     assert {name: where for name, where in found.items() if where} == {"distributions.py": ["MarginalDist._tail_bounds"]}
+
+
+def test_the_guide_table_is_the_only_finite_support_sampler():
+    # finite supports draw their indices from the oracle's guide table, the
+    # indices Generator.choice draws without its binary search per draw
+    found = {path.name: callers(path.read_text(), "choice", methods=True) for path in PACKAGE.glob("*.py")}
+    assert {name: where for name, where in found.items() if where} == {}
 
 
 # the moment modules, whose private pieces and factorial conversion make up

@@ -514,6 +514,32 @@ def test_refusals_survive_a_warm_cache():
         assert (713, 1) in warm._factorial_sums and (712, 1) not in warm._factorial_sums
 
 
+def test_a_rank_forms_its_weights_once(monkeypatch):
+    """A rank's weights are formed once: its two moment orders, the bracket,
+    a warm sum, the value, the cancellation ratio and the signed terms share
+    them."""
+    import lifemoments.mvg as mvg
+
+    formed = []
+    real = mvg._orderstat_weight
+    monkeypatch.setattr(mvg, "_orderstat_weight", lambda r, n, j: formed.append((r, n, j)) or real(r, n, j))
+    mvg._float_weights.cache_clear()
+    params = MvgParams(200, exchangeable_levels=[0.7] + [1.0] * 199)
+    mvg_orderstat_mean_var(params, 100, 200)
+    assert formed == [(100, 200, j) for j in range(100)]
+    formed.clear()
+    terms = factorial_moment_terms(params, 100, 200, 2)
+    terms.value(), terms.cancellation_ratio(), terms.signed_terms()
+    assert formed == []
+    # the public constructor gives the same bits
+    fresh = FactorialMomentTerms(r=100, n=200, p=2, S=terms.S, bracket=terms.bracket)
+    assert fresh == terms
+    assert [t.hex() for t in fresh.signed_terms()] == [
+        (real(100, 200, j) * s).hex() for j, s in enumerate(terms.S)
+    ]
+    assert fresh.cancellation_ratio() == terms.cancellation_ratio()
+
+
 def test_minimum_rank_reduces_to_geometric():
     params = all_pairs_params(4, 0.8, 0.9)
     theta = mvg_min_param(params, (1, 2, 3, 4))

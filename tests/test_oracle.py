@@ -338,3 +338,143 @@ def test_sample_mvg_refuses_an_uncovered_component_before_drawing(monkeypatch):
     with pytest.raises(ConvergenceError):
         sample_mvg(MvgParams(3, theta={(1, 2, 3): 0.5}), 100, seed=rng)
     assert rng.bit_generator.state == state
+
+
+# ---------------------------------------------------------------------------
+# the finite-support sampler: the indices Generator.choice draws
+# ---------------------------------------------------------------------------
+
+def _zeroed_pmf(seed: int, size: int, lead: int = 0, trail: int = 0) -> np.ndarray:
+    """A seeded pmf on ``size`` points with scattered zeros, and ``lead``
+    leading and ``trail`` trailing zeros."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(size) * (rng.random(size) < 0.7)
+    w[:lead] = 0.0
+    w[size - trail:] = 0.0
+    w[lead] += 0.5  # one positive entry at least
+    return w / w.sum()
+
+
+# (probs, n_samples, draw sizes, bucket count): a bucket count below the
+# support size means a search per draw
+_SAMPLER_CASES = {
+    "zeros": (_zeroed_pmf(1, 50), 20_000, [20_000], 1 << 10),
+    "leading_zeros": (_zeroed_pmf(2, 40, lead=7), 5000, [1, 999, 4000], 1 << 10),
+    "trailing_zeros": (_zeroed_pmf(3, 40, trail=9), 5000, [2500, 2500], 1 << 10),
+    "both_ends_zero": (_zeroed_pmf(4, 200, lead=60, trail=60), 50_000, [50_000], 1 << 11),
+    "one_point": (np.array([1.0]), 1000, [1000], 1 << 10),
+    "sizes_below_the_bucket_count": (_zeroed_pmf(5, 28), 1000, [1, 7, 100, 892], 1 << 10),
+    "more_points_than_buckets": (_zeroed_pmf(6, 3000, lead=100, trail=100), 1000, [600, 400], 1 << 10),
+    "many_buckets": (_zeroed_pmf(7, 3000), 100_000, [100_000], 1 << 15),
+}
+
+
+@pytest.mark.parametrize("case", list(_SAMPLER_CASES))
+def test_the_index_sampler_draws_what_choice_draws(case):
+    probs, n_samples, sizes, buckets = _SAMPLER_CASES[case]
+    assert oracle._guide_buckets(probs.size, n_samples) == buckets
+    draw = oracle._index_sampler(probs, n_samples)
+    got, want = np.random.default_rng(2024), np.random.default_rng(2024)
+    for size in sizes:
+        idx = draw(size, got)
+        ref = want.choice(probs.size, size=size, p=probs)
+        assert idx.dtype == ref.dtype and np.array_equal(idx, ref), size
+    assert got.random() == want.random()
+
+
+class _DyadicUniforms(np.random.Generator):
+    """Uniforms on the grid k/64, a cdf value whenever the cdf is dyadic."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.arange(size) % 64 / 64.0
+
+
+@pytest.mark.parametrize("probs, n_samples, head", [
+    # cdf 0, 1/4, 1/4, 3/8, 1/2, 1, 1 in a table of 2^10 buckets
+    (np.array([0.0, 0.25, 0.0, 0.125, 0.125, 0.5, 0.0]), 1000, [1] * 16 + [3] * 8 + [4] * 8 + [5] * 32),
+    # cdf k/2048, more points than buckets
+    (np.full(2048, 1 / 2048), 1000, list(range(0, 2048, 32))),
+], ids=["guide_table", "searched"])
+def test_a_uniform_equal_to_a_cdf_value_draws_the_next_index(probs, n_samples, head):
+    # the uniforms hit cdf values exactly; as in choice, the index counts
+    # the cdf values <= u
+    want = _DyadicUniforms(np.random.PCG64(0)).choice(probs.size, size=640, p=probs)
+    got = oracle._index_sampler(probs, n_samples)(640, _DyadicUniforms(np.random.PCG64(0)))
+    assert want[:64].tolist() == head
+    assert np.array_equal(got, want)
+
+
+def test_the_bucket_count_rule():
+    # about 8 per point, a power of two within 2^10..2^20, and never above
+    # the power of two at or above the sample count
+    assert oracle._guide_buckets(28, 10**6) == 1 << 10
+    assert oracle._guide_buckets(129, 10**6) == 1 << 11
+    assert oracle._guide_buckets(200_000, 10**7) == 1 << 20
+    assert oracle._guide_buckets(200_000, 5000) == 1 << 13
+    assert oracle._guide_buckets(2_042_975, 1000) == 1 << 10
+
+
+class _NoChoice(np.random.Generator):
+    def choice(self, *args, **kwargs):
+        raise AssertionError("Generator.choice was called")
+
+
+def _finite_models():
+    return {
+        "explicit": random_explicit(np.random.default_rng(17), 3, m_max=3),
+        "explicit_drawn_points": random_explicit(np.random.default_rng(19), 5, m_max=3),  # 1024 points
+        "multinomial": multinomial_pmf(6, [0.2, 0.3, 0.1, 0.25, 0.15]),
+        "finite_marginals": IndependentMarginals([FinitePMF([0.2, 0.5, 0.3]), FinitePMF([0.0, 0.4, 0.0, 0.6])] * 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_finite_models()))
+def test_finite_supports_never_call_choice(name):
+    model = _finite_models()[name]
+    n_samples = 1000 if name == "explicit_drawn_points" else 20_000
+    est = mc_moment(model, 2, 1, n_samples=n_samples, seed=_NoChoice(np.random.PCG64(2024)))
+    want = mc_moment(model, 2, 1, n_samples=n_samples, seed=2024)
+    assert (est.mean.hex(), est.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+
+
+@pytest.mark.parametrize("name, n_samples", [("explicit", 12_000), ("explicit_drawn_points", 1000)])
+def test_explicit_mc_across_chunks_gathers_what_choice_draws_per_chunk(monkeypatch, name, n_samples):
+    model = _finite_models()[name]
+    monkeypatch.setattr(oracle, "_CHUNK_BUDGET", 401 * model.n)  # chunks of 401 draws
+    chunk = oracle._chunk_size(model)
+    assert 2 * chunk < n_samples
+    table = _statistic(model, 2).values(model.points.T).astype(float)
+    rng = np.random.default_rng(2024)
+    total = total_sq = 0.0
+    for start in range(0, n_samples, chunk):
+        vals = table[rng.choice(model.support_size(), size=min(chunk, n_samples - start), p=model.probs)]
+        total += float(vals.sum())
+        total_sq += float(np.dot(vals, vals))
+    mean = total / n_samples
+    stderr = math.sqrt(max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1) / n_samples)
+    seed = np.random.default_rng(2024)
+    est = mc_moment(model, 2, 1, n_samples=n_samples, seed=seed)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex())
+    assert seed.random() == rng.random()
+
+
+# ---------------------------------------------------------------------------
+# the integer rule for sample counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_samples", [2000.0, 2000.5, "2000"])
+def test_sample_counts_that_are_not_integers_are_refused(n_samples):
+    with pytest.raises(ValidationError, match="n_samples"):
+        mc_moment(IndependentMarginals([Poisson(1.0)] * 2), 1, 1, n_samples, 0)
+    with pytest.raises(ValidationError, match="n_samples"):
+        sample_mvg(MvgParams(2, theta={(1,): 0.7, (2,): 0.8}), n_samples)
+
+
+def test_an_integer_sample_count_of_numpy_type_is_a_python_int():
+    model = IndependentMarginals([Poisson(1.0)] * 2)
+    est = mc_moment(model, 1, 1, np.int64(2000), 0)
+    want = mc_moment(model, 1, 1, 2000, 0)
+    assert type(est.samples) is int and est.samples == 2000
+    assert type(est.mean) is float and (est.mean.hex(), est.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+    params = MvgParams(2, theta={(1,): 0.7, (2,): 0.8})
+    assert np.array_equal(sample_mvg(params, np.int64(10), seed=1), sample_mvg(params, 10, seed=1))
