@@ -58,7 +58,7 @@ from .errors import (
     _as_int,
     _as_order,
 )
-from .mvg import MvgParams, _lattice, mvg_min_param, mvg_orderstat_survival
+from .mvg import _LATTICE_BLOCK, MvgParams, _lattice, _row_fsums, mvg_min_param, mvg_orderstat_survival
 
 __all__ = [
     "MarginalDist",
@@ -81,7 +81,6 @@ __all__ = [
 # quantity being compared.
 _TAIL_SLACK = 1e-8
 _DOUBLING_CAP = 200
-_LATTICE_BLOCK = 1 << 20  # table entries per block of rows in the subset-table reads of joint models
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +748,8 @@ class MvgModel(JointModel):
     def system_survival_series(self, structure, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
         """Under "auto", the alpha expansion in closed form: the sum over the
         non-zero alpha coefficients of alpha_K theta(K)^(m+1), theta(K) read
-        from one all-free lattice, each row summed exactly.  A forced form
+        from one all-free lattice, taken one block of rows at a time, each
+        row summed exactly from its buffer (``_row_fsums``).  A forced form
         reads the expansion over rectangle series."""
         if form != "auto":
             return super().system_survival_series(structure, m_hi, form, m_lo)
@@ -759,8 +759,9 @@ class MvgModel(JointModel):
         out = np.empty(len(exps))
         step = max(1, _LATTICE_BLOCK // len(masks))
         for lo in range(0, len(exps), step):
-            terms = coeffs * np.float_power(thetas, exps[lo : lo + step])
-            out[lo : lo + step] = [math.fsum(row) for row in terms.tolist()]
+            terms = np.float_power(thetas, exps[lo : lo + step])
+            terms *= coeffs
+            out[lo : lo + step] = _row_fsums(terms)
         return np.clip(out, 0.0, 1.0, out=out)
 
     def factorial_moments(self, stat, p: int) -> Sequence[float]:

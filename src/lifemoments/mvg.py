@@ -21,17 +21,20 @@ the system closed form over all n components, ``MvgModel.counts`` over a
 query's low and counted ones.  The order statistics run one weighted sum
 over the sizes n-j, j < r, each read at once from ``_subset_minima``.
 
-Each size's sum is array work and one exact ``math.fsum``: the terms
-g(theta(K))^p, or 1 - theta(K)^(m+1) once per threshold, come from one
-``np.float_power`` over the size's slice (none at p = 1, where pow returns
-its base exactly).  ``np.float_power`` calls the C library's pow, as
-Python's float ``**`` does, so the sums are the per-subset ones to the last
-bit; numpy's ``**`` may use a SIMD pow that differs from it in the last
-place.  The factorial sums are computed once per parameter set, size and
-order (``_factorial_sum``) and shared by every rank, every moment order up
-to p and the bracket; each rank keeps its own weights and its own
-alternating ``fsum`` in ``FactorialMomentTerms.value``.  The survival sums
-depend on the thresholds and are summed afresh by the ``fsums`` callback of
+Each size's sum is array work and exact ``math.fsum`` sums that read the
+array's buffer (``memoryview``), the same doubles a list would hold with no
+list built: the terms g(theta(K))^p come from one ``np.float_power`` over
+the size's slice (none at p = 1, where pow returns its base exactly), and
+the terms 1 - theta(K)^(m+1) from one ``np.float_power`` per block of
+thresholds, a row per threshold, each row summed exactly by ``_row_fsums``.
+``np.float_power`` calls the C library's pow, as Python's float ``**``
+does, so the sums are the per-subset ones to the last bit; numpy's ``**``
+may use a SIMD pow that differs from it in the last place.  The factorial
+sums are computed once per parameter set, size and order
+(``_factorial_sum``) and shared by every rank, every moment order up to p
+and the bracket; each rank keeps its own weights and its own alternating
+``fsum`` in ``FactorialMomentTerms.value``.  The survival sums depend on
+the thresholds and are summed afresh by the ``fsums`` callback of
 ``_size_sums``, the one place those terms are summed.  An exact-arithmetic
 (``decimal``) kernel for the alternating sums would replace those two.
 """
@@ -56,6 +59,15 @@ LATTICE_N_CAP = 20
 # products they exponentiate stop underflowing to 0; anything this large with
 # a base < 1 is an exact 0 for our purposes.
 _HUGE_EXPONENT = 1 << 60
+
+_LATTICE_BLOCK = 1 << 20  # table entries per block of threshold rows in the reads of subset tables
+
+
+def _row_fsums(block: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of a 2-D float block, read from the row's
+    buffer: the correctly rounded sum of the row's doubles, with no list
+    built."""
+    return [math.fsum(memoryview(row)) for row in block]
 
 
 class MvgParams:
@@ -384,9 +396,10 @@ def _size_sums(
     params: MvgParams, r: int, n: int, fsums: Callable[[np.ndarray], list[float]]
 ) -> list[tuple[float, list[float]]]:
     """(weight, sums) per size n-j, j = 0..r-1, of the expansion of X_{r:n}:
-    ``sums`` is ``fsums`` of the theta(K) of the size-(n-j) subsets, each
-    times the number of subsets a table entry stands for.  A weight or
-    subset count beyond the float range raises NumericError."""
+    ``sums`` is what ``fsums`` returns for the theta(K) of the size-(n-j)
+    subsets, one exact sum per threshold, each times the number of subsets
+    a table entry stands for.  A weight or subset count beyond the float
+    range raises NumericError."""
     _check_rank(params, r, n)
     out = []
     for j, w in enumerate(_float_weights(r, n)):
@@ -412,7 +425,7 @@ def _factorial_sum(params: MvgParams, r: int, j: int, p: int) -> float:
     thetas, mult = _subset_minima(params, n - j)
     count = _float_count(r, n, j, mult)
     g = thetas / (1.0 - thetas)
-    sums[key] = s = count * math.fsum((g if p == 1 else np.float_power(g, p)).tolist())
+    sums[key] = s = count * math.fsum(memoryview(g if p == 1 else np.float_power(g, p)))
     return s
 
 
@@ -453,12 +466,18 @@ def mvg_orderstat_survival(
     and every F_{1:K} is geometric: F_{1:K}(m) = 1 - theta(K)^(m+1).
     ``m`` is one threshold (a float is returned) or an array of thresholds
     (an array of survival probabilities is returned); thresholds are at
-    least -1, which gives 1.
+    least -1, which gives 1.  Each size's terms are formed one block of
+    thresholds at a time, a row per threshold (``_LATTICE_BLOCK`` entries a
+    block).
     """
-    exps = [_as_int(v, "threshold m", -1) + 1 for v in np.atleast_1d(m)]
+    exps = np.array([_as_int(v, "threshold m", -1) + 1 for v in ([m] if np.ndim(m) == 0 else m)], dtype=float)
 
     def fsums(thetas: np.ndarray) -> list[float]:
-        return [math.fsum((1.0 - np.float_power(thetas, e)).tolist()) for e in exps]
+        sums, step = [], max(1, _LATTICE_BLOCK // len(thetas))
+        for lo in range(0, len(exps), step):
+            terms = np.float_power(thetas, exps[lo : lo + step, None])
+            sums += _row_fsums(np.subtract(1.0, terms, out=terms))
+        return sums
 
     sizes = _size_sums(params, r, n, fsums)
     surv = [min(1.0, max(0.0, 1.0 - math.fsum([w * sums[i] for w, sums in sizes]))) for i in range(len(exps))]

@@ -20,8 +20,9 @@ form always reads it, as a cross-check.  Under "auto", independent
 components contract the structure function phi at the multilinear point
 (F_j(m), 1 - F_j(m)), the reliability polynomial, whose terms are all
 non-negative; MVG components sum alpha_K theta(K)^(m+1) over one subset
-lattice.  The d-scale of a truncation is the positive alpha sum (beta times
-2^n - 1 from cut sets alone) on every route.  A structure keeps, per object,
+lattice.  The d-scale of a truncation is the positive alpha sum on every
+"auto" route, read off phi for cut sets alone, and a forced "beta" form
+takes the positive beta sum times 2^n - 1.  A structure keeps, per object,
 its phi table, the non-zero alpha terms and the positive coefficient sums,
 built on first use; the coefficient maps of `alpha_coefficients` and
 `beta_coefficients` are computed afresh, so the oracles, which read only
@@ -420,7 +421,7 @@ class _System:
     """T of a coherent system.  ``form`` "alpha" expands P(T > m) over subset
     minima, "beta" P(T <= m) over subset maxima, and "auto" takes the model
     kind's route (`JointModel.system_survival_series`), its d-scale that of
-    the alpha expansion, or of the beta one from cut sets alone.
+    the alpha expansion, from phi's alpha terms for cut sets alone.
     Exchangeable models pass signature entries on prefixes as ``coeffs``,
     and no structure."""
 
@@ -440,10 +441,12 @@ class _System:
         form, structure = self.form, self.structure
         if structure is None:
             scale = sum(c for c in self.coeffs.values() if c > 0)
+        elif form == "auto" and structure.path_sets is None:
+            # the same series as from path sets: the alpha terms of phi
+            coeffs = structure._alpha_terms()[1]
+            scale = int(coeffs[coeffs > 0].sum())
         else:
-            if form == "auto":
-                form = "alpha" if structure.path_sets is not None else "beta"
-            scale = structure._positive_sum(form)
+            scale = structure._positive_sum("alpha" if form == "auto" else form)
         return scale * (2**self.n - 1) if form == "beta" else scale
 
     def series(self, model: JointModel, m_hi: int, m_lo: int = 0) -> np.ndarray:
@@ -603,7 +606,7 @@ def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, 
     coeff, g = coeff[masks], thetas / (1.0 - thetas)
     # np.float_power calls the C library's pow, as a float ** does; at q = 1
     # pow returns g itself, and so does 1! * g
-    return tuple(math.fsum((coeff * (g if q == 1 else math.factorial(q) * np.float_power(g, q))).tolist())
+    return tuple(math.fsum(memoryview(coeff * (g if q == 1 else math.factorial(q) * np.float_power(g, q))))
                  for q in range(1, p + 1))
 
 

@@ -4,8 +4,9 @@ the kind of a statistic or a model, each model kind has one kernel, a
 marginal alone keeps its cdf table, each statistic kind has one survival
 read, the oracle imports nothing of the analytic pipeline, the MVG sums
 read theta(K) from one lattice, not subset by subset, one kernel
-searches a marginal's tail cutoff, and the CLI leaves the route to a moment
-to `moments` (no linter is a dependency)."""
+searches a marginal's tail cutoff, the CLI leaves the route to a moment
+to `moments`, and no exact sum reads a list copy of an array (no linter is
+a dependency)."""
 
 import ast
 import importlib
@@ -481,3 +482,52 @@ def test_checker_flags_route_imports():
         "mvg.factorial_to_raw", "orderstats._check_request", "systems._statistic",
         "orderstats._moment", "mvg._lattice",
     ]
+
+
+def _is_tolist(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"
+
+
+def _is_fsum(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and func.attr == "fsum" or isinstance(func, ast.Name) and func.id == "fsum"
+
+
+def listed_fsums(source: str) -> list[int]:
+    """Lines of ``math.fsum`` (or a bare ``fsum``) calls that sum a list copy
+    of an array: an argument that is a ``.tolist()`` call, or a comprehension
+    variable drawn from one."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if _is_fsum(node) and node.args and _is_tolist(node.args[0]):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            drawn = {g.target.id for g in node.generators if _is_tolist(g.iter) and isinstance(g.target, ast.Name)}
+            lines.update(
+                call.lineno for call in ast.walk(node)
+                if _is_fsum(call) and call.args and isinstance(call.args[0], ast.Name) and call.args[0].id in drawn
+            )
+    return sorted(lines)
+
+
+def test_exact_sums_read_array_buffers():
+    # math.fsum reads the doubles of memoryview(array) as they are; a
+    # .tolist() copy gives the same sum and costs a list
+    found = {path.name: listed_fsums(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_checker_flags_list_fed_fsums():
+    source = (
+        "import math\n"
+        "from math import fsum\n"
+        "a = math.fsum(x.tolist())\n"
+        "b = fsum((1.0 - y).tolist())\n"
+        "c = [math.fsum(row) for row in t.tolist()]\n"
+        "d = math.fsum(memoryview(x))\n"
+        "e = [math.fsum(memoryview(row)) for row in t]\n"
+        "f = math.fsum(v for v in x)\n"
+        "g = sum(x.tolist())\n"
+        "h = [math.fsum(w) for row in t.tolist() for w in row]\n"
+    )
+    assert listed_fsums(source) == [3, 4, 5]

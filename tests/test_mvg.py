@@ -31,7 +31,8 @@ from lifemoments import (
     survival_orderstat,
     theta_all,
 )
-from lifemoments.mvg import _lattice, _level_product, _subset_minima
+from lifemoments import mvg
+from lifemoments.mvg import _factorial_sum, _lattice, _level_product, _orderstat_weight, _subset_minima
 
 
 def all_pairs_params(n: int, single: float, pair: float) -> MvgParams:
@@ -377,6 +378,92 @@ def test_subset_sum_kernels_match_the_per_subset_formulas_bit_for_bit(make):
         weights = [float((-1) ** (r - 1 - j) * math.comb(n - j - 1, n - r)) for j in range(r)]
         want = [min(1.0, max(0.0, 1.0 - math.fsum([w * s for w, s in zip(weights, row)]))) for row in sums]
         assert hexes(mvg_orderstat_survival(params, r, n, ms)) == hexes(want), r
+
+
+def listed_factorial_sum(params: MvgParams, j: int, p: int) -> float:
+    """``_factorial_sum`` as a list-fed reference: the size's terms copied
+    into a list and summed by math.fsum."""
+    thetas, mult = _subset_minima(params, params.n - j)
+    g = thetas / (1.0 - thetas)
+    return float(mult) * math.fsum((g if p == 1 else np.float_power(g, p)).tolist())
+
+
+def listed_orderstat_survival(params: MvgParams, r: int, n: int, ms) -> list[float]:
+    """``mvg_orderstat_survival`` as a list-fed reference: one float_power per
+    threshold and size, each copied into a list and summed by math.fsum."""
+    sizes = []
+    for j in range(r):
+        thetas, mult = _subset_minima(params, n - j)
+        sums = [float(mult) * math.fsum((1.0 - np.float_power(thetas, m + 1)).tolist()) for m in ms]
+        sizes.append((float(_orderstat_weight(r, n, j)), sums))
+    return [min(1.0, max(0.0, 1.0 - math.fsum([w * sums[i] for w, sums in sizes]))) for i in range(len(ms))]
+
+
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def edge_params(n: int) -> MvgParams:
+    """Singleton shocks plus a shock of theta 0 and one just below 1."""
+    theta = {(i,): 0.6 + 0.03 * i for i in range(1, n + 1)}
+    theta[(1, n)] = 0.0
+    theta[tuple(range(2, n))] = BELOW_ONE
+    return MvgParams(n, theta=theta)
+
+
+BIT_IDENTITY_PARAMS = {
+    "ring12": lambda: ring_params(np.random.default_rng(212), 12),
+    "ring16": lambda: ring_params(np.random.default_rng(216), 16),
+    "exchangeable": lambda: MvgParams(9, exchangeable_levels=[0.85, 0.97, 1.0, 0.995, 0.0, 1.0, 0.999, 0.9, 1.0]),
+    "exchangeable_edges": lambda: MvgParams(6, exchangeable_levels=[BELOW_ONE, 0.0, 1.0, 0.9, BELOW_ONE, 1.0]),
+    "general_edges": lambda: edge_params(7),
+}
+
+
+@pytest.mark.parametrize("label", BIT_IDENTITY_PARAMS)
+def test_buffer_sums_equal_the_list_fed_sums(label, monkeypatch):
+    """The exact sums read from array buffers, and the survival powers taken a
+    block of thresholds at a time, equal the list-fed, one-threshold-at-a-time
+    reference to the last bit, in one block or in many."""
+    make = BIT_IDENTITY_PARAMS[label]
+    params = make()
+    n = params.n
+    for j in range(n):
+        for p in (1, 2, 3):
+            assert _factorial_sum(params, n, j, p) == listed_factorial_sum(params, j, p), (j, p)
+    ranks = (1, 2, n // 2, n - 1, n)
+    ms = list(range(-1, 60))
+    whole = {r: mvg_orderstat_survival(make(), r, n, ms) for r in ranks}
+    for r in ranks:
+        assert np.array_equal(whole[r], listed_orderstat_survival(params, r, n, ms)), r
+    # every size's terms in at least three blocks of thresholds
+    blocks = []
+    real = mvg._row_fsums
+    monkeypatch.setattr(mvg, "_LATTICE_BLOCK", 16)
+    monkeypatch.setattr(mvg, "_row_fsums", lambda block: blocks.append(len(block)) or real(block))
+    for r in ranks:
+        blocks.clear()
+        assert np.array_equal(mvg_orderstat_survival(make(), r, n, ms), whole[r]), r
+        assert len(blocks) >= 3 * r and sum(blocks) == r * len(ms)
+
+
+def test_survival_thresholds_empty_minus_one_and_scalar():
+    params = ring_params(np.random.default_rng(212), 12)
+    for r in (1, 6, 12):
+        empty = mvg_orderstat_survival(params, r, 12, [])
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert mvg_orderstat_survival(params, r, 12, -1) == 1.0
+        for m in (0, 7, np.int64(7)):
+            got = mvg_orderstat_survival(params, r, 12, m)
+            assert type(got) is float and got == listed_orderstat_survival(params, r, 12, [int(m)])[0]
+
+
+@pytest.mark.parametrize("m,shown", [(2.0, "2.0"), ([1, 2.5], "2.5"), ("3", "'3'")])
+def test_threshold_errors_name_the_given_value(m, shown):
+    params = MvgParams(3, exchangeable_levels=[0.9, 0.95, 0.99])
+    with pytest.raises(ValidationError, match=rf"^threshold m={shown} is not an integer$"):
+        mvg_orderstat_survival(params, 3, 3, m)
+    with pytest.raises(ValidationError, match=r"^threshold m=-2 must be >= -1$"):
+        mvg_orderstat_survival(params, 3, 3, [0, -2])
 
 
 @pytest.mark.parametrize("n,r", [(1100, 300), (200, 100)])

@@ -53,6 +53,7 @@ from lifemoments import (
 )
 from lifemoments import distributions, systems
 from lifemoments.orderstats import _moment, _OrderStat
+from lifemoments.mvg import _lattice
 from lifemoments.systems import _statistic, _System
 from conftest import (
     BRIDGE_CUTS,
@@ -61,6 +62,7 @@ from conftest import (
     random_explicit,
     random_independent,
 )
+from test_mvg import BIT_IDENTITY_PARAMS
 
 
 def fair_bits(n: int, exchangeable: bool = False) -> IndependentMarginals:
@@ -652,6 +654,68 @@ def test_mvg_system_moments_share_one_coefficient_table(bridge, monkeypatch):
         assert (mean, var) == (one_order[0], one_order[1] + one_order[0] * (1.0 - one_order[0]))
     with pytest.raises(ValidationError):
         system_factorial_moments_mvg(params, bridge, 0)
+
+
+def listed_mvg_terms(params: MvgParams, structure: SystemStructure):
+    """The non-zero alpha coefficients of ``structure`` and theta(K) of their subsets."""
+    masks, coeffs = structure._alpha_terms()
+    return coeffs, _lattice(params, range(1, params.n + 1))[masks]
+
+
+def listed_system_factorial_moments(params: MvgParams, structure: SystemStructure, p: int) -> tuple[float, ...]:
+    """``system_factorial_moments_mvg`` as a list-fed reference: each order's
+    terms copied into a list and summed by math.fsum."""
+    coeffs, thetas = listed_mvg_terms(params, structure)
+    g = thetas / (1.0 - thetas)
+    return tuple(math.fsum((coeffs * (g if q == 1 else math.factorial(q) * np.float_power(g, q))).tolist())
+                 for q in range(1, p + 1))
+
+
+def listed_system_survival(params: MvgParams, structure: SystemStructure, ms) -> list[float]:
+    """``MvgModel.system_survival_series`` as a list-fed reference: one
+    float_power per threshold, its terms copied into a list and summed by
+    math.fsum."""
+    coeffs, thetas = listed_mvg_terms(params, structure)
+    return [min(1.0, max(0.0, math.fsum((coeffs * np.float_power(thetas, m + 1.0)).tolist()))) for m in ms]
+
+
+def consecutive_pairs(n: int) -> SystemStructure:
+    """Path sets {i, i+1} around a ring of n components."""
+    return SystemStructure(n, path_sets=[(i, i % n + 1) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("label", BIT_IDENTITY_PARAMS)
+def test_mvg_system_buffer_sums_equal_the_list_fed_sums(label, monkeypatch):
+    """The closed-form factorial moments and the survival series, summed from
+    array buffers and in blocks of thresholds, equal the list-fed reference
+    to the last bit."""
+    params = BIT_IDENTITY_PARAMS[label]()
+    model, n = MvgModel(params), params.n
+    paths = random_antichain(np.random.default_rng(n), n)
+    for structure in (consecutive_pairs(n), SystemStructure(n, path_sets=paths), k_out_of_n_structure(n, n - 1)):
+        assert system_factorial_moments_mvg(params, structure, 3) == listed_system_factorial_moments(params, structure, 3)
+        whole = model.system_survival_series(structure, 60)
+        assert np.array_equal(whole, listed_system_survival(params, structure, range(61)))
+        blocks = []
+        real = distributions._row_fsums
+        with monkeypatch.context() as patch:
+            patch.setattr(distributions, "_LATTICE_BLOCK", 1)  # one row per block
+            patch.setattr(distributions, "_row_fsums", lambda block: blocks.append(len(block)) or real(block))
+            assert np.array_equal(model.system_survival_series(structure, 60, m_lo=5), whole[5:])
+        assert blocks == [1] * 56
+
+
+def test_cut_sets_alone_are_planned_as_path_sets(bridge):
+    """Cut sets alone give the same "auto" series as the path sets, so the
+    same d-scale (the positive alpha terms of phi) and the same cutoffs; a
+    forced beta form keeps the beta scale."""
+    model = IndependentMarginals([Poisson(1.0 + 0.5 * j) for j in range(5)])
+    cuts_only, paths_only = SystemStructure(5, cut_sets=BRIDGE_CUTS), SystemStructure(5, path_sets=BRIDGE_PATHS)
+    got = moments(model, cuts_only, (1, 2), 1e-6)
+    assert [res.M0_used for res in got] == [16, 18]  # 18 and 20 on the beta scale
+    assert got == moments(model, paths_only, (1, 2), 1e-6)
+    assert _System(model, "auto", cuts_only).scale == _System(model, "auto", paths_only).scale == 6
+    assert _System(model, "beta", cuts_only).scale == _System(model, "beta", bridge).scale == 6 * 31
 
 
 def test_system_mvg_validation(bridge):
