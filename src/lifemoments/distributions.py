@@ -11,13 +11,13 @@ independent marginals, and the common-shock geometric model of module
 
 The statistic reads, ``orderstat_survival_series`` and
 ``system_survival_series``, have base forms built on that query (the class
-counts, and one rectangle series per coefficient of a system's signed
-expansion), and a kind may override them where it has a better route:
-``MvgModel`` reads both in closed form from its lattice, as it reads
-closed-form moments of a statistic (``factorial_moments``), and
+counts, and one rectangle series per non-zero alpha coefficient of a
+system's structure function), and a kind may override them where it has a
+better route: ``MvgModel`` reads both in closed form from its lattice, as
+it reads closed-form moments of a statistic (``factorial_moments``), and
 ``IndependentMarginals`` contracts a system's structure function with its
-marginals' cdfs.  A forced form of either read keeps the base route, as a
-cross-check.
+marginals' cdfs.  A forced form of the order-statistic read keeps the base
+route, as a cross-check; a system has one route per kind.
 
 Marginal pmf work is done in log space, one array per family on 0..m
 (``logpmf_array``), so that large rates and far tail indices neither
@@ -502,23 +502,14 @@ class JointModel:
         # rows of class counts may sum to 1 plus a few ulps
         return np.clip(series, 0.0, 1.0)
 
-    def system_survival_series(self, structure, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
+    def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
         """P(T > m) for m = m_lo..m_hi, T the lifetime of the coherent system
-        ``structure`` (a `systems.SystemStructure`), from its signed subset
-        expansion.
-
-        "alpha" sums c_K P(min over K > m) over the non-zero alpha
-        coefficients, one rectangle series each; "beta" complements the sum
-        of c_K P(max over K <= m) over the beta ones.  "auto" takes alpha
-        when the structure has path sets, beta otherwise; a kind with a
-        better route overrides "auto", and a forced form always reads the
-        expansion, as a cross-check.
+        ``structure`` (a `systems.SystemStructure`): the sum of
+        c_K P(min over K > m) over the non-zero alpha coefficients of its
+        structure function, one rectangle series each, from either family.
+        A kind with a better route overrides it.
         """
-        if form == "auto":
-            form = "alpha" if structure.path_sets is not None else "beta"
-        if form not in ("alpha", "beta"):
-            raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
-        return self._expansion_series(structure._coefficients(form), form, m_hi, m_lo)
+        return self._expansion_series(structure._alpha_subsets(), "alpha", m_hi, m_lo)
 
     def _expansion_series(
         self, coeffs: Mapping[frozenset[int], float], form: str, m_hi: int, m_lo: int = 0
@@ -665,16 +656,14 @@ class IndependentMarginals(JointModel):
                 out[:, :1] *= 1.0 - q
         return out
 
-    def system_survival_series(self, structure, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
-        """Under "auto", the reliability polynomial: the structure function
+    def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
+        """The reliability polynomial: the structure function
         over the 2^n working sets, contracted one component at a time from
         the highest bit, each pair of halves into phi(j failed) F_j(m) +
         phi(j working) (1 - F_j(m)).  Every term is non-negative, no
         rectangle series is read, and each step is elementwise, so row m
         reads F_j(m) alone (Barlow and Proschan 1975, ch. 2, pivotal
-        decomposition).  A forced form reads the expansion."""
-        if form != "auto":
-            return super().system_survival_series(structure, m_hi, form, m_lo)
+        decomposition)."""
         phi = structure._phi()
         cdfs = [d._cdf_prefix(m_hi)[m_lo:] for d in reversed(self.marginals)]
         out = np.empty(m_hi - m_lo + 1)
@@ -745,14 +734,11 @@ class MvgModel(JointModel):
             return super().orderstat_survival_series(r, m_hi, form, m_lo)
         return mvg_orderstat_survival(self.params, r, self.n, np.arange(m_lo, m_hi + 1))
 
-    def system_survival_series(self, structure, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
-        """Under "auto", the alpha expansion in closed form: the sum over the
-        non-zero alpha coefficients of alpha_K theta(K)^(m+1), theta(K) read
-        from one all-free lattice, taken one block of rows at a time, each
-        row summed exactly from its buffer (``_row_fsums``).  A forced form
-        reads the expansion over rectangle series."""
-        if form != "auto":
-            return super().system_survival_series(structure, m_hi, form, m_lo)
+    def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
+        """The alpha expansion in closed form: the sum over the non-zero alpha
+        coefficients of alpha_K theta(K)^(m+1), theta(K) read from one
+        all-free lattice, taken one block of rows at a time, each row summed
+        exactly from its buffer (``_row_fsums``)."""
         masks, coeffs = structure._alpha_terms()
         thetas = _lattice(self.params, range(1, self.n + 1))[masks]
         exps = np.arange(m_lo + 1.0, m_hi + 2.0)[:, None]

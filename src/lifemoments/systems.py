@@ -11,25 +11,25 @@ gives beta_K against maxima.  Moments follow by the survival series of
 `orderstats`, exactly on finite supports, truncated with a certified error
 bound otherwise, and in closed form for multivariate geometric components.
 
-The system kind of the statistic type of `orderstats`, `_System`, reads
-its survival series from the model's `JointModel.system_survival_series`,
-which a model kind may override, as `MvgModel` also overrides the
-order-statistic read.  The base read sums the signed expansion, one
-rectangle series per non-zero coefficient, and a forced "alpha" or "beta"
-form always reads it, as a cross-check.  Under "auto", independent
-components contract the structure function phi at the multilinear point
-(F_j(m), 1 - F_j(m)), the reliability polynomial, whose terms are all
-non-negative; MVG components sum alpha_K theta(K)^(m+1) over one subset
-lattice.  The d-scale of a truncation is the positive alpha sum on every
-"auto" route, read off phi for cut sets alone, and a forced "beta" form
-takes the positive beta sum times 2^n - 1.  A structure keeps, per object,
-its phi table, the non-zero alpha terms and the positive coefficient sums,
-built on first use; the coefficient maps of `alpha_coefficients` and
-`beta_coefficients` are computed afresh, so the oracles, which read only
-the statistic's values, never run a Mobius transform.  `_statistic` turns a
-rank or a structure into a statistic, and `moments`, the one entry that
-picks the route to a moment (closed form or survival series), reads any
-model and statistic.
+The system kind of the statistic type of `orderstats`, `_System`, reads its
+survival series from the model's `JointModel.system_survival_series`, one
+route per model kind: the base read sums the alpha expansion over the
+non-zero alpha terms of the structure function phi, one rectangle series
+each; independent components contract phi at the multilinear point (F_j(m),
+1 - F_j(m)), the reliability polynomial, whose terms are all non-negative;
+MVG components sum alpha_K theta(K)^(m+1) over one subset lattice.  Phi, and
+so the series, is the same table from either family.  The d-scale of a
+truncation is the positive alpha sum, read off phi for cut sets alone.  A
+structure keeps, per object, its phi table, the non-zero alpha terms (by
+mask and by subset) and the positive alpha sum, built on first use; the
+coefficient maps of `alpha_coefficients` and `beta_coefficients` are
+computed afresh, so the oracles, which read only the statistic's values,
+never run a Mobius transform.  The beta expansion over subset maxima, with
+its 2^n - 1 scale, serves only `exchangeable_system_moment`, whose
+signature entries sit on prefixes (`_Expansion`).  `_statistic` turns a rank
+or a structure into a statistic, and `moments`, the one entry that picks
+the route to a moment (closed form or survival series), reads any model and
+statistic.
 """
 
 from __future__ import annotations
@@ -75,14 +75,15 @@ __all__ = [
     "system_survival",
     "system_moment_exact",
     "system_moment_approx",
-    "system_moment_approx_beta",
     "system_factorial_moments_mvg",
     "system_moment_mvg",
     "system_mean_var_mvg",
     "exchangeable_system_moment",
 ]
 
-COLLECTION_CAP = 25  # path/cut sets per family; kept while the benchmark pins 3-of-7:G as refused
+# path/cut sets per family of `alpha_coefficients` and `beta_coefficients`;
+# kept while the benchmark pins the 3-of-7:G signature as refused
+COLLECTION_CAP = 25
 
 
 def _normalize_family(sets: Iterable[Iterable[int]], n: int, label: str) -> tuple[frozenset[int], ...]:
@@ -170,13 +171,24 @@ class SystemStructure:
             return masks, coeff[masks]
         return self._table("alpha", build)
 
-    def _coefficients(self, form: str) -> dict[frozenset[int], int]:
-        """`alpha_coefficients` ("alpha") or `beta_coefficients` ("beta"), computed afresh."""
-        return alpha_coefficients(self) if form == "alpha" else beta_coefficients(self)
+    def _alpha_subsets(self) -> dict[frozenset[int], int]:
+        """``_alpha_terms`` keyed by component subset, as `alpha_coefficients`
+        gives them for path sets, in the same order."""
+        def build():
+            masks, coeffs = self._alpha_terms()
+            return dict(zip(map(_unmask, masks.tolist()), coeffs.tolist()))
+        return self._table("alpha subsets", build)
 
-    def _positive_sum(self, form: str) -> int:
-        """The sum of the positive coefficients of ``form``, the d-scale of a system series."""
-        return self._table(("positive", form), lambda: sum(c for c in self._coefficients(form).values() if c > 0))
+    def _positive_sum(self) -> int:
+        """The sum of the positive alpha coefficients, the d-scale of a system
+        series: from `alpha_coefficients`, and so under its cap, with path
+        sets, else from phi's alpha terms."""
+        def build():
+            if self.path_sets is not None:
+                return sum(c for c in alpha_coefficients(self).values() if c > 0)
+            coeffs = self._alpha_terms()[1]
+            return int(coeffs[coeffs > 0].sum())
+        return self._table("positive", build)
 
     def __eq__(self, other) -> bool:
         return (
@@ -418,41 +430,21 @@ def _minimal_transversals(fam: Sequence[frozenset[int]], n: int) -> tuple[frozen
 # ---------------------------------------------------------------------------
 
 class _System:
-    """T of a coherent system.  ``form`` "alpha" expands P(T > m) over subset
-    minima, "beta" P(T <= m) over subset maxima, and "auto" takes the model
-    kind's route (`JointModel.system_survival_series`), its d-scale that of
-    the alpha expansion, from phi's alpha terms for cut sets alone.
-    Exchangeable models pass signature entries on prefixes as ``coeffs``,
-    and no structure."""
+    """T of the coherent system ``structure``: its survival series is the
+    model kind's route (`JointModel.system_survival_series`), its d-scale
+    the positive alpha sum."""
 
-    def __init__(self, model: JointModel, form: str, structure: SystemStructure | None = None,
-                 coeffs: Mapping[frozenset[int], float] | None = None):
-        if structure is not None:
-            if model.n != structure.n:
-                raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
-            if form not in ("auto", "alpha", "beta"):
-                raise ValidationError(f"form must be auto, alpha, or beta, not {form!r}")
-        elif form not in ("alpha", "beta"):
-            raise ValidationError(f"form must be alpha or beta, not {form!r}")
-        self.n, self.form, self.structure, self.coeffs = model.n, form, structure, coeffs
+    def __init__(self, model: JointModel, structure: SystemStructure):
+        if model.n != structure.n:
+            raise ValidationError(f"model.n={model.n} does not match structure.n={structure.n}")
+        self.n, self.structure = model.n, structure
 
     @property
-    def scale(self):
-        form, structure = self.form, self.structure
-        if structure is None:
-            scale = sum(c for c in self.coeffs.values() if c > 0)
-        elif form == "auto" and structure.path_sets is None:
-            # the same series as from path sets: the alpha terms of phi
-            coeffs = structure._alpha_terms()[1]
-            scale = int(coeffs[coeffs > 0].sum())
-        else:
-            scale = structure._positive_sum("alpha" if form == "auto" else form)
-        return scale * (2**self.n - 1) if form == "beta" else scale
+    def scale(self) -> int:
+        return self.structure._positive_sum()
 
     def series(self, model: JointModel, m_hi: int, m_lo: int = 0) -> np.ndarray:
-        if self.structure is None:
-            return model._expansion_series(self.coeffs, self.form, m_hi, m_lo)
-        return model.system_survival_series(self.structure, m_hi, self.form, m_lo)
+        return model.system_survival_series(self.structure, m_hi, m_lo)
 
     def values(self, cols: np.ndarray) -> np.ndarray:
         """T at each of N points given coordinate-major, ``cols`` an (n, N)
@@ -466,6 +458,26 @@ class _System:
 
     def mvg_factorial_moments(self, params: MvgParams, p: int) -> tuple[float, ...]:
         return system_factorial_moments_mvg(params, self.structure, p)
+
+
+class _Expansion:
+    """T of a system as a signed expansion with weights ``coeffs`` on
+    component subsets: "alpha" expands P(T > m) over subset minima, "beta"
+    P(T <= m) over subset maxima, its d-scale carrying a 2^n - 1 factor
+    besides the positive weights."""
+
+    def __init__(self, n: int, coeffs: Mapping[frozenset[int], float], form: str):
+        if form not in ("alpha", "beta"):
+            raise ValidationError(f"form must be alpha or beta, not {form!r}")
+        self.n, self.coeffs, self.form = n, coeffs, form
+
+    @property
+    def scale(self):
+        scale = sum(c for c in self.coeffs.values() if c > 0)
+        return scale * (2**self.n - 1) if self.form == "beta" else scale
+
+    def series(self, model: JointModel, m_hi: int, m_lo: int = 0) -> np.ndarray:
+        return model._expansion_series(self.coeffs, self.form, m_hi, m_lo)
 
 
 _ROW_BLOCK = 1 << 14  # points per block of _reduce_rows: its working rows stay in cache
@@ -499,7 +511,7 @@ def _reduce_rows(cols: np.ndarray, sets, outer: np.ufunc, inner: np.ufunc) -> np
 def _statistic(model: JointModel, statistic) -> _OrderStat | _System:
     """The statistic kind of a rank or a `SystemStructure`, checked against the model."""
     if isinstance(statistic, SystemStructure):
-        return _System(model, "auto", statistic)
+        return _System(model, statistic)
     return _OrderStat(model, statistic, model.n)
 
 
@@ -536,11 +548,9 @@ def moments(
     return tuple(_moment(model, stat, p, dp) for p, dp in zip(orders, bounds))
 
 
-def system_survival(model: JointModel, structure: SystemStructure, m: int, form: str = "auto") -> float:
-    """P(T > m) for a threshold m >= -1: by the model kind's route
-    (``form="auto"``), or by the alpha expansion or the beta complement when
-    asked, which cross-check it."""
-    return _survival(model, _System(model, form, structure), m)
+def system_survival(model: JointModel, structure: SystemStructure, m: int) -> float:
+    """P(T > m) for a threshold m >= -1, by the model kind's route."""
+    return _survival(model, _System(model, structure), m)
 
 
 def system_moment_exact(model: JointModel, structure: SystemStructure, p: int) -> MomentResult:
@@ -549,7 +559,7 @@ def system_moment_exact(model: JointModel, structure: SystemStructure, p: int) -
         raise UnsupportedModelError(
             "model has infinite support; use system_moment_approx with an error bound"
         )
-    return _moment(model, _System(model, "auto", structure), p)
+    return _moment(model, _System(model, structure), p)
 
 
 def system_moment_approx(
@@ -559,31 +569,13 @@ def system_moment_approx(
     d: float,
     plan: TruncationPlan | None = None,
 ) -> MomentResult:
-    """Truncated E T^p of a structure with path sets; error lies in [0, d].
+    """Truncated E T^p of a structure; error lies in [0, d].
 
     The survival series takes the model kind's route.  The truncation index
     satisfies the tail condition scaled by the sum of positive alpha
     coefficients, so the dropped terms cannot exceed d.
     """
-    if structure.path_sets is None:
-        raise ValidationError("structure has no path sets")
-    return _moment(model, _System(model, "auto", structure), p, _require_d(d), plan)
-
-
-def system_moment_approx_beta(
-    model: JointModel,
-    structure: SystemStructure,
-    p: int,
-    d: float,
-    plan: TruncationPlan | None = None,
-) -> MomentResult:
-    """Truncated E T^p via the beta (cut-set) expansion.
-
-    The complement form needs the tail condition scaled by both the positive
-    beta coefficients and 2^n - 1, so its truncation index is typically
-    larger than the alpha form's.
-    """
-    return _moment(model, _System(model, "beta", structure), p, _require_d(d), plan)
+    return _moment(model, _System(model, structure), p, _require_d(d), plan)
 
 
 def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, p: int) -> tuple[float, ...]:
@@ -592,18 +584,18 @@ def system_factorial_moments_mvg(params: MvgParams, structure: SystemStructure, 
 
     Each subset minimum is geometric, so the alpha expansion is a signed sum
     of q! g(theta(K))^q, g = theta/(1-theta), over the subsets K with a
-    non-zero coefficient, theta(K) read from the lattice of the parameters.
+    non-zero coefficient of phi, from either family, theta(K) read from the
+    lattice of the parameters.
     """
     if params.n != structure.n:
         raise ValidationError(f"params.n={params.n} does not match structure.n={structure.n}")
     p = _as_order(p)
-    coeff = _collection_coefficients(structure, "alpha")
-    masks = np.flatnonzero(coeff)
+    masks, coeff = structure._alpha_terms()
     thetas = _lattice(params, range(1, params.n + 1))[masks]
     if (defective := np.flatnonzero(thetas >= 1.0)).size:
         K, theta = _unmask(int(masks[defective[0]])), thetas[defective[0]]
         raise ValidationError(f"defective minimum over {sorted(K)}: theta={theta}")
-    coeff, g = coeff[masks], thetas / (1.0 - thetas)
+    g = thetas / (1.0 - thetas)
     # np.float_power calls the C library's pow, as a float ** does; at q = 1
     # pow returns g itself, and so does 1! * g
     return tuple(math.fsum(memoryview(coeff * (g if q == 1 else math.factorial(q) * np.float_power(g, q))))
@@ -649,4 +641,4 @@ def exchangeable_system_moment(
     d = None if model.support_max() is not None else _require_d(d)
     # every subset of size i has the law of the prefix {1..i}
     prefixes = {frozenset(range(1, i + 1)): a for i, a in enumerate(signature, start=1) if a != 0}
-    return _moment(model, _System(model, form, coeffs=prefixes), p, d)
+    return _moment(model, _Expansion(model.n, prefixes, form), p, d)

@@ -309,8 +309,9 @@ def test_signature_transforms_each_family_once(tmp_path, capsys, monkeypatch):
 
 def test_mvg_closed_forms_computed_once_per_rank_or_structure(tmp_path, capsys, monkeypatch):
     # moments [1, 2] build one coefficient table (a Mobius transform) per
-    # structure, or per grid point of a sweep, and read factorial moments 1
-    # and 2 once per rank, not once more for every requested p
+    # structure, kept on it for every grid point of a sweep, and read
+    # factorial moments 1 and 2 once per rank, not once more for every
+    # requested p
     transforms, factorials = [], []
 
     def counted(calls, fn):
@@ -319,7 +320,7 @@ def test_mvg_closed_forms_computed_once_per_rank_or_structure(tmp_path, capsys, 
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(systems, "_collection_coefficients", counted(transforms, systems._collection_coefficients))
+    monkeypatch.setattr(systems, "_mobius", counted(transforms, systems._mobius))
     monkeypatch.setattr(orderstats, "mvg_orderstat_factorial_moment",
                         counted(factorials, orderstats.mvg_orderstat_factorial_moment))
     model = {"kind": "mvg", "n": 5, "theta": {"1": 0.9, "3": 0.8, "1,4,5": 0.99, "2,3,5": 0.99}}
@@ -327,7 +328,7 @@ def test_mvg_closed_forms_computed_once_per_rank_or_structure(tmp_path, capsys, 
     runs = [
         ("system", {"model": model, "structure": BRIDGE_STRUCTURE, "requests": {"moments": [1, 2]}}, 1, 0),
         ("sweep", {"structure": BRIDGE_STRUCTURE,
-                   "sweep": {"family": "geometric", "values": [0.05, 0.1, 0.15, 0.2]}}, 4, 0),
+                   "sweep": {"family": "geometric", "values": [0.05, 0.1, 0.15, 0.2]}}, 1, 0),
         ("orderstat", {"model": model, "requests": {"moments": [1, 2]}}, 0, 10),
     ]
     for command, cfg, want_transforms, want_factorials in runs:

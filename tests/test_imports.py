@@ -5,15 +5,17 @@ marginal alone keeps its cdf table, each statistic kind has one survival
 read, the oracle imports nothing of the analytic pipeline, the MVG sums
 read theta(K) from one lattice, not subset by subset, one kernel
 searches a marginal's tail cutoff, the CLI leaves the route to a moment
-to `moments`, and no exact sum reads a list copy of an array (no linter is
-a dependency)."""
+to `moments`, no structure read takes a form, and no exact sum reads a
+list copy of an array (no linter is a dependency)."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+import lifemoments
 from lifemoments import JointModel, LifemomentsError, MarginalDist
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lifemoments"
@@ -140,13 +142,17 @@ def type_test_targets(source: str) -> set[str]:
     return targets
 
 
-def model_kinds() -> set[str]:
-    kinds, todo = set(), [JointModel]
+def model_kind_classes() -> list[type]:
+    kinds, todo = [], [JointModel]
     while todo:
         cls = todo.pop()
-        kinds.add(cls.__name__)
+        kinds.append(cls)
         todo.extend(cls.__subclasses__())
     return kinds
+
+
+def model_kinds() -> set[str]:
+    return {cls.__name__ for cls in model_kind_classes()}
 
 
 def test_front_ends_do_not_branch_on_statistic_or_model_kind():
@@ -482,6 +488,36 @@ def test_checker_flags_route_imports():
         "mvg.factorial_to_raw", "orderstats._check_request", "systems._statistic",
         "orderstats._moment", "mvg._lattice",
     ]
+
+
+def form_parameters(reads: dict) -> list[str]:
+    """The names of the callables in ``reads`` with a ``form`` parameter."""
+    return [name for name, read in reads.items() if "form" in inspect.signature(read).parameters]
+
+
+def test_structure_reads_take_no_form():
+    # a structure's survival has one route per model kind; the alpha and
+    # beta expansions are cross-checks built in the tests
+    reads = {"system_survival": lifemoments.system_survival}
+    reads |= {f"{cls.__name__}.system_survival_series": cls.system_survival_series for cls in model_kind_classes()}
+    assert form_parameters(reads) == []
+    assert "system_moment_approx_beta" not in lifemoments.__all__
+    assert not hasattr(lifemoments, "system_moment_approx_beta")
+
+
+def test_checker_flags_form_parameters():
+    class Kind:
+        def system_survival_series(self, structure, m_hi, *, form="auto", m_lo=0):
+            pass
+
+    def one_route(model, structure, m):
+        pass
+
+    def forced(model, structure, m, form="auto"):
+        pass
+
+    reads = {"one_route": one_route, "forced": forced, "Kind.series": Kind.system_survival_series}
+    assert form_parameters(reads) == ["forced", "Kind.series"]
 
 
 def _is_tolist(node) -> bool:

@@ -36,7 +36,6 @@ from lifemoments import (
     survival_orderstat,
     system_factorial_moments_mvg,
     system_moment_approx,
-    system_moment_approx_beta,
     system_moment_exact,
     system_moment_mvg,
 )
@@ -268,7 +267,6 @@ MOMENT_ENTRIES = {
     "approx_moment": lambda p: approx_moment(POISSONS, MomentRequest(r=2, n=2, p=p, d=1e-3)),
     "system_moment_exact": lambda p: system_moment_exact(BITS, SERIES, p),
     "system_moment_approx": lambda p: system_moment_approx(POISSONS, SERIES, p, 1e-3),
-    "system_moment_approx_beta": lambda p: system_moment_approx_beta(BITS, SERIES, p, 1e-3),
     "exchangeable_system_moment": lambda p: exchangeable_system_moment(
         IndependentMarginals([Poisson(1.0)] * 2, exchangeable=True), [0, 1], p, 1e-3),
     "system_factorial_moments_mvg": lambda p: system_factorial_moments_mvg(MVG, SERIES, p),

@@ -45,7 +45,6 @@ from lifemoments import (
     system_factorial_moments_mvg,
     system_mean_var_mvg,
     system_moment_approx,
-    system_moment_approx_beta,
     system_moment_exact,
     system_moment_mvg,
     survival_orderstat,
@@ -54,7 +53,7 @@ from lifemoments import (
 from lifemoments import distributions, systems
 from lifemoments.orderstats import _moment, _OrderStat
 from lifemoments.mvg import _lattice
-from lifemoments.systems import _statistic, _System
+from lifemoments.systems import _Expansion, _statistic, _System
 from conftest import (
     BRIDGE_CUTS,
     BRIDGE_MINIMAL_SIGNATURE,
@@ -98,6 +97,25 @@ def minimal_transversals(n: int, family) -> set[frozenset[int]]:
         if all(S & set(C) for S in family)
     ]
     return {T for T in hits if not any(U < T for U in hits)}
+
+
+def expansion_series(model: JointModel, structure: SystemStructure, form: str, m_hi: int) -> np.ndarray:
+    """P(T > m) for m = 0..m_hi, clamped to a finite support, by a signed
+    subset expansion: "alpha" sums alpha_K P(min over K > m), "beta"
+    complements the sum of beta_K P(max over K <= m), one public rectangle
+    series per coefficient."""
+    if model.support_max() is not None:
+        m_hi = min(m_hi, model.support_max())
+    none = frozenset()
+    if form == "alpha":
+        return sum(c * model.rect_series(none, K, m_hi) for K, c in alpha_coefficients(structure).items())
+    return 1.0 - sum(c * model.rect_series(K, none, m_hi) for K, c in beta_coefficients(structure).items())
+
+
+def series_moment(series: np.ndarray, p: int) -> float:
+    """sum_m ((m+1)^p - m^p) P(T > m) over the rows m = 0.. of ``series``."""
+    ms = np.arange(len(series), dtype=float)
+    return float(np.dot((ms + 1.0) ** p - ms**p, series))
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +372,13 @@ def test_parallel_survival_fair_bits():
 def test_alpha_beta_survival_agree(bridge):
     rng = np.random.default_rng(8)
     for model in (random_explicit(rng, 5, m_max=2), random_independent(rng, 5)):
-        for m in range(0, 4):
-            a = system_survival(model, bridge, m, form="alpha")
-            b = system_survival(model, bridge, m, form="beta")
-            assert a == pytest.approx(b, abs=1e-10)
-    with pytest.raises(ValidationError):
-        system_survival(fair_bits(5), bridge, 0, form="gamma")
+        for form in ("alpha", "beta"):
+            expansion = expansion_series(model, bridge, form, 3)
+            for m in range(0, 4):
+                want = expansion[min(m, len(expansion) - 1)]
+                assert system_survival(model, bridge, m) == pytest.approx(want, abs=1e-10)
     with pytest.raises(ValidationError):
         system_survival(fair_bits(3), bridge, 0)
-
-
-def test_survival_checks_form_below_zero(bridge):
-    """A bad form is refused at every threshold, also where P = 1 needs no series."""
-    for form in ("auto", "alpha", "beta"):
-        assert system_survival(fair_bits(5), bridge, -1, form=form) == 1.0
-    with pytest.raises(ValidationError):
-        system_survival(fair_bits(5), bridge, -1, form="gamma")
 
 
 @pytest.mark.parametrize(
@@ -380,8 +389,8 @@ def test_survival_checks_form_below_zero(bridge):
 def test_survival_past_the_support_reads_its_end(bridge, model):
     # a threshold of 10**12 must not build a 10**12-entry series
     end = model.support_max()
-    for form in ("alpha", "beta"):
-        assert system_survival(model, bridge, 10**12, form=form) == system_survival(model, bridge, end, form=form)
+    for structure in (bridge, SystemStructure(5, cut_sets=BRIDGE_CUTS)):
+        assert system_survival(model, structure, 10**12) == system_survival(model, structure, end)
 
 
 RANGE_MODELS = {
@@ -396,10 +405,11 @@ RANGE_MODELS = {
 @pytest.mark.parametrize("kind", RANGE_MODELS)
 def test_threshold_range_is_the_slice_of_the_series(bridge, kind):
     """Rows m_lo..m_hi of every read equal the series from 0, sliced, bit for
-    bit: both statistic kinds in every form, ``counts`` and ``rect_series``."""
+    bit: order statistics in every form, systems from either family,
+    ``counts`` and ``rect_series``."""
     model = RANGE_MODELS[kind]()
     stats = [_OrderStat(model, r, 5, form) for r in range(1, 6) for form in ("auto", "low", "high")]
-    stats += [_System(model, form, bridge) for form in ("auto", "alpha", "beta")]
+    stats += [_System(model, structure) for structure in (bridge, SystemStructure(5, cut_sets=BRIDGE_CUTS))]
     marks = {2: "count", 1: "low", 4: "up", 5: "count"}
     for m_hi in (0, 4, 9, 40):
         for m_lo in sorted({m for m in (0, 1, m_hi // 3, m_hi - 1, m_hi) if 0 <= m <= m_hi}):
@@ -504,9 +514,9 @@ def test_approx_builds_the_cdf_matrix_once(bridge, monkeypatch):
     # share the cdf, and the planner's quantile the log pmf), no class counts
     assert builds == {"MarginalDist.cdf_array": 1, "Poisson._logpmf_table": 1}
 
-    # the default route contracts the structure function and reads no
-    # rectangle series: its cdfs are checked against fresh builds, and the
-    # forced-alpha expansion against an uncached rect_series
+    # the route contracts the structure function and reads no rectangle
+    # series: its cdfs are checked against fresh builds, and the alpha
+    # expansion over the public rect_series against an uncached one
     def fresh_cdf(dist, m_max):
         return Poisson(dist.lam).cdf_array(m_max)
 
@@ -520,20 +530,22 @@ def test_approx_builds_the_cdf_matrix_once(bridge, monkeypatch):
 
         return np.column_stack([cdf(i) for i in sorted(low)] + [1.0 - cdf(j) for j in sorted(up)]).prod(axis=1)[m_lo:]
 
-    def forced_alpha():
+    def alpha_expansion():
         model = IndependentMarginals([Poisson(1.0)] * 5)
-        return _moment(model, _System(model, "alpha", bridge), 2, 0.0005)
+        return series_moment(expansion_series(model, bridge, "alpha", got.M0_used), 2)
 
-    cached = forced_alpha()
+    cached = alpha_expansion()
     monkeypatch.setattr(IndependentMarginals, "rect_series", uncached)
-    assert forced_alpha() == cached
-    assert cached.M0_used == got.M0_used and cached.value == pytest.approx(got.value, abs=1e-12)
+    assert alpha_expansion() == cached
+    assert cached == pytest.approx(got.value, abs=1e-12)
 
 
 def test_approx_beta_form_agrees(bridge):
+    """The beta expansion over maxima of cut-set unions, the statistic of the
+    exchangeable beta form on every subset, certifies the same d."""
     model = IndependentMarginals([Poisson(1.0)] * 5)
     a = system_moment_approx(model, bridge, 1, 0.0005)
-    b = system_moment_approx_beta(model, bridge, 1, 0.0005)
+    b = _moment(model, _Expansion(5, beta_coefficients(bridge), "beta"), 1, 0.0005)
     # both certify the same d, so the two partial sums differ by at most d
     assert abs(a.value - b.value) <= 0.0005
     assert b.M0_used >= a.M0_used  # the 2^n - 1 factor delays the beta cutoff
@@ -564,10 +576,9 @@ def test_approx_validation(bridge):
         system_moment_approx(model, bridge, 0, 0.1)
     with pytest.raises(ValidationError):
         system_moment_approx(IndependentMarginals([Poisson(1.0)] * 4), bridge, 1, 0.1)
-    for approx in (system_moment_approx, system_moment_approx_beta):
-        for without_bound in (model, fair_bits(5)):
-            with pytest.raises(ValidationError):
-                approx(without_bound, bridge, 1, None)
+    for without_bound in (model, fair_bits(5)):
+        with pytest.raises(ValidationError):
+            system_moment_approx(without_bound, bridge, 1, None)
 
 
 def test_approx_routes_negbin_and_finite(bridge):
@@ -637,20 +648,19 @@ def test_system_mvg_vs_truncated_series(bridge):
         assert abs(closed_raw[p - 1] - res.value) <= 1e-6
 
 
-def test_mvg_system_moments_share_one_coefficient_table(bridge, monkeypatch):
-    """Factorial moments 1..p come from one Mobius transform per structure and
-    equal the one-order calls bit for bit."""
+def test_mvg_system_moments_share_one_coefficient_table(monkeypatch):
+    """Factorial moments 1..p come from one Mobius transform per structure,
+    kept on the structure, and equal the one-order calls bit for bit."""
     transforms = []
-    collection = systems._collection_coefficients
-    monkeypatch.setattr(systems, "_collection_coefficients", lambda *a: transforms.append(a) or collection(*a))
+    mobius = systems._mobius
+    monkeypatch.setattr(systems, "_mobius", lambda table: transforms.append(len(table)) or mobius(table))
     for params in (MvgParams(5, theta=bridge_theta(1)), MvgParams(5, exchangeable_levels=[0.9, 0.95, 1.0, 1.0, 1.0])):
+        bridge = SystemStructure(5, path_sets=BRIDGE_PATHS, cut_sets=BRIDGE_CUTS)
+        transforms.clear()
         one_order = [system_moment_mvg(params, bridge, q) for q in (1, 2, 3, 4)]
-        transforms.clear()
         assert system_factorial_moments_mvg(params, bridge, 4) == tuple(one_order)
-        assert len(transforms) == 1
-        transforms.clear()
         mean, var = system_mean_var_mvg(params, bridge)
-        assert len(transforms) == 1
+        assert transforms == [32]
         assert (mean, var) == (one_order[0], one_order[1] + one_order[0] * (1.0 - one_order[0]))
     with pytest.raises(ValidationError):
         system_factorial_moments_mvg(params, bridge, 0)
@@ -706,16 +716,23 @@ def test_mvg_system_buffer_sums_equal_the_list_fed_sums(label, monkeypatch):
 
 
 def test_cut_sets_alone_are_planned_as_path_sets(bridge):
-    """Cut sets alone give the same "auto" series as the path sets, so the
-    same d-scale (the positive alpha terms of phi) and the same cutoffs; a
-    forced beta form keeps the beta scale."""
+    """Cut sets alone give the same series as the path sets, so the same
+    d-scale (the positive alpha terms of phi) and the same cutoffs, through
+    `moments` and `system_moment_approx` alike, and the same MVG closed form;
+    the beta expansion keeps the beta scale."""
     model = IndependentMarginals([Poisson(1.0 + 0.5 * j) for j in range(5)])
     cuts_only, paths_only = SystemStructure(5, cut_sets=BRIDGE_CUTS), SystemStructure(5, path_sets=BRIDGE_PATHS)
     got = moments(model, cuts_only, (1, 2), 1e-6)
     assert [res.M0_used for res in got] == [16, 18]  # 18 and 20 on the beta scale
     assert got == moments(model, paths_only, (1, 2), 1e-6)
-    assert _System(model, "auto", cuts_only).scale == _System(model, "auto", paths_only).scale == 6
-    assert _System(model, "beta", cuts_only).scale == _System(model, "beta", bridge).scale == 6 * 31
+    assert got == tuple(system_moment_approx(model, cuts_only, p, 1e-6) for p in (1, 2))
+    assert got == tuple(system_moment_approx(model, paths_only, p, 1e-6) for p in (1, 2))
+    assert _System(model, cuts_only).scale == _System(model, paths_only).scale == 6
+    assert _Expansion(5, beta_coefficients(bridge), "beta").scale == 6 * 31
+    mvg = MvgModel(MvgParams(5, theta={(i,): 0.8 for i in range(1, 6)}))
+    want = moments(mvg, paths_only, (1, 2), 1e-6)
+    assert [res.value for res in want] == [3.1598554401286725, 16.342006741906097]
+    assert moments(mvg, cuts_only, (1, 2), 1e-6) == want
 
 
 def test_system_mvg_validation(bridge):
@@ -844,10 +861,11 @@ def test_order_statistics_are_k_out_of_n_systems(kind):
     for r in range(1, n + 1):
         systems_of_r = [k_out_of_n_structure(n, n - r + 1), k_out_of_n_structure(n, r, "F")]
         for structure in systems_of_r:
+            want = [survival_orderstat(model, r, n, m) for m in range(12)]
+            assert [system_survival(model, structure, m) for m in range(12)] == pytest.approx(want, abs=1e-12)
             for form in ("alpha", "beta"):
-                for m in range(12):
-                    want = survival_orderstat(model, r, n, m)
-                    assert system_survival(model, structure, m, form) == pytest.approx(want, abs=1e-12)
+                expansion = expansion_series(model, structure, form, 11)
+                assert expansion == pytest.approx(want[: len(expansion)], abs=1e-12)
             assert np.array_equal(_statistic(model, structure).values(points.T), _statistic(model, r).values(points.T))
             factorials = model.factorial_moments(_statistic(model, r), 3)
             if kind.startswith("mvg"):
@@ -962,13 +980,14 @@ def test_contraction_agrees_with_both_expansions():
             # phi is the same table from either family
             assert np.array_equal(model.system_survival_series(cuts_only, 30), auto)
             for form in ("alpha", "beta"):
-                assert np.max(np.abs(model.system_survival_series(both, 30, form) - auto)) <= 1e-12
+                expansion = expansion_series(model, both, form, 30)
+                assert np.max(np.abs(expansion - auto[: len(expansion)])) <= 1e-12
         for p in (1, 2):
             assert system_moment_exact(finite, both, p).value == pytest.approx(
                 enumerate_moment(finite, both, p), abs=1e-12)
-            want = _moment(infinite, _System(infinite, "alpha", both), p, 1e-4)
             got = system_moment_approx(infinite, both, p, 1e-4)
-            assert got.M0_used == want.M0_used and got.value == pytest.approx(want.value, abs=1e-12)
+            want = series_moment(expansion_series(infinite, both, "alpha", got.M0_used), p)
+            assert got.value == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["independent", "mvg_general", "mvg_exchangeable"])
@@ -999,12 +1018,6 @@ def test_independent_auto_route_runs_no_counts_and_one_transform_per_structure(b
                 system_moment_approx(model, structure, p, 1e-4)
             system_survival(model, structure, 4)
     assert calls == {(id(structure), "alpha"): 1 for structure in structures}
-    # the forced forms still read the signed expansion over rectangle series
-    calls.clear()
-    for form in ("alpha", "beta"):
-        system_survival(model, bridge, 4, form=form)
-    assert calls["expansion"] == 2
-    assert calls["counts"] == len(alpha_coefficients(bridge)) + len(beta_coefficients(bridge))
 
 
 def test_mvg_system_series_builds_one_lattice(bridge, monkeypatch):
@@ -1018,7 +1031,7 @@ def test_mvg_system_series_builds_one_lattice(bridge, monkeypatch):
             with_paths = SystemStructure(5, path_sets=paths)
             cuts_only = SystemStructure(5, cut_sets=cut_sets_from_path_sets(5, paths))
             lattices.clear()
-            want = model.system_survival_series(with_paths, 60, "alpha")
+            want = expansion_series(model, with_paths, "alpha", 60)
             assert len(lattices) == len(alpha_coefficients(with_paths))  # one per rectangle series
             for structure in (with_paths, cuts_only):
                 lattices.clear()
