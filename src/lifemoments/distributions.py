@@ -33,12 +33,14 @@ counts.  Row x of each depends on rows 0..x alone, so a prefix of a longer
 build equals a shorter build bit for bit.  The caches assume that marginals
 and models are never mutated after construction.
 
-A marginal's tail has one kernel, ``_tail_bounds``, built afresh per call:
-one cutoff search, one exp over the log pmf prefix and one backward cumsum
-give an upper bound on sum over x >= t of x^p pmf(x) for every t.  Its
-three readers are ``quantile`` (p = 0), ``tail_moment`` and the generic
-truncation planner of module ``orderstats``, which reads every probe of
-its search from one table.
+A marginal's tail has one kernel, ``_tail_bounds``: one cutoff search,
+one exp over the log pmf prefix and one backward cumsum give an upper
+bound on sum over x >= t of x^p pmf(x) for every t.  The marginal keeps
+the search's doubling steps per order p and one read-only table per
+(p, cutoff), so every weight reads the cutoff and the table a fresh
+search would give, bit for bit.  Its three readers are ``quantile``
+(p = 0), ``tail_moment`` and the generic truncation planner of module
+``orderstats``, which reads every probe of its search from one table.
 """
 
 from __future__ import annotations
@@ -194,19 +196,43 @@ class MarginalDist:
 
     # -- tail machinery ----------------------------------------------------
 
+    @cached_property
+    def _tail_steps(self) -> dict[int, list[tuple[int, float, float]]]:
+        return {}
+
+    @cached_property
+    def _tail_tables(self) -> dict[tuple[int, int] | int, np.ndarray]:
+        return {}
+
+    def _kept_tail_table(self, key, build) -> np.ndarray:
+        """The tail table under ``key``, built on first request and kept read-only."""
+        table = self._tail_tables.get(key)
+        if table is None:
+            table = self._tail_tables[key] = build()
+            table.flags.writeable = False
+        return table
+
     def _tail_cutoff(self, weight: float, p: int) -> tuple[int, float]:
         """Find X with x^p pmf(x) summable beyond X to below ``weight``.
 
         Returns (X, rho) where rho < 1 bounds the term ratio beyond X, so the
         discarded remainder is at most term(X) * rho / (1 - rho) < weight.
+        X doubles from 1.  Each step (x, rho, rest) is kept per order p,
+        rest being that bound (+inf when rho >= 1); a call walks the kept
+        steps to the first with rest < weight and adds steps only past
+        their end, so every weight gets the X a fresh search stops at.
         """
-        x = 1
-        for _ in range(_DOUBLING_CAP):
+        steps = self._tail_steps.setdefault(p, [])
+        for x, rho, rest in steps:
+            if rest < weight:
+                return x, rho
+        x = 2 * steps[-1][0] if steps else 1
+        while len(steps) < _DOUBLING_CAP:
             rho = self.ratio_bound(x) * ((x + 1) / x) ** p
-            if rho < 1.0:
-                term = exp(self.logpmf(x) + p * log(x))
-                if term * rho / (1.0 - rho) < weight:
-                    return x, rho
+            rest = exp(self.logpmf(x) + p * log(x)) * rho / (1.0 - rho) if rho < 1.0 else math.inf
+            steps.append((x, rho, rest))
+            if rest < weight:
+                return x, rho
             x *= 2
         raise ConvergenceError("tail of x^p pmf(x) never became summably small")
 
@@ -218,16 +244,22 @@ class MarginalDist:
         plus the rest bound beyond X, so B[X+1] is the rest alone.  One
         exp over the cached log pmf and one cumsum answer every t:
         `quantile` reads the table at p = 0, `tail_moment` and the generic
-        truncation planner at p >= 1.
+        truncation planner at p >= 1.  The table depends on (p, X) alone
+        and X is a power of two, so it is kept read-only per (p, X) and
+        every weight with the same cutoff reads the one table.
         """
         x_hi, rho = self._tail_cutoff(weight, p)
-        if p == 0:
-            terms = self.pmf_array(x_hi)
-        else:
-            with np.errstate(divide="ignore"):  # log 0 = -inf: the x = 0 term is 0
-                terms = np.exp(self.logpmf_array(x_hi) + p * np.log(np.arange(x_hi + 1)))
-        rest = terms[-1] * rho / (1.0 - rho)
-        return np.append(np.cumsum(terms[::-1])[::-1], 0.0) + rest
+
+        def build():
+            if p == 0:
+                terms = self.pmf_array(x_hi)
+            else:
+                with np.errstate(divide="ignore"):  # log 0 = -inf: the x = 0 term is 0
+                    terms = np.exp(self.logpmf_array(x_hi) + p * np.log(np.arange(x_hi + 1)))
+            rest = terms[-1] * rho / (1.0 - rho)
+            return np.append(np.cumsum(terms[::-1])[::-1], 0.0) + rest
+
+        return self._kept_tail_table((p, x_hi), build)
 
     def quantile(self, q: float) -> int:
         """Smallest x with P(X <= x) >= q, i.e. with P(X > x) <= 1 - q.
@@ -415,9 +447,14 @@ class FinitePMF(MarginalDist):
         return min(int(np.searchsorted(self._cdf_prefix(top), q, side="left")), top)
 
     def _tail_bounds(self, p: int, weight: float) -> np.ndarray:
-        """The whole support summed backward; nothing lies beyond it, so no rest."""
-        terms = np.arange(self.probs.size, dtype=float) ** p * self.probs
-        return np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+        """The whole support summed backward; nothing lies beyond it, so no
+        rest and no cutoff: one kept table per order p, whatever the weight."""
+
+        def build():
+            terms = np.arange(self.probs.size, dtype=float) ** p * self.probs
+            return np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+
+        return self._kept_tail_table(p, build)
 
     def __repr__(self) -> str:
         return f"FinitePMF(K={self.probs.size - 1})"

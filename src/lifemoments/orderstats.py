@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -258,12 +259,21 @@ def poisson_truncation_index(dist: Poisson, p: int, d_scaled: float) -> tuple[in
     return dist.quantile(q) + p - 1, q
 
 
+@lru_cache(maxsize=64)  # one model per parameter set: a table row's ranks and orders share its tail work
+def _implied_model(family: type, params: tuple[tuple[float, ...], ...]) -> IndependentMarginals:
+    """Independent ``family(*args)`` marginals, one per entry of ``params``."""
+    return IndependentMarginals([family(*args) for args in params])
+
+
 def plan_poisson(lambdas: list[float], req: MomentRequest) -> TruncationPlan:
     """Truncation plan for independent Poisson(lambda_j) marginals: `plan_for`
-    on the implied model, with d scaled by binomial_head(n, r)."""
+    on the implied model, with d scaled by binomial_head(n, r).  The model is
+    kept per tuple of rates (the 64 latest), so every rank and order planned
+    for one rate vector reads one dominating marginal's kept cutoff steps
+    and tail tables."""
     if len(lambdas) != req.n:
         raise ValidationError(f"need {req.n} rates, got {len(lambdas)}")
-    model = IndependentMarginals([Poisson(lam) for lam in lambdas])
+    model = _implied_model(Poisson, tuple((float(lam),) for lam in lambdas))
     return plan_for(model, req.p, _require_d(req.d) / binomial_head(req.n, req.r))
 
 
@@ -293,10 +303,11 @@ def negbin_truncation_index(dist: NegBin, p: int, d_scaled: float) -> tuple[int,
 
 def plan_negbin(R: float, ps: list[float], req: MomentRequest) -> TruncationPlan:
     """Truncation plan for independent NBin(R, p_j) marginals (shared R):
-    `plan_for` on the implied model, with d scaled by binomial_head(n, r)."""
+    `plan_for` on the implied model, with d scaled by binomial_head(n, r).
+    The model is kept per (R, probabilities), as in `plan_poisson`."""
     if len(ps) != req.n:
         raise ValidationError(f"need {req.n} probabilities, got {len(ps)}")
-    model = IndependentMarginals([NegBin(R, pj) for pj in ps])
+    model = _implied_model(NegBin, tuple((float(R), float(pj)) for pj in ps))
     return plan_for(model, req.p, _require_d(req.d) / binomial_head(req.n, req.r))
 
 

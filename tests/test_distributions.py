@@ -12,6 +12,7 @@ import scipy.stats as st
 
 from lifemoments import (
     CapacityError,
+    ConvergenceError,
     ExplicitFinitePMF,
     FinitePMF,
     Geometric,
@@ -42,7 +43,7 @@ from lifemoments import (
     system_moment_exact,
     system_survival,
 )
-from lifemoments import distributions, mvg
+from lifemoments import distributions, mvg, orderstats
 from lifemoments.orderstats import generic_truncation_index, plan_for
 from conftest import product_explicit, random_explicit, random_independent, random_probs
 
@@ -181,8 +182,11 @@ def test_tail_moment_matches_per_x_fsum(dist):
 
 
 def test_negbin_cell_makes_few_scalar_logpmf_calls(monkeypatch):
-    """One criterion-3 cell reads the pmf as arrays: the scalar log pmf is
-    left to the quantile's O(log M0) cutoff search."""
+    """One cold criterion-3 cell reads the pmf as arrays: the scalar log pmf
+    is left to the quantile's O(log M0) cutoff search.  A warm repeat of
+    the cell reads the planner's kept model, cutoff steps and tail table,
+    and makes no scalar call."""
+    orderstats._implied_model.cache_clear()  # an earlier test may have planned this row
     calls = []
     logpmf = NegBin.logpmf
     monkeypatch.setattr(NegBin, "logpmf", lambda d, x: calls.append(x) or logpmf(d, x))
@@ -192,6 +196,11 @@ def test_negbin_cell_makes_few_scalar_logpmf_calls(monkeypatch):
     approx_moment(IndependentMarginals([NegBin(2, q) for q in ps]), req, plan)
     assert plan.M0 == 510
     assert 0 < len(calls) < 100
+    calls.clear()
+    warm = plan_negbin(2, ps, req)
+    approx_moment(IndependentMarginals([NegBin(2, q) for q in ps]), req, warm)
+    assert warm == plan
+    assert calls == []
 
 
 KERNEL_DISTS = [Poisson(0.7), Poisson(47.3), NegBin(0.3, 0.05), NegBin(3.5, 0.4), Geometric(0.3), Geometric(0.97)]
@@ -210,6 +219,68 @@ def test_tail_table_search_matches_per_probe_tail_moments(dist):
             assert M0 == generic_truncation_index(lambda m: dist.tail_moment(p, m), p, bound)
             assert M0 == generic_truncation_index(lambda m: _tail_moment_per_x(dist, p, m), p, bound)
             assert _tail_moment_per_x(dist, p, M0) <= bound
+
+
+def _fresh(dist: MarginalDist) -> MarginalDist:
+    """A new marginal with the parameters of ``dist``, holding no kept work."""
+    return {Poisson: lambda: Poisson(dist.lam), NegBin: lambda: NegBin(dist.R, dist.p),
+            Geometric: lambda: Geometric(dist.pi)}[type(dist)]()
+
+
+TAIL_WEIGHTS = [10.0**-k for k in range(2, 301, 6)] + [1e-300]
+
+
+@pytest.mark.parametrize("dist", KERNEL_DISTS, ids=repr)
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_kept_tail_tables_equal_fresh_builds(dist, order):
+    """Each cutoff and tail table a marginal keeps equals the one a fresh
+    marginal with its parameters finds and builds, whichever order the
+    weights come in; a kept table is read-only, and a marginal keeps one
+    table per order p and distinct cutoff."""
+    weights = TAIL_WEIGHTS if order == "falling" else TAIL_WEIGHTS[::-1]
+    kept = _fresh(dist)
+    for p in range(4):
+        cutoffs = set()
+        for weight in weights:
+            cold = _fresh(dist)
+            assert kept._tail_cutoff(weight, p) == cold._tail_cutoff(weight, p)
+            table = kept._tail_bounds(p, weight)
+            assert np.array_equal(table, _fresh(dist)._tail_bounds(p, weight))
+            assert not table.flags.writeable
+            cutoffs.add(cold._tail_cutoff(weight, p)[0])
+        tables = {key: t for key, t in kept._tail_tables.items() if key[0] == p}
+        assert len(tables) == len(cutoffs)
+        assert all(not t.flags.writeable for t in tables.values())
+
+
+def test_kept_finite_tail_table_is_one_per_order():
+    f = FinitePMF([0.2, 0.0, 0.5, 0.3])
+    for p in range(4):
+        tables = [f._tail_bounds(p, w) for w in (1e-2, 1e-300, 1.0)]
+        assert all(t is tables[0] and not t.flags.writeable for t in tables)
+        assert np.array_equal(tables[0], FinitePMF([0.2, 0.0, 0.5, 0.3])._tail_bounds(p, 1e-8))
+    assert sorted(f._tail_tables) == [0, 1, 2, 3]
+
+
+class _NeverSummable(MarginalDist):
+    """A tail whose ratio bound never drops below 1: no cutoff exists."""
+
+    def logpmf(self, x: int) -> float:
+        return -math.inf if x < 0 else -(x + 1) * math.log(2.0)
+
+    def ratio_bound(self, x: int) -> float:
+        return 1.0
+
+
+def test_cutoff_search_refuses_at_its_cap_on_every_call():
+    dist = _NeverSummable()
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            dist._tail_cutoff(1e-6, 1)
+        with pytest.raises(ConvergenceError):
+            dist.tail_moment(1, 3)
+        assert len(dist._tail_steps[1]) == distributions._DOUBLING_CAP
+    assert dist._tail_tables == {}
 
 
 def test_generic_plan_makes_one_tail_cutoff_and_no_tail_moment_call(monkeypatch):

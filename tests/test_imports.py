@@ -5,8 +5,9 @@ marginal alone keeps its cdf table, each statistic kind has one survival
 read, the oracle imports nothing of the analytic pipeline, the MVG sums
 read theta(K) from one lattice, not subset by subset, one kernel
 searches a marginal's tail cutoff, the CLI leaves the route to a moment
-to `moments`, no structure read takes a form, and no exact sum reads a
-list copy of an array (no linter is a dependency)."""
+to `moments`, no structure read takes a form, no exact sum reads a list
+copy of an array, and every functools cache has a finite size (no linter
+is a dependency)."""
 
 import ast
 import importlib
@@ -524,9 +525,12 @@ def _is_tolist(node) -> bool:
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"
 
 
+def _named(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
+
+
 def _is_fsum(node) -> bool:
-    func = node.func if isinstance(node, ast.Call) else None
-    return isinstance(func, ast.Attribute) and func.attr == "fsum" or isinstance(func, ast.Name) and func.id == "fsum"
+    return isinstance(node, ast.Call) and _named(node.func, "fsum")
 
 
 def listed_fsums(source: str) -> list[int]:
@@ -567,3 +571,71 @@ def test_checker_flags_list_fed_fsums():
         "h = [math.fsum(w) for row in t.tolist() for w in row]\n"
     )
     assert listed_fsums(source) == [3, 4, 5]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The functools caches that ``source`` makes without a finite size, in
+    source order: ``cache``, or ``lru_cache`` given a ``maxsize`` that is
+    not an int literal (a bare or empty ``lru_cache`` keeps 128 entries).
+    Each is named by the function it decorates, or ``<call>`` when a call
+    wraps a function in it."""
+    found = []
+
+    def unbounded(node) -> bool:  # a decorator, or the callee of a wrapping call
+        if _named(node, "cache"):
+            return True
+        if isinstance(node, ast.Call) and _named(node.func, "lru_cache"):
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            return size is not None and not (isinstance(size, ast.Constant) and type(size.value) is int)
+        return False
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(node.lineno, node.name) for d in node.decorator_list if unbounded(d)]
+        elif isinstance(node, ast.Call) and node.args and unbounded(node.func):
+            found.append((node.lineno, "<call>"))
+    return [name for _, name in sorted(found)]
+
+
+def test_every_functools_cache_has_a_finite_size():
+    # a cache keyed by parameters (a planner's implied model, a rank's
+    # weights) must not grow without bound over a long sweep; the parser
+    # cache takes no argument, so it holds one entry
+    found = {path.name: unbounded_caches(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: where for name, where in found.items() if where} == {"cli.py": ["_build_parser"]}
+    assert len(inspect.signature(importlib.import_module("lifemoments.cli")._build_parser).parameters) == 0
+
+
+def test_checker_flags_unbounded_caches():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def a(x): pass\n"
+        "@functools.cache\n"
+        "def b(x): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def c(x): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def d(x): pass\n"
+        "@lru_cache(maxsize=64)\n"
+        "def e(x): pass\n"
+        "@lru_cache\n"
+        "def f(x): pass\n"
+        "@functools.lru_cache(8)\n"
+        "def g(x): pass\n"
+        "@lru_cache()\n"
+        "def h(x): pass\n"
+        "@lru_cache(maxsize=SIZE)\n"
+        "def i(x): pass\n"
+        "j = cache(len)\n"
+        "k = functools.lru_cache(maxsize=None)(len)\n"
+        "m = lru_cache(maxsize=2)(len)\n"
+        "class C:\n"
+        "    @staticmethod\n"
+        "    @cache\n"
+        "    def n(x): pass\n"
+        "    @functools.cached_property\n"
+        "    def o(self): pass\n"
+    )
+    assert unbounded_caches(source) == ["a", "b", "c", "d", "i", "<call>", "<call>", "n"]

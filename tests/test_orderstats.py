@@ -39,9 +39,10 @@ from lifemoments import (
     system_moment_exact,
     system_moment_mvg,
 )
-from lifemoments import distributions
+from lifemoments import distributions, orderstats
 from lifemoments.orderstats import binomial_head, plan_for
 from conftest import product_explicit, random_explicit, random_independent
+from test_acceptance import NB_ROWS, POIS_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +399,58 @@ def test_plan_negbin_row():
         plan = plan_negbin(2, ps, MomentRequest(r=r, n=10, p=1, d=0.0005))
         assert plan.M0 == want[r - 1]
         assert plan.j0 == 1  # smallest success probability dominates
+
+
+def _paper_plan_cases():
+    """(planner call, marginals) for every acceptance-table Poisson and
+    NegBin row at d = 0.0005, r = 1..10 and p = 1, 2, and the small-R
+    NegBin grid at d = 1e-3."""
+    for lams in POIS_ROWS:
+        lams = [float(lam) for lam in lams]
+        for p in (1, 2):
+            for r in range(1, 11):
+                req = MomentRequest(r=r, n=10, p=p, d=0.0005)
+                yield (lambda req=req, lams=lams: plan_poisson(lams, req)), [Poisson(lam) for lam in lams], req
+    for R, ps in NB_ROWS:
+        for p in (1, 2):
+            for r in range(1, 11):
+                req = MomentRequest(r=r, n=10, p=p, d=0.0005)
+                yield (lambda req=req, R=R, ps=ps: plan_negbin(R, ps, req)), [NegBin(R, q) for q in ps], req
+    for R in (0.3, 1.0, 3.0):
+        for p0 in (0.05, 0.2, 0.5):
+            for r, n in ((1, 1), (3, 5), (5, 5)):
+                for p in (1, 2, 3):
+                    req = MomentRequest(r=r, n=n, p=p, d=1e-3)
+                    yield (lambda req=req, R=R, p0=p0, n=n: plan_negbin(R, [p0] * n, req)), [NegBin(R, p0)] * n, req
+
+
+def test_warm_paper_plans_equal_cold_plans():
+    """A paper planner reads one kept model per parameter set; every plan it
+    gives, cold or warm, rising or falling through the ranks and orders,
+    equals `plan_for` on a freshly built model."""
+    orderstats._implied_model.cache_clear()
+    cases = list(_paper_plan_cases())
+    for sweep in (cases, cases[::-1]):
+        for plan, marginals, req in sweep:
+            cold = plan_for(IndependentMarginals(marginals), req.p, req.d / binomial_head(req.n, req.r))
+            assert plan() == cold, req
+
+
+def test_paper_planner_keeps_one_bounded_model_per_parameter_set(monkeypatch):
+    """A list, a tuple and an array of the same rates reach one kept model,
+    whose log pmf is built once; the cache has a fixed size."""
+    builds = []
+    table = Poisson._logpmf_table
+    monkeypatch.setattr(Poisson, "_logpmf_table", lambda d, m: builds.append(m) or table(d, m))
+    orderstats._implied_model.cache_clear()
+    lams = [1.0, 2.5, 4.0]
+    req = MomentRequest(r=2, n=3, p=2, d=1e-4)
+    plans = [plan_poisson(rates, req) for rates in (lams, tuple(lams), np.array(lams))]
+    assert plans[0] == plans[1] == plans[2]
+    assert len(builds) == 1
+    info = orderstats._implied_model.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert info.maxsize is not None and info.maxsize > 0
 
 
 def test_plan_negbin_validation():
