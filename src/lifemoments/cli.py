@@ -162,7 +162,8 @@ def build_model(spec) -> JointModel:
         if "count" in spec:
             count = _as_int(spec["count"], "count", 1)
             base = _require(spec, "marginal", "model spec with count")
-            margs = [build_marginal(base)] * count  # one marginal, so one set of tables
+            # one object; the model shares the tables of equal marginals anyway
+            margs = [build_marginal(base)] * count
             return IndependentMarginals(margs, exchangeable=True)
         margs = [build_marginal(s) for s in _require(spec, "marginals", "independent model spec")]
         return IndependentMarginals(margs, exchangeable=bool(spec.get("exchangeable", False)))

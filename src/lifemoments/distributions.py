@@ -30,8 +30,15 @@ Three tables are kept, each grow-only and read as read-only prefixes
 and the tail kernel read; a marginal's cdf, which its scalar ``cdf`` and
 every coordinate of a model that holds it read; and every model's class
 counts.  Row x of each depends on rows 0..x alone, so a prefix of a longer
-build equals a shorter build bit for bit.  The caches assume that marginals
-and models are never mutated after construction.
+build equals a shorter build bit for bit.  The tables of a parametric
+family are a function of its parameters alone, so an independent model
+gives coordinates with one exact type and equal parameters one object
+(``_share_key``) and one set of tables.  Beside its class counts a model
+keeps each rank's survival series summed from them, per (rank, form) until
+the table grows, and the facts the truncation planner reads off its
+marginals: their family and the dominating marginal j0 (``_dominant``).
+The caches assume that marginals and models are never mutated after
+construction.
 
 A marginal's tail has one kernel, ``_tail_bounds``: one cutoff search,
 one exp over the log pmf prefix and one backward cumsum give an upper
@@ -131,6 +138,17 @@ def _compensated_row_sums(a: np.ndarray) -> np.ndarray:
     return total + comp
 
 
+def _rank_series(counts: np.ndarray, r: int, form: str) -> np.ndarray:
+    """P(X_{r:n} > m) for each row m of class counts: the classes below r
+    summed ("low"), or those from r complemented ("high")."""
+    if form == "low":
+        series = _compensated_row_sums(counts[:, :r])
+    else:
+        series = 1.0 - _compensated_row_sums(counts[:, r:])
+    # rows of class counts may sum to 1 plus a few ulps
+    return np.clip(series, 0.0, 1.0)
+
+
 def _log_factorials(m_max: int) -> np.ndarray:
     """log x! for x = 0..m_max, each from ``math.lgamma`` as the scalar formulas take it."""
     return np.fromiter(map(lgamma, range(1, m_max + 2)), float, m_max + 1)
@@ -138,6 +156,11 @@ def _log_factorials(m_max: int) -> np.ndarray:
 
 class MarginalDist:
     """A univariate distribution on the non-negative integers."""
+
+    # The attributes that fix every table of a marginal, declared by a class
+    # in its own body (see `_share_key`); a class that does not, a subclass
+    # included, may carry other state, so its object alone fixes them.
+    _PARAMS: tuple[str, ...] | None = None
 
     def logpmf(self, x: int) -> float:
         raise NotImplementedError
@@ -294,6 +317,8 @@ class MarginalDist:
 class Poisson(MarginalDist):
     """Poisson(lam) on {0, 1, ...}."""
 
+    _PARAMS = ("lam",)
+
     def __init__(self, lam: float):
         lam = float(lam)
         if not lam > 0.0 or not math.isfinite(lam):
@@ -325,6 +350,8 @@ class NegBin(MarginalDist):
     R may be any positive real (the pmf is defined through the Gamma
     function); p in (0, 1) is the success probability.
     """
+
+    _PARAMS = ("R", "p")
 
     def __init__(self, R: float, p: float):
         R, p = float(R), float(p)
@@ -369,6 +396,8 @@ class Geometric(MarginalDist):
 
     pi = 0 is rejected: it puts all mass at infinity and no moment exists.
     """
+
+    _PARAMS = ("pi",)
 
     def __init__(self, pi: float):
         pi = float(pi)
@@ -481,6 +510,10 @@ class JointModel:
     # per-coordinate marginal laws when the model has them (the truncation
     # planner reads them); None otherwise
     marginals: tuple[MarginalDist, ...] | None = None
+    # the class-count table that the kept rank series were read from, and
+    # those series by (r, form)
+    _series_of: np.ndarray | None = None
+    _series: dict[tuple[int, str], np.ndarray]
 
     def support_max(self) -> int | None:
         return None
@@ -511,6 +544,19 @@ class JointModel:
     def _class_counts(self) -> _PrefixCache:
         return _PrefixCache()
 
+    @cached_property
+    def _dominant(self) -> tuple[type[MarginalDist] | None, int]:
+        """(family, j0) for the truncation planner, from the marginals:
+        `Poisson` with j0 the largest rate, `NegBin` with one shared size R
+        and j0 the smallest success probability, else None with j0 the
+        largest mean; the smallest index wins ties."""
+        margs = self.marginals
+        if all(isinstance(m, Poisson) for m in margs):
+            return Poisson, max(range(len(margs)), key=lambda j: (margs[j].lam, -j)) + 1
+        if all(isinstance(m, NegBin) for m in margs) and len({m.R for m in margs}) == 1:
+            return NegBin, min(range(len(margs)), key=lambda j: (margs[j].p, j)) + 1
+        return None, max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
+
     def orderstat_survival_series(self, r: int, m_hi: int, form: str = "auto", m_lo: int = 0) -> np.ndarray:
         """P(X_{r:n} > m) for m = m_lo..m_hi, read from the class counts.
 
@@ -522,6 +568,9 @@ class JointModel:
         rows of the class counts (row m reads threshold m alone) and leaves
         the table as it is; a finite support bounds the table, and its
         kernels build every row below m anyway, so they read the table.
+        A read of the table slices the rank's series over all its rows,
+        built on the rank's first read and kept per (r, form) until the
+        table grows; each read is the caller's own contiguous copy.
         """
         if form == "auto":
             form = "low" if r <= (self.n + 1) / 2 else "high"
@@ -529,15 +578,16 @@ class JointModel:
             raise ValidationError(f"form must be auto, low, or high, not {form!r}")
         table = self._class_counts.table
         if m_lo > 0 and self.support_max() is None and (table is None or len(table) <= m_hi):
-            counts = self.counts(self._every, m_hi, m_lo)
-        else:
-            counts = self.class_counts(m_hi)[m_lo:]
-        if form == "low":
-            series = _compensated_row_sums(counts[:, :r])
-        else:
-            series = 1.0 - _compensated_row_sums(counts[:, r:])
-        # rows of class counts may sum to 1 plus a few ulps
-        return np.clip(series, 0.0, 1.0)
+            return _rank_series(self.counts(self._every, m_hi, m_lo), r, form)
+        self.class_counts(m_hi)  # grows the table to hold row m_hi
+        table = self._class_counts.table
+        if self._series_of is not table:
+            self._series_of, self._series = table, {}
+        series = self._series.get((r, form))
+        if series is None:
+            series = self._series[r, form] = _rank_series(table, r, form)
+            series.flags.writeable = False
+        return series[m_lo : m_hi + 1].copy()
 
     def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
         """P(T > m) for m = m_lo..m_hi, T the lifetime of the coherent system
@@ -654,8 +704,21 @@ class ExplicitFinitePMF(JointModel):
         ])[m_lo:]
 
 
+def _share_key(d: MarginalDist):
+    """Marginals with equal keys build equal tables: (exact type, parameters)
+    when the type declares ``_PARAMS`` in its own body, the object alone
+    otherwise (a `FinitePMF`, a subclass)."""
+    names = type(d).__dict__.get("_PARAMS")
+    return id(d) if names is None else (type(d), *(getattr(d, a) for a in names))
+
+
 class IndependentMarginals(JointModel):
-    """Independent coordinates with per-coordinate marginal laws."""
+    """Independent coordinates with per-coordinate marginal laws.
+
+    Coordinates whose marginals have one exact type and equal parameters
+    hold the first such object (`_share_key`), so they share its log pmf,
+    cdf and tail tables.
+    """
 
     def __init__(self, marginals: Sequence[MarginalDist], exchangeable: bool = False):
         ms = tuple(marginals)
@@ -664,15 +727,15 @@ class IndependentMarginals(JointModel):
         for j, d in enumerate(ms, start=1):
             if not isinstance(d, MarginalDist):
                 raise ValidationError(f"marginal {j} is not a MarginalDist: {d!r}")
-        self.marginals = ms
+        shared: dict = {}
+        self.marginals = tuple(shared.setdefault(_share_key(d), d) for d in ms)
         self.n = len(ms)
         self.exchangeable = bool(exchangeable)
+        sizes = [d.support_max() for d in shared.values()]
+        self._support_max = None if any(s is None for s in sizes) else max(sizes)
 
     def support_max(self) -> int | None:
-        sizes = [d.support_max() for d in self.marginals]
-        if any(s is None for s in sizes):
-            return None
-        return max(sizes)
+        return self._support_max
 
     def counts(self, marks: Mapping[int, str], m_hi: int, m_lo: int = 0) -> np.ndarray:
         """One recursion over the marked coordinates, every threshold at once:

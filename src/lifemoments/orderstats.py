@@ -356,27 +356,26 @@ def plan_for(model: JointModel, p: int, scaled_d: float) -> TruncationPlan:
     Poisson and shared-size negative binomial families use their closed-form
     planners with j0 the largest rate or the smallest success probability;
     everything else searches the tail moment of the largest-mean marginal
-    (smallest index on ties) in one tail table of it.  The caller is
-    responsible for the premise that one marginal dominates at every
-    threshold (automatic in the two closed-form families).  `_moment` calls
-    this with d over the statistic's d-scale.
+    (smallest index on ties) in one tail table of it.  The family and j0
+    are facts of the model's marginals, found on its first plan and kept on
+    the model (``_dominant``).  The caller is responsible for the premise
+    that one marginal dominates at every threshold (automatic in the two
+    closed-form families).  `_moment` calls this with d over the
+    statistic's d-scale.
     """
     margs = model.marginals
     if margs is None:
         raise UnsupportedModelError(f"no truncation planner for {type(model).__name__}")
-    if all(isinstance(m, Poisson) for m in margs):
-        lams = [m.lam for m in margs]
-        j0 = max(range(len(lams)), key=lambda j: (lams[j], -j)) + 1
-        M0, q = poisson_truncation_index(margs[j0 - 1], p, scaled_d)
+    family, j0 = model._dominant
+    dist = margs[j0 - 1]
+    if family is Poisson:
+        M0, q = poisson_truncation_index(dist, p, scaled_d)
         return TruncationPlan(M0=M0, j0=j0, threshold=q)
-    if all(isinstance(m, NegBin) for m in margs) and len({m.R for m in margs}) == 1:
-        ps = [m.p for m in margs]
-        j0 = min(range(len(ps)), key=lambda j: (ps[j], j)) + 1
-        M0, q = negbin_truncation_index(margs[j0 - 1], p, scaled_d)
+    if family is NegBin:
+        M0, q = negbin_truncation_index(dist, p, scaled_d)
         return TruncationPlan(M0=M0, j0=j0, threshold=q)
-    j0 = max(range(len(margs)), key=lambda j: (margs[j].mean(), -j)) + 1
     # one tail table at the decision's own weight answers every probe of the
     # search: entry m + 2 bounds tail_moment(p, m) (the last, the rest alone)
-    tail = margs[j0 - 1]._tail_bounds(p, scaled_d * _TAIL_SLACK)
+    tail = dist._tail_bounds(p, scaled_d * _TAIL_SLACK)
     M0 = generic_truncation_index(lambda m: tail[min(m + 2, len(tail) - 1)], p, scaled_d)
     return TruncationPlan(M0=M0, j0=j0, threshold=scaled_d)

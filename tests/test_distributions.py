@@ -954,6 +954,97 @@ def test_coordinates_sharing_a_marginal_build_one_cdf_table(monkeypatch):
     assert built == [shared]
 
 
+class OwnPoisson(Poisson):
+    """A Poisson subclass: it declares no parameters of its own, so no two
+    of its objects share tables, one table set per coordinate."""
+
+
+class OwnNegBin(NegBin):
+    """A NegBin subclass, never shared, as `OwnPoisson`."""
+
+
+SHARED_ROWS = {
+    "poisson_1x10": (Poisson, OwnPoisson, [(1.0,)] * 10),
+    "nb_row3": (NegBin, OwnNegBin, [(2.0, 0.25)] * 8 + [(2.0, 0.5)] * 2),
+}
+
+
+@pytest.mark.parametrize("row", SHARED_ROWS)
+def test_equal_marginals_share_tables_and_change_no_bit(row):
+    """Coordinates with equal parameters hold one marginal object, and
+    every table and moment of the model equals, bit for bit, that of a model
+    whose coordinates each hold their own object."""
+    family, own, params = SHARED_ROWS[row]
+    shared = IndependentMarginals([family(*a) for a in params])
+    apart = IndependentMarginals([own(*a) for a in params])
+    assert len({id(d) for d in shared.marginals}) == len(set(params))
+    assert len({id(d) for d in apart.marginals}) == 10
+    for m in (5, 40, 17, 90):
+        assert np.array_equal(shared.class_counts(m), apart.class_counts(m))
+        low, up = frozenset({1, 2, 9}), frozenset({8, 10})
+        assert np.array_equal(shared.rect_series(low, up, m), apart.rect_series(low, up, m))
+    for j in (0, 4, 9):
+        for p in (0, 1, 2):
+            for weight in (1e-3, 1e-9, 1e-15):
+                got = shared.marginals[j]._tail_bounds(p, weight)
+                assert np.array_equal(got, apart.marginals[j]._tail_bounds(p, weight))
+    for p in (1, 2):
+        for r in range(1, 11):
+            req = MomentRequest(r=r, n=10, p=p, d=5e-4)
+            got, want = approx_moment(shared, req), approx_moment(apart, req)
+            assert (got.M0_used, repr(got.value)) == (want.M0_used, repr(want.value))
+
+
+def test_one_cdf_build_per_distinct_parameter_set(monkeypatch):
+    built = recorded_cdf_builds(monkeypatch)
+    IndependentMarginals([Poisson(1.0) for _ in range(10)]).class_counts(40)
+    assert len(built) == 1
+    built.clear()
+    model = IndependentMarginals([NegBin(2.0, q) for q in [0.25] * 8 + [0.5] * 2])
+    model.class_counts(40)
+    assert sorted((d.R, d.p) for d in built) == [(2.0, 0.25), (2.0, 0.5)]
+    built.clear()
+    mixed = [Poisson(3.0), Geometric(0.2), NegBin(1.5, 0.3), Poisson(3.0), Geometric(0.2), NegBin(1.5, 0.3)]
+    IndependentMarginals(mixed).class_counts(40)
+    assert built == mixed[:3]
+
+
+@pytest.mark.parametrize("pair", [
+    [OwnPoisson(1.0), OwnPoisson(1.0)],
+    [Poisson(1.0), OwnPoisson(1.0)],
+    [FinitePMF([0.2, 0.8]), FinitePMF([0.2, 0.8])],
+], ids=["subclass", "subclass_and_family", "finite_pmf"])
+def test_objects_that_may_differ_are_never_merged(pair, monkeypatch):
+    """A subclass may carry state that its parameters do not show, and a
+    FinitePMF is keyed by its object: neither is merged with an equal one."""
+    model = IndependentMarginals(pair)
+    assert model.marginals[0] is pair[0] and model.marginals[1] is pair[1]
+    built = recorded_cdf_builds(monkeypatch)
+    model.class_counts(10)
+    assert built == pair
+
+
+def test_merging_keys_on_exact_type_and_every_parameter():
+    a, b = NegBin(2.0, 0.3), NegBin(2.0, 0.3)
+    model = IndependentMarginals([a, NegBin(3.0, 0.3), b, NegBin(2.0, 0.4), Geometric(0.3), Poisson(2.0)])
+    assert model.marginals[2] is a
+    assert len({id(d) for d in model.marginals}) == 5
+    assert model.n == 6
+    ints = IndependentMarginals([Poisson(1), Poisson(1.0)])  # parameters are floats once built
+    assert ints.marginals[1] is ints.marginals[0]
+
+
+def test_support_max_is_kept_on_the_model(monkeypatch):
+    models = [
+        (IndependentMarginals([FinitePMF([0.5, 0.5]), FinitePMF([0.1, 0.2, 0.7, 0.0])]), 2),
+        (IndependentMarginals([FinitePMF([0.5, 0.5]), Poisson(1.0)]), None),
+        (IndependentMarginals([Geometric(1.0), Geometric(1.0)]), 0),
+    ]
+    for cls in (FinitePMF, Geometric, MarginalDist):
+        monkeypatch.setattr(cls, "support_max", lambda d: pytest.fail("a marginal was asked again"))
+    assert [model.support_max() for model, _ in models] == [want for _, want in models]
+
+
 def test_repeated_scalar_cdf_builds_one_table(monkeypatch):
     want = Poisson(1.0).cdf_array(40)
     built = recorded_cdf_builds(monkeypatch)
@@ -1062,6 +1153,58 @@ def test_compensated_class_sums_match_per_row_fsum():
                 series = model.orderstat_survival_series(r, m, form)
                 assert np.all((series >= 0.0) & (series <= 1.0))
                 assert np.array_equal(series, np.clip(got if form == "low" else 1.0 - got, 0.0, 1.0))
+
+
+def fresh_rank_series(model, r, form, m_hi, m_lo=0):
+    """The survival series of rank r summed afresh from the class counts."""
+    if form == "auto":
+        form = "low" if r <= (model.n + 1) / 2 else "high"
+    counts = model.class_counts(m_hi)[m_lo:]
+    if form == "low":
+        return np.clip(distributions._compensated_row_sums(counts[:, :r]), 0.0, 1.0)
+    return np.clip(1.0 - distributions._compensated_row_sums(counts[:, r:]), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "mixed", "explicit", "multinomial"])
+def test_kept_rank_series_read_like_fresh_sums(kind):
+    """Every rank's series, on every route, before and after the class-count
+    table grows, equals a fresh sum over the class counts bit for bit."""
+    model = CACHE_MODELS[kind]()
+    for m_hi in (12, 7, 150, 40, 400):
+        for m_lo in (0, 3):
+            model.class_counts(m_hi)  # a read of the table, never past its end
+            for r in range(1, model.n + 1):
+                for form in ("auto", "low", "high"):
+                    got = model.orderstat_survival_series(r, m_hi, form, m_lo)
+                    assert np.array_equal(got, fresh_rank_series(model, r, form, m_hi, m_lo)), (m_hi, m_lo, r, form)
+
+
+def test_kept_rank_series_reads_are_the_callers_own():
+    model = CACHE_MODELS["poisson"]()
+    first = model.orderstat_survival_series(2, 30)
+    assert first.flags.writeable and first.flags.c_contiguous and first.base is None
+    want = first.copy()
+    first[:] = -1.0
+    again = model.orderstat_survival_series(2, 30)
+    assert np.array_equal(again, want) and again is not first
+    part = model.orderstat_survival_series(2, 20, m_lo=5)
+    assert part.flags.c_contiguous and part.base is None and np.array_equal(part, want[5:21])
+
+
+def test_kept_rank_series_go_with_the_table_they_were_read_from(monkeypatch):
+    """A rank's series is summed once per class-count table: repeated reads
+    of one table sum nothing, and a grown table sums each rank afresh."""
+    sums = []
+    compensated = distributions._compensated_row_sums
+    monkeypatch.setattr(distributions, "_compensated_row_sums", lambda a: sums.append(len(a)) or compensated(a))
+    model = CACHE_MODELS["poisson"]()
+    for m in (10, 4, 10, 7):
+        model.orderstat_survival_series(3, m)
+    assert sums == [11]
+    model.orderstat_survival_series(3, 30, "high")
+    model.orderstat_survival_series(3, 25, "high")
+    model.orderstat_survival_series(3, 30)
+    assert sums == [11, 31, 31]
 
 
 # ---------------------------------------------------------------------------

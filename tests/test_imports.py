@@ -6,12 +6,13 @@ read, the oracle imports nothing of the analytic pipeline, the MVG sums
 read theta(K) from one lattice, not subset by subset, one kernel
 searches a marginal's tail cutoff, the CLI leaves the route to a moment
 to `moments`, no structure read takes a form, no exact sum reads a list
-copy of an array, and every functools cache has a finite size (no linter
-is a dependency)."""
+copy of an array, and every functools cache has a finite size and a row
+in the README's table of module-level caches (no linter is a dependency)."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ import lifemoments
 from lifemoments import JointModel, LifemomentsError, MarginalDist
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lifemoments"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -639,3 +641,61 @@ def test_checker_flags_unbounded_caches():
         "    def o(self): pass\n"
     )
     assert unbounded_caches(source) == ["a", "b", "c", "d", "i", "<call>", "<call>", "n"]
+
+
+def functools_caches(source: str) -> list[str]:
+    """The functools caches that ``source`` makes, of any size, in source
+    order, named as in `unbounded_caches`; a ``cached_property`` lives on
+    its object and is not one."""
+    found = []
+
+    def wraps(node) -> bool:  # a decorator, or the callee of a wrapping call
+        return _named(node, "cache") or isinstance(node, ast.Call) and _named(node.func, "lru_cache")
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(node.lineno, node.name) for d in node.decorator_list if wraps(d) or _named(d, "lru_cache")]
+        elif isinstance(node, ast.Call) and node.args and wraps(node.func):
+            found.append((node.lineno, "<call>"))
+    return [name for _, name in sorted(found)]
+
+
+def readme_caches(text: str) -> list[str]:
+    """The first column of the README's "| Cache | Key | Size |" table."""
+    lines = text.splitlines()
+    rows = []
+    for line in lines[lines.index("| Cache | Key | Size |") + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `([\w.]+)` \|", line).group(1))
+    return rows
+
+
+def test_every_module_level_cache_is_in_the_readme_table():
+    # a cache shared by every object of the process outlives the objects it
+    # was filled from; the README says what each one keys on and holds
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) for name in functools_caches(path.read_text())]
+    assert sorted(found) == sorted(readme_caches(README.read_text()))
+
+
+def test_checker_finds_every_functools_cache():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache, cached_property\n"
+        "@cache\n"
+        "def a(x): pass\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def b(x): pass\n"
+        "@lru_cache\n"
+        "def c(x): pass\n"
+        "k = lru_cache(maxsize=2)(len)\n"
+        "j = cache(len)\n"
+        "class C:\n"
+        "    @cached_property\n"
+        "    def d(self): pass\n"
+        "    @functools.lru_cache(4)\n"
+        "    def e(self): pass\n"
+    )
+    assert functools_caches(source) == ["a", "b", "c", "<call>", "<call>", "e"]
+    table = "x\n| Cache | Key | Size |\n| --- | --- | --- |\n| `m.a` | k | 1 |\n| `n.b` | j | 2 |\n\ntext\n"
+    assert readme_caches(table) == ["m.a", "n.b"]

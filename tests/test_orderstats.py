@@ -424,6 +424,29 @@ def _paper_plan_cases():
                     yield (lambda req=req, R=R, p0=p0, n=n: plan_negbin(R, [p0] * n, req)), [NegBin(R, p0)] * n, req
 
 
+PLANNER_MODELS = {
+    "poisson": lambda: IndependentMarginals([Poisson(x) for x in (1.0, 4.0, 2.5, 4.0, 0.3)]),
+    "negbin": lambda: IndependentMarginals([NegBin(2.0, q) for q in (0.5, 0.2, 0.35, 0.2)]),
+    "negbin_mixed_sizes": lambda: IndependentMarginals([NegBin(2.0, 0.3), NegBin(3.0, 0.4), NegBin(2.0, 0.3)]),
+    "mixed": lambda: IndependentMarginals([Poisson(3.0), NegBin(1.0, 0.3), Geometric(0.2), Poisson(3.0)]),
+    "poisson_and_finite": lambda: IndependentMarginals([FinitePMF([0.5, 0.5]), Poisson(2.0)]),
+    "mvg": lambda: MvgModel(MvgParams(4, theta={(1,): 0.6, (2,): 0.7, (3,): 0.5, (1, 2): 0.95, (2, 3, 4): 0.9})),
+}
+
+
+@pytest.mark.parametrize("kind", PLANNER_MODELS)
+def test_warm_plans_equal_a_fresh_models_plans(kind):
+    """The planner's family and j0 are kept on the model; every plan of a
+    warm model, in any order of orders and bounds, equals the plan of a
+    freshly built one."""
+    model = PLANNER_MODELS[kind]()
+    cases = [(p, d) for p in (1, 2, 3) for d in (1e-2, 5e-4, 1e-7, 3e-11)]
+    for sweep in (cases, cases[::-1], cases):
+        for p, d in sweep:
+            assert plan_for(model, p, d) == plan_for(PLANNER_MODELS[kind](), p, d), (p, d)
+    assert vars(model)["_dominant"][1] == plan_for(model, 1, 1e-3).j0
+
+
 def test_warm_paper_plans_equal_cold_plans():
     """A paper planner reads one kept model per parameter set; every plan it
     gives, cold or warm, rising or falling through the ranks and orders,
