@@ -9,15 +9,14 @@ vector (an explicit pmf that never lists its support), a product of
 independent marginals, and the common-shock geometric model of module
 ``mvg``, which reads that module's lattice of theta(K).
 
-The statistic reads, ``orderstat_survival_series`` and
-``system_survival_series``, have base forms built on that query (the class
-counts, and one rectangle series per non-zero alpha coefficient of a
-system's structure function), and a kind may override them where it has a
-better route: ``MvgModel`` reads both in closed form from its lattice, as
-it reads closed-form moments of a statistic (``factorial_moments``), and
-``IndependentMarginals`` contracts a system's structure function with its
-marginals' cdfs.  A forced form of the order-statistic read keeps the base
-route, as a cross-check; a system has one route per kind.
+The order-statistic read, ``orderstat_survival_series``, sums the class
+counts; ``MvgModel`` overrides it, and its moments (``factorial_moments``),
+in closed form, and a forced form keeps the class counts as a cross-check.
+A system's read, ``system_survival_series``, reads the structure function
+phi by one route per kind, with non-negative terms but on MVG, which sums
+phi's alpha terms in closed form: independent and multinomial components
+share one contraction of phi (``_contract_phi``; the multinomial adds a
+trial axis), and an explicit pmf reads each point's lifetime off phi.
 
 Marginal pmf work is done in log space, one array per family on 0..m
 (``logpmf_array``), so that large rates and far tail indices neither
@@ -591,23 +590,8 @@ class JointModel:
 
     def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
         """P(T > m) for m = m_lo..m_hi, T the lifetime of the coherent system
-        ``structure`` (a `systems.SystemStructure`): the sum of
-        c_K P(min over K > m) over the non-zero alpha coefficients of its
-        structure function, one rectangle series each, from either family.
-        A kind with a better route overrides it.
-        """
-        return self._expansion_series(structure._alpha_subsets(), "alpha", m_hi, m_lo)
-
-    def _expansion_series(
-        self, coeffs: Mapping[frozenset[int], float], form: str, m_hi: int, m_lo: int = 0
-    ) -> np.ndarray:
-        """The signed expansion of ``form`` over the subsets K of ``coeffs``."""
-        none = frozenset()
-        series = np.zeros(m_hi - m_lo + 1)
-        for K, c in coeffs.items():
-            low, up = (none, K) if form == "alpha" else (K, none)
-            series += float(c) * self.rect_series(low, up, m_hi, m_lo)  # a Fraction would make an object array
-        return series if form == "alpha" else 1.0 - series
+        ``structure`` (a `systems.SystemStructure`), read off its phi."""
+        raise UnsupportedModelError(f"unknown model kind {type(self).__name__}")
 
     def factorial_moments(self, stat, p: int) -> Sequence[float] | None:
         """Closed-form factorial moments E(T)_1..E(T)_p of a statistic T, or
@@ -703,6 +687,17 @@ class ExplicitFinitePMF(JointModel):
             for s in range(ranked.shape[1] + 1)
         ])[m_lo:]
 
+    def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
+        """Each point's lifetime off phi: its components join the working set
+        in descending order of value, and T is the value at which phi turns
+        on (ties join at one value).  The lifetimes' pmf, summed backward."""
+        order = np.argsort(self.points, axis=1)[:, ::-1]
+        first = structure._phi()[np.bitwise_or.accumulate(1 << order, axis=1)].argmax(axis=1)
+        rows = np.arange(len(order))
+        lifetimes = self.points[rows, order[rows, first]].astype(np.intp)
+        pmf = np.bincount(lifetimes, weights=self.probs, minlength=m_hi + 2)
+        return np.cumsum(pmf[::-1])[::-1][m_lo + 1 : m_hi + 2]
+
 
 def _share_key(d: MarginalDist):
     """Marginals with equal keys build equal tables: (exact type, parameters)
@@ -710,6 +705,35 @@ def _share_key(d: MarginalDist):
     otherwise (a `FinitePMF`, a subclass)."""
     names = type(d).__dict__.get("_PARAMS")
     return id(d) if names is None else (type(d), *(getattr(d, a) for a in names))
+
+
+def _contract_phi(phi: np.ndarray, weights: Sequence[tuple], norm: float = 1.0) -> np.ndarray:
+    """Per row, the sum over working sets U of phi(U) times each component's
+    "failed" weight outside U and "working" weight in U, convolved along a
+    trial axis, read at its last entry and divided by ``norm``, at most 1.
+    ``weights`` holds a (failed, working) pair of (D, rows) arrays per
+    component, lowest bit first, for x = 0..D-1 trials.  phi is contracted a
+    component at a time: both halves at x = 0, then each half shifted x
+    steps along the trial axis in order of x, O(2^n D^2) per row.  Terms are
+    non-negative, so a half or a weight that is zero on a block of rows adds
+    exact zeros and is skipped; blocks of `_LATTICE_BLOCK` state entries
+    give the same bits."""
+    width, rows = weights[0][0].shape
+    out = np.empty(rows)
+    step = max(1, _LATTICE_BLOCK // (width * len(phi)))
+    for lo in range(0, rows, step):
+        state = np.zeros((len(phi), width, 1))  # working sets, trials, rows (one until weighted)
+        state[:, 0, 0] = phi
+        for failed, working in weights:
+            f, w = failed[:, lo : lo + step], working[:, lo : lo + step]
+            h0, h1 = state[0::2], state[1::2]  # the lowest component left failed, working
+            state = f[0] * h0 + w[0] * h1
+            for weight, half in ((f, h0), (w, h1)) if width > 1 else ():
+                for x in range(1, width) if half.any() else ():
+                    if weight[x].any():
+                        state[:, x:] += weight[x] * half[:, :-x]
+        out[lo : lo + step] = state[0, -1]
+    return np.minimum(out / norm, 1.0, out=out)
 
 
 class IndependentMarginals(JointModel):
@@ -757,25 +781,10 @@ class IndependentMarginals(JointModel):
         return out
 
     def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
-        """The reliability polynomial: the structure function
-        over the 2^n working sets, contracted one component at a time from
-        the highest bit, each pair of halves into phi(j failed) F_j(m) +
-        phi(j working) (1 - F_j(m)).  Every term is non-negative, no
-        rectangle series is read, and each step is elementwise, so row m
-        reads F_j(m) alone (Barlow and Proschan 1975, ch. 2, pivotal
-        decomposition)."""
-        phi = structure._phi()
-        cdfs = [d._cdf_prefix(m_hi)[m_lo:] for d in reversed(self.marginals)]
-        out = np.empty(m_hi - m_lo + 1)
-        step = max(1, _LATTICE_BLOCK // len(phi))
-        for lo in range(0, len(out), step):
-            state = phi[:, None]  # working sets by thresholds
-            for cdf in cdfs:
-                q = cdf[lo : lo + step]
-                half = state.reshape(2, -1, state.shape[1])  # axis 0: the highest component left
-                state = half[0] * q + half[1] * (1.0 - q)
-            out[lo : lo + step] = state[0]
-        return np.minimum(out, 1.0, out=out)  # q + (1 - q) may round above 1
+        """The reliability polynomial (Barlow and Proschan 1975, ch. 2): phi
+        contracted with the weights F_j(m) failed and 1 - F_j(m) working."""
+        cdfs = [d._cdf_prefix(m_hi)[None, m_lo:] for d in self.marginals]
+        return _contract_phi(structure._phi(), [(q, 1.0 - q) for q in cdfs])
 
 
 class MvgModel(JointModel):
@@ -987,6 +996,18 @@ class MultinomialModel(ExplicitFinitePMF):
         table = self._conditioned_poisson(cells, min(m_hi, N))
         return table[np.minimum(np.arange(m_lo, m_hi + 1), N)]  # constant past the support
 
+    def system_survival_series(self, structure, m_hi: int, m_lo: int = 0) -> np.ndarray:
+        """phi contracted along a trial axis of width N + 1: cell j takes x
+        trials w.p. Poisson(N p_j).pmf(x) and fails at m when x <= m; over
+        P(total = N), as in `_conditioned_poisson`.  Constant past row N."""
+        N, rates = self.trials, self.trials * self.cell_probs
+        ms = np.arange(min(m_lo, N), min(m_hi, N) + 1)
+        failed = np.arange(N + 1)[:, None] <= ms
+        pmfs = [Poisson(rate).pmf_array(N)[:, None] for rate in rates]
+        weights = [(np.where(failed, f, 0.0), np.where(failed, 0.0, f)) for f in pmfs]
+        series = _contract_phi(structure._phi(), weights, Poisson(math.fsum(rates)).pmf(N))
+        return series[np.minimum(np.arange(m_lo, m_hi + 1), N) - ms[0]]
+
     def _conditioned_poisson(self, cells: list[tuple[float, str]], m_top: int) -> np.ndarray:
         """Row m, column s: P(every cell meets its rule at threshold m and
         exactly s "count" cells hold <= m), for m = 0..m_top.
@@ -1019,16 +1040,16 @@ class MultinomialModel(ExplicitFinitePMF):
 def multinomial_pmf(trials: int, probs: Sequence[float], exchangeable: bool | None = None) -> MultinomialModel:
     """The full multinomial distribution Mult(trials, probs) as an explicit pmf.
 
-    Class counts and rectangle series (so order-statistic moments,
-    ``rect_prob``, ``system_survival`` and every system moment) come from
-    (trials, probs) by one positive-term dynamic program over the cells,
-    without listing the C(N + k - 1, k - 1) count vectors: O(k^2 N^3) flops
-    for the whole class-count table and O(c N^3) for a rectangle series
-    naming c cells (k cells, N trials).  Only the ``enumerate_moment`` and
-    ``mc_moment`` oracles list the support points, on first use, with a
-    log-factorial table that keeps the weights exact to double precision.
-    ``exchangeable`` defaults to true exactly when all cell probabilities
-    are equal (the construction is then symmetric under coordinate
-    permutations).
+    Class counts and rectangle series (so order-statistic moments and
+    ``rect_prob``) come from (trials, probs) by one positive-term dynamic
+    program over the cells, without listing the C(N + k - 1, k - 1) count
+    vectors: O(k^2 N^3) flops for the whole class-count table and O(c N^3)
+    for a rectangle series naming c cells (k cells, N trials); a system
+    series contracts phi, O(2^k N^2) per threshold.  Only the
+    ``enumerate_moment`` and ``mc_moment`` oracles list the support points,
+    on first use, with a log-factorial table that keeps the weights exact
+    to double precision.  ``exchangeable`` defaults to true exactly when
+    all cell probabilities are equal (the construction is then symmetric
+    under coordinate permutations).
     """
     return MultinomialModel(trials, probs, exchangeable)

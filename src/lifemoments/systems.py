@@ -13,23 +13,18 @@ bound otherwise, and in closed form for multivariate geometric components.
 
 The system kind of the statistic type of `orderstats`, `_System`, reads its
 survival series from the model's `JointModel.system_survival_series`, one
-route per model kind: the base read sums the alpha expansion over the
-non-zero alpha terms of the structure function phi, one rectangle series
-each; independent components contract phi at the multilinear point (F_j(m),
-1 - F_j(m)), the reliability polynomial, whose terms are all non-negative;
-MVG components sum alpha_K theta(K)^(m+1) over one subset lattice.  Phi, and
-so the series, is the same table from either family.  The d-scale of a
-truncation is the positive alpha sum, read off phi for cut sets alone.  A
-structure keeps, per object, its phi table, the non-zero alpha terms (by
-mask and by subset) and the positive alpha sum, built on first use; the
-coefficient maps of `alpha_coefficients` and `beta_coefficients` are
-computed afresh, so the oracles, which read only the statistic's values,
-never run a Mobius transform.  The beta expansion over subset maxima, with
-its 2^n - 1 scale, serves only `exchangeable_system_moment`, whose
-signature entries sit on prefixes (`_Expansion`).  `_statistic` turns a rank
-or a structure into a statistic, and `moments`, the one entry that picks
-the route to a moment (closed form or survival series), reads any model and
-statistic.
+route per model kind over the structure function phi, the same table from
+either family (see `distributions`).  The d-scale of a truncation is the
+positive alpha sum, read off phi for cut sets alone.  A structure keeps,
+per object, its phi table, its non-zero alpha terms and the positive alpha
+sum, built on first use; the coefficient maps of `alpha_coefficients` and
+`beta_coefficients` are computed afresh, so the oracles, which read only
+the statistic's values, never run a Mobius transform.  A signed expansion,
+one rectangle series per subset, serves only `exchangeable_system_moment`,
+whose signature entries sit on prefixes (`_Expansion`; the beta form's
+scale carries 2^n - 1).  `_statistic` turns a rank or a structure into a
+statistic, and `moments`, the one entry that picks the route to a moment
+(closed form or survival series), reads any model and statistic.
 """
 
 from __future__ import annotations
@@ -171,14 +166,6 @@ class SystemStructure:
             return masks, coeff[masks]
         return self._table("alpha", build)
 
-    def _alpha_subsets(self) -> dict[frozenset[int], int]:
-        """``_alpha_terms`` keyed by component subset, as `alpha_coefficients`
-        gives them for path sets, in the same order."""
-        def build():
-            masks, coeffs = self._alpha_terms()
-            return dict(zip(map(_unmask, masks.tolist()), coeffs.tolist()))
-        return self._table("alpha subsets", build)
-
     def _positive_sum(self) -> int:
         """The sum of the positive alpha coefficients, the d-scale of a system
         series: from `alpha_coefficients`, and so under its cap, with path
@@ -230,13 +217,6 @@ def k_out_of_n_structure(n: int, k: int, kind: str = "G") -> SystemStructure:
     )
 
 
-def _mask(S: frozenset[int]) -> int:
-    m = 0
-    for i in S:
-        m |= 1 << (i - 1)
-    return m
-
-
 def _unmask(mask: int) -> frozenset[int]:
     """The components of a bit mask (bit i-1 for component i), visiting the
     set bits only, lowest first."""
@@ -254,16 +234,16 @@ def _up_closure(family: Sequence[frozenset[int]], n: int) -> np.ndarray:
     if n > LATTICE_N_CAP:
         raise CapacityError(f"the component lattice has 2^{n} subsets; cap is n = {LATTICE_N_CAP}")
     up = np.zeros(1 << n, dtype=bool)
-    up[[_mask(S) for S in family]] = True
+    up[[sum(1 << (i - 1) for i in S) for S in family]] = True
     for b in range(n):
         halves = up.reshape(-1, 2, 1 << b)  # axis 1 is bit b of the subset
         halves[:, 1] |= halves[:, 0]
     return up
 
 
-def _collection_coefficients(structure: SystemStructure, form: str) -> np.ndarray:
+def _collection_coefficients(structure: SystemStructure, form: str) -> dict[frozenset[int], int]:
     """Inclusion-exclusion weights of the path sets ("alpha") or the cut sets
-    ("beta") over the 2^n component subsets (bit i-1 for component i):
+    ("beta") by component subset U, those that are not zero:
     coeff[U] = sum over non-empty collections with union U of
     (-1)^(collection size + 1).
 
@@ -272,15 +252,16 @@ def _collection_coefficients(structure: SystemStructure, form: str) -> np.ndarra
     Mobius transform on the 2^n subset lattice (exact integer arithmetic).
     The indicator is read off the structure function: for path sets it is
     phi itself, for cut sets (U the failed components) the complement of
-    phi at U's complement.
-    """
+    phi at U's complement."""
     family = structure.path_sets if form == "alpha" else structure.cut_sets
     if family is None:
         raise ValidationError(f"structure has no {'path' if form == 'alpha' else 'cut'} sets")
     if len(family) > COLLECTION_CAP:
         raise CapacityError(f"{len(family)} sets exceed the cap of {COLLECTION_CAP} per family")
     phi = structure._phi()
-    return _mobius((phi if form == "alpha" else ~phi[::-1]).astype(np.int64))
+    coeff = _mobius((phi if form == "alpha" else ~phi[::-1]).astype(np.int64))
+    nonzero = np.flatnonzero(coeff)
+    return dict(zip(map(_unmask, nonzero.tolist()), coeff[nonzero].tolist()))
 
 
 def _mobius(table: np.ndarray) -> np.ndarray:
@@ -293,20 +274,14 @@ def _mobius(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _subset_coefficients(structure: SystemStructure, form: str) -> dict[frozenset[int], int]:
-    coeff = _collection_coefficients(structure, form)
-    nonzero = np.flatnonzero(coeff)
-    return dict(zip(map(_unmask, nonzero.tolist()), coeff[nonzero].tolist()))
-
-
 def alpha_coefficients(structure: SystemStructure) -> dict[frozenset[int], int]:
     """Subset weights of the survival expansion over minima of path-set unions."""
-    return _subset_coefficients(structure, "alpha")
+    return _collection_coefficients(structure, "alpha")
 
 
 def beta_coefficients(structure: SystemStructure) -> dict[frozenset[int], int]:
     """Subset weights of the failure expansion over maxima of cut-set unions."""
-    return _subset_coefficients(structure, "beta")
+    return _collection_coefficients(structure, "beta")
 
 
 def _aggregate_by_size(coeffs: Mapping[frozenset[int], int], n: int) -> tuple[int, ...]:
@@ -477,7 +452,11 @@ class _Expansion:
         return scale * (2**self.n - 1) if self.form == "beta" else scale
 
     def series(self, model: JointModel, m_hi: int, m_lo: int = 0) -> np.ndarray:
-        return model._expansion_series(self.coeffs, self.form, m_hi, m_lo)
+        series = np.zeros(m_hi - m_lo + 1)
+        for K, c in self.coeffs.items():
+            low, up = (frozenset(), K) if self.form == "alpha" else (K, frozenset())
+            series += float(c) * model.rect_series(low, up, m_hi, m_lo)  # a Fraction would make an object array
+        return series if self.form == "alpha" else 1.0 - series
 
 
 _ROW_BLOCK = 1 << 14  # points per block of _reduce_rows: its working rows stay in cache

@@ -5,9 +5,10 @@ marginal alone keeps its cdf table, each statistic kind has one survival
 read, the oracle imports nothing of the analytic pipeline, the MVG sums
 read theta(K) from one lattice, not subset by subset, one kernel
 searches a marginal's tail cutoff, the CLI leaves the route to a moment
-to `moments`, no structure read takes a form, no exact sum reads a list
-copy of an array, and every functools cache has a finite size and a row
-in the README's table of module-level caches (no linter is a dependency)."""
+to `moments`, no structure read takes a form, no system series reads a
+rectangle query or a signed expansion, no exact sum reads a list copy of
+an array, and every functools cache has a finite size and a row in the
+README's table of module-level caches (no linter is a dependency)."""
 
 import ast
 import importlib
@@ -521,6 +522,44 @@ def test_checker_flags_form_parameters():
 
     reads = {"one_route": one_route, "forced": forced, "Kind.series": Kind.system_survival_series}
     assert form_parameters(reads) == ["forced", "Kind.series"]
+
+
+def expansion_routes(source: str) -> list[str]:
+    """Calls of ``rect_series`` or ``counts`` (as functions or methods) inside
+    a ``system_survival_series`` of ``source``, and every class of it that
+    defines ``_expansion_series``: a system's series reads phi, not one
+    rectangle series per coefficient of a signed expansion."""
+    found = [
+        f"{where} calls {name}" for name in ("rect_series", "counts")
+        for where in callers(source, name, methods=True) if where.endswith(".system_survival_series")
+    ]
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    return found + [f"{cls.name}._expansion_series" for cls in classes
+                    if "_expansion_series" in methods_and_stores(cls)[0]]
+
+
+def test_system_series_read_phi_not_an_expansion():
+    assert expansion_routes((PACKAGE / "distributions.py").read_text()) == []
+    assert not hasattr(JointModel, "_expansion_series")
+
+
+def test_checker_flags_expansion_routes():
+    source = (
+        "class JointModel:\n"
+        "    def system_survival_series(self, structure, m_hi):\n"
+        "        return self._expansion_series(structure, m_hi)\n"
+        "    def _expansion_series(self, coeffs, m_hi):\n"
+        "        return sum(c * self.rect_series((), K, m_hi) for K, c in coeffs)\n"
+        "class A(JointModel):\n"
+        "    def system_survival_series(self, structure, m_hi):\n"
+        "        return counts(self, {1: 'up'}, m_hi)[:, 0]\n"
+        "class B(JointModel):\n"
+        "    def counts(self, marks, m_hi):\n"
+        "        return self.rect_series((), (), m_hi)\n"
+        "    def system_survival_series(self, structure, m_hi):\n"
+        "        return contract(structure.phi, self.counts_of_cells)\n"
+    )
+    assert expansion_routes(source) == ["A.system_survival_series calls counts", "JointModel._expansion_series"]
 
 
 def _is_tolist(node) -> bool:

@@ -11,6 +11,7 @@ import pytest
 
 from lifemoments import (
     CapacityError,
+    ExplicitFinitePMF,
     FinitePMF,
     Geometric,
     IndependentMarginals,
@@ -60,6 +61,7 @@ from conftest import (
     BRIDGE_PATHS,
     random_explicit,
     random_independent,
+    random_probs,
 )
 from test_mvg import BIT_IDENTITY_PARAMS
 
@@ -968,14 +970,17 @@ def random_infinite(rng: np.random.Generator, n: int) -> IndependentMarginals:
 
 
 def test_contraction_agrees_with_both_expansions():
-    rng = np.random.default_rng(97)
+    rng, dependent = np.random.default_rng(97), np.random.default_rng(98)
     for _ in range(30):
         n = int(rng.integers(1, 7))
         paths = random_antichain(rng, n)
         both = SystemStructure(n, path_sets=paths, cut_sets=cut_sets_from_path_sets(n, paths))
         cuts_only = SystemStructure(n, cut_sets=both.cut_sets)
         infinite, finite = random_infinite(rng, n), random_independent(rng, n)
-        for model in (infinite, finite):
+        # dependent kinds, drawn apart so the independent models stay as they were
+        explicit = random_explicit(dependent, n)
+        multinomial = multinomial_pmf(int(dependent.integers(1, 6)), random_probs(dependent, n))
+        for model in (infinite, finite, explicit, multinomial):
             auto = model.system_survival_series(both, 30)
             # phi is the same table from either family
             assert np.array_equal(model.system_survival_series(cuts_only, 30), auto)
@@ -983,41 +988,58 @@ def test_contraction_agrees_with_both_expansions():
                 expansion = expansion_series(model, both, form, 30)
                 assert np.max(np.abs(expansion - auto[: len(expansion)])) <= 1e-12
         for p in (1, 2):
-            assert system_moment_exact(finite, both, p).value == pytest.approx(
-                enumerate_moment(finite, both, p), abs=1e-12)
+            for model in (finite, explicit, multinomial):
+                assert system_moment_exact(model, both, p).value == pytest.approx(
+                    enumerate_moment(model, both, p), abs=1e-12)
             got = system_moment_approx(infinite, both, p, 1e-4)
             want = series_moment(expansion_series(infinite, both, "alpha", got.M0_used), p)
             assert got.value == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["independent", "mvg_general", "mvg_exchangeable"])
+@pytest.mark.parametrize("kind", ["independent", "mvg_general", "mvg_exchangeable", "multinomial"])
 def test_system_series_in_blocks_of_rows_changes_no_bit(bridge, kind, monkeypatch):
     model = RANGE_MODELS[kind]()
     whole = model.system_survival_series(bridge, 40)
-    monkeypatch.setattr(distributions, "_LATTICE_BLOCK", 64)  # a few rows per block
+    monkeypatch.setattr(distributions, "_LATTICE_BLOCK", 64)  # a few rows per block, one for the multinomial
     assert np.array_equal(model.system_survival_series(bridge, 40), whole)
     assert np.array_equal(model.system_survival_series(bridge, 40, m_lo=7), whole[7:])
 
 
 def test_independent_auto_route_runs_no_counts_and_one_transform_per_structure(bridge, monkeypatch):
-    model = IndependentMarginals([Poisson(1.0), Poisson(1.5), NegBin(2, 0.4), Poisson(0.7), Poisson(2.2)])
+    # independent, explicit and multinomial components read phi alone: no
+    # class-count or rectangle query, and one coefficient transform per
+    # structure for the d-scale of a truncated moment
+    independent = IndependentMarginals([Poisson(1.0), Poisson(1.5), NegBin(2, 0.4), Poisson(0.7), Poisson(2.2)])
+    finite = [random_explicit(np.random.default_rng(7), 5), multinomial_pmf(6, [0.1, 0.2, 0.3, 0.15, 0.25])]
     calls = Counter()
 
     def counted(key, fn):
         return lambda *args: calls.update([key(*args)]) or fn(*args)
 
-    monkeypatch.setattr(IndependentMarginals, "counts", counted(lambda *a: "counts", IndependentMarginals.counts))
-    monkeypatch.setattr(JointModel, "_expansion_series",
-                        counted(lambda *a: "expansion", JointModel._expansion_series))
+    for kind in (IndependentMarginals, ExplicitFinitePMF, distributions.MultinomialModel):
+        monkeypatch.setattr(kind, "counts", counted(lambda *a: "counts", kind.counts))
+    monkeypatch.setattr(JointModel, "rect_series", counted(lambda *a: "rect_series", JointModel.rect_series))
     monkeypatch.setattr(systems, "_collection_coefficients",
                         counted(lambda structure, form: (id(structure), form), systems._collection_coefficients))
     structures = [bridge, k_out_of_n_structure(5, 3), SystemStructure(5, path_sets=[[i] for i in range(1, 6)])]
     for _ in range(3):
         for structure in structures:
             for p in (1, 2, 3):
-                system_moment_approx(model, structure, p, 1e-4)
-            system_survival(model, structure, 4)
+                system_moment_approx(independent, structure, p, 1e-4)
+                for model in finite:
+                    system_moment_exact(model, structure, p)
+            for model in (independent, *finite):
+                system_survival(model, structure, 4)
     assert calls == {(id(structure), "alpha"): 1 for structure in structures}
+
+
+def test_k_out_of_n_on_a_multinomial_lands_within_16_ulps():
+    """6-of-12:G on Mult(6, 1/12 x 12) has 2,510 non-zero alpha terms, and
+    their signed expansion lands about 64 ulps from enumeration; phi's
+    contraction, with non-negative terms, lands within a few."""
+    model, structure = multinomial_pmf(6, [1 / 12] * 12), k_out_of_n_structure(12, 6)
+    want = enumerate_moment(model, structure, 1)
+    assert abs(system_moment_exact(model, structure, 1).value - want) <= 16 * np.spacing(want)
 
 
 def test_mvg_system_series_builds_one_lattice(bridge, monkeypatch):
